@@ -18,6 +18,7 @@ from .errors import (
     InvalidState,
     MalformedTable,
     NoBoundsError,
+    NotAnEventAlgebra,
     NotAnRlse,
     NotFull,
     NotLatticeOrdered,

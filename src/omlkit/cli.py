@@ -27,6 +27,7 @@ from .errors import (
     InvalidState,
     MalformedTable,
     NoBoundsError,
+    NotAnEventAlgebra,
     NotAnRlse,
     NotLatticeOrdered,
     ParseError,
@@ -333,6 +334,9 @@ def _event_test_entries(ev: states.NumericalEventSet) -> list:
         report = states.boolean_test(ev)
     except NotLatticeOrdered as exc:
         return [_check("lattice-ordered", False, str(exc))]
+    except NotAnEventAlgebra as exc:
+        law, witness, detail = exc.report.failures[0]
+        return [_check(law, False, detail or None, witness=witness)]
     if report.is_boolean:
         return [_check("ring-inequality", True,
                        "p+q-2(p^q) never exceeds 1; addition matches "

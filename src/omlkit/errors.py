@@ -108,6 +108,15 @@ class NotLatticeOrdered(OmlkitError):
         super().__init__(f"event pair {pair} has no {kind} within the set")
 
 
+class NotAnEventAlgebra(OmlkitError):
+    """A set of event vectors fails one of the probability-algebra axioms."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__("event set fails the probability-algebra axiom "
+                         f"{report.failures[0][0]}")
+
+
 class ParseError(OmlkitError):
     """A structure file or term string could not be parsed."""
 

@@ -5,6 +5,12 @@ and is additive on orthogonal pairs.  The searches below first solve the
 additivity equations symbolically, which shrinks each lattice to a handful
 of free coordinates, then run an exact simplex over those coordinates.
 Everything is Fraction arithmetic end to end.
+
+Which pairs a state set separates is kept as dominance masks: above[x]
+is the bitmask of the y with m(x) > m(y) in some state, built by sorting
+each state's values once.  The full-set search consults it to skip pairs
+already separated, and check_full reads its verdict and first witness
+pair off it, one mask operation per element.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from . import simplex
 from .errors import (
     DimensionMismatch,
     InvalidState,
+    NotAnEventAlgebra,
     NotFull,
     NotLatticeOrdered,
     NotUncomparable,
@@ -352,29 +359,43 @@ def _separate(oml, space, xi, yi):
     return state
 
 
+def _add_dominance(above, values):
+    """Fold one state into the dominance masks: above[x] gains every y
+    with values[x] > values[y]."""
+    lower = group = 0
+    prev = None
+    for x in sorted(range(len(values)), key=values.__getitem__):
+        if values[x] != prev:
+            lower |= group
+            group = 0
+            prev = values[x]
+        group |= 1 << x
+        above[x] |= lower
+
+
 def find_full_state_set(oml: FiniteOml) -> StateSearchResult:
     """Collect vertex states until every non-relation x !<= y is witnessed.
 
     Pairs already separated by a collected state are skipped, so the
     number of simplex runs stays close to the number of distinct states;
-    the outcome is the same as solving for every pair.  Returns the
-    deduplicated states, or the first pair no state can separate.
+    the outcome is the same as solving for every pair.  A new state
+    separates a pair no earlier one does, so the states come out
+    distinct.  Returns them, or the first pair no state can separate.
     """
     space = _state_space(oml)
     n = oml.n
     leq = oml.poset.leq
     states: list[State] = []
+    above = [0] * n
     for x in range(n):
         for y in range(n):
-            if leq[x][y]:
-                continue
-            if any(s.values[x] > s.values[y] for s in states):
+            if leq[x][y] or above[x] >> y & 1:
                 continue
             got = _separate(oml, space, x, y)
             if isinstance(got, Infeasible):
                 return StateSearchResult(None, got)
-            if got not in states:
-                states.append(got)
+            states.append(got)
+            _add_dominance(above, got.values)
     return StateSearchResult(tuple(states), None)
 
 
@@ -387,27 +408,24 @@ class FullnessReport:
 def check_full(oml: FiniteOml, states) -> FullnessReport:
     """Does x <= y hold exactly when every state weighs x at most y?
 
-    Checks the biconditional on all ordered pairs.  Each state is first
-    validated; an invalid one raises InvalidState.
+    Checks the biconditional on all ordered pairs and reports the first
+    failing pair in lexicographic order.  Each state is first validated;
+    an invalid one raises InvalidState.
     """
-    states = tuple(states)
+    above = [0] * oml.n
     for pos, s in enumerate(states):
         vals = s.values if isinstance(s, State) else tuple(Fraction(v) for v in s)
         report = check_state(oml, vals)
         if not report.passed:
             raise InvalidState(pos, report.failed_check)
-    vecs = [s.values if isinstance(s, State) else tuple(Fraction(v) for v in s)
-            for s in states]
-    n = oml.n
-    leq = oml.poset.leq
-    els = oml.elements
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            dominated = all(v[x] <= v[y] for v in vecs)
-            if dominated != leq[x][y]:
-                return FullnessReport(False, {"x": els[x], "y": els[y]})
+        _add_dominance(above, vals)
+    full = (1 << oml.n) - 1
+    for x, up in enumerate(oml.poset.up_masks()):
+        # y where "no state puts x above y" disagrees with x <= y
+        wrong = (~above[x] ^ up) & full & ~(1 << x)
+        if wrong:
+            y = (wrong & -wrong).bit_length() - 1
+            return FullnessReport(False, {"x": oml.elements[x], "y": oml.elements[y]})
     return FullnessReport(True)
 
 
@@ -581,7 +599,9 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
     supremum within the set, under the pointwise order); otherwise
     NotLatticeOrdered is raised.  On success the induced addition table is
     returned and cross-checked against (p^q')v(p'^q) computed with the
-    set's own lattice operations; a mismatch raises OracleMismatch.
+    set's own lattice operations.  A mismatch raises NotAnEventAlgebra
+    when the vectors fail a probability-algebra axiom, and OracleMismatch
+    only when they satisfy them all.
     """
     events = ev.events
     labels = ev.elements
@@ -663,6 +683,11 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
             hi = member.get(h)
             s = join[meet[i][compl[j]]][meet[compl[i]][j]]
             if hi is None or hi != s:
+                # the axiom check is exhaustive and slow: only a failed
+                # cross-check pays for it
+                algebra = check_s_probability_algebra(ev)
+                if not algebra.passed:
+                    raise NotAnEventAlgebra(algebra)
                 raise OracleMismatch(
                     "ring addition disagrees with the symmetric difference "
                     f"at ({labels[i]}, {labels[j]})"

@@ -240,6 +240,12 @@ def to_events(sf: StructureFile) -> NumericalEventSet:
             raise UnknownLabel(f"no EVENTS row for element {lab!r}")
     matrix = dict(sf.events)
     vectors = tuple(matrix[lab] for lab in sf.elements)
+    seen = {}
+    for lab, vec in zip(sf.elements, vectors):
+        if vec in seen:
+            raise ValidationError(f"elements {seen[vec]} and {lab} have the same "
+                                  "event vector")
+        seen[vec] = lab
     width = len(vectors[0]) if vectors else 0
     cols = tuple(State(tuple(vec[j] for vec in vectors)) for j in range(width))
     return NumericalEventSet(sf.elements, cols, vectors)

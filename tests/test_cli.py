@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -290,6 +291,35 @@ def test_boolean_test_on_an_events_file(tmp_path):
     assert "ring-inequality" in out
 
 
+def _events_file(tmp_path, rows):
+    path = tmp_path / "events.txt"
+    lines = ["KIND events", "ELEMENTS", " ".join(lab for lab, _ in rows), "EVENTS"]
+    lines += [f"{lab} {value}" for lab, value in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_boolean_test_names_a_failed_event_axiom(tmp_path):
+    # a chain is lattice-ordered and complement-closed, but 1/3 + 1/3 + 2/3
+    # is not a member
+    path = _events_file(tmp_path, [("z", "0"), ("p", "1/3"), ("q", "2/3"),
+                                   ("u", "1")])
+    code, out, err = run_cli("boolean-test", path, "--witnesses")
+    assert code == 1
+    assert "[FAIL] orthogonal-triple-sum" in out
+    assert "witness: p=p q=p r=q" in out
+    assert err == ""
+
+
+def test_duplicate_event_rows_are_unusable_input(tmp_path):
+    path = _events_file(tmp_path, [("z", "0"), ("p", "1/2"), ("q", "1/2"),
+                                   ("u", "1")])
+    code, out, err = run_cli("boolean-test", path)
+    assert code == 2
+    assert out == ""
+    assert "same event vector" in err
+
+
 def test_corpus_dir_lookup(tmp_path, monkeypatch):
     (tmp_path / "local_ring.txt").write_text(
         (DATA / "paper-example-2set.txt").read_text())
@@ -308,8 +338,12 @@ def test_verify_all_passes():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "omlkit.cli", "check-oml", "boolean_2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -108,3 +108,188 @@ def test_against_vertex_enumeration():
         assert all(sum(a * v for a, v in zip(row, x)) <= b
                    for row, b in zip(rows, rhs))
         assert sum(a * v for a, v in zip(c, x)) == value
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the dense tableau
+# ---------------------------------------------------------------------------
+
+
+def _dense_maximize(c, rows, rhs):
+    """Reference: the full m x (n + m + artificials + 1) tableau under
+    Bland's rule.  The compact routine must take the same pivots."""
+    m, n = len(rows), len(c)
+    art_of = {}
+    n_art = 0
+    for i in range(m):
+        if rhs[i] < 0:
+            art_of[i] = n_art
+            n_art += 1
+    width = n + m + n_art + 1
+
+    tableau = []
+    basis = []
+    for i in range(m):
+        row = [F(0)] * width
+        sign = -1 if i in art_of else 1
+        for j in range(n):
+            if rows[i][j]:
+                row[j] = sign * rows[i][j]
+        row[n + i] = F(sign)
+        row[-1] = sign * rhs[i]
+        if i in art_of:
+            row[n + m + art_of[i]] = F(1)
+            basis.append(n + m + art_of[i])
+        else:
+            basis.append(n + i)
+        tableau.append(row)
+
+    def pivot(obj, r, col):
+        prow = tableau[r]
+        piv = prow[col]
+        if piv != 1:
+            tableau[r] = prow = [v / piv for v in prow]
+        for i, row in enumerate(tableau):
+            if i != r and row[col]:
+                coef = row[col]
+                tableau[i] = [a - coef * b for a, b in zip(row, prow)]
+        if obj[col]:
+            coef = obj[col]
+            obj[:] = [a - coef * b for a, b in zip(obj, prow)]
+        basis[r] = col
+
+    def until_optimal(obj):
+        while True:
+            col = next((j for j in range(n + m) if obj[j] > 0), -1)
+            if col < 0:
+                return
+            best, leave = None, -1
+            for i in range(len(tableau)):
+                a = tableau[i][col]
+                if a > 0:
+                    ratio = tableau[i][-1] / a
+                    if (best is None or ratio < best
+                            or (ratio == best and basis[i] < basis[leave])):
+                        best, leave = ratio, i
+            if leave < 0:
+                raise UnboundedError("improving column has no blocking row")
+            pivot(obj, leave, col)
+
+    if n_art:
+        obj = [F(0)] * width
+        for i in art_of:
+            for j in range(n + m):
+                obj[j] += tableau[i][j]
+            obj[-1] += tableau[i][-1]
+        until_optimal(obj)
+        if obj[-1] != 0:
+            raise InfeasibleError("artificial variables cannot be eliminated")
+        dead = []
+        for i in range(len(tableau)):
+            if basis[i] >= n + m:
+                col = next((j for j in range(n + m) if tableau[i][j]), -1)
+                if col < 0:
+                    dead.append(i)
+                else:
+                    pivot([F(0)] * width, i, col)
+        for i in reversed(dead):
+            del tableau[i]
+            del basis[i]
+
+    obj = [F(0)] * width
+    obj[:n] = c
+    for i, bv in enumerate(basis):
+        if bv < n and obj[bv]:
+            coef = obj[bv]
+            obj[:] = [a - coef * b for a, b in zip(obj, tableau[i])]
+    until_optimal(obj)
+    x = [F(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tableau[i][-1]
+    return -obj[-1], x
+
+
+def _outcome(solve, c, rows, rhs):
+    try:
+        return solve(c, rows, rhs)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc)
+
+
+def _general_program(rng):
+    """A small LP mixing every path: phase one, degenerate and redundant
+    rows, and infeasible or unbounded programs."""
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 7)
+
+    def coef():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    c = [coef() for _ in range(n)]
+    rows = [[coef() for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.randint(-3, 5), rng.choice((1, 2))) for _ in range(m)]
+    if rng.random() < 0.5:
+        # a box keeps most programs bounded
+        for j in range(n):
+            rows.append([F(int(j == k)) for k in range(n)])
+            rhs.append(F(rng.randint(0, 3)))
+    for _ in range(rng.randint(0, 3)):
+        # redundant copies, scaled or summed, often with negative sides
+        i = rng.randrange(len(rows))
+        f = F(rng.choice((1, 2, -1, 3)), rng.choice((1, 2)))
+        if f > 0:
+            rows.append([f * v for v in rows[i]])
+            rhs.append(f * rhs[i])
+        else:
+            k = rng.randrange(len(rows))
+            rows.append([a + b for a, b in zip(rows[i], rows[k])])
+            rhs.append(rhs[i] + rhs[k])
+    if rng.random() < 0.3:
+        # an equality written as two inequalities: redundant artificials
+        i = rng.randrange(len(rows))
+        rows.append([-v for v in rows[i]])
+        rhs.append(-rhs[i])
+    if rng.random() < 0.3:
+        for i in rng.sample(range(len(rows)), min(2, len(rows))):
+            rhs[i] = F(0)
+    return c, rows, rhs
+
+
+def _order_program(rng):
+    """A 0/1 polytope cut by x_i <= x_j, x_i + x_j <= 1, x_i + x_j >= 1 and
+    x_i <= 1, like the state polytopes: degenerate vertices and many
+    optimal ones, where a different pivot rule ends elsewhere."""
+    n = rng.randint(2, 6)
+    c = [F(rng.choice((-1, 0, 0, 1))) for _ in range(n)]
+    rows, rhs = [], []
+    for _ in range(rng.randint(2, 10)):
+        i, j = rng.sample(range(n), 2)
+        row = [F(0)] * n
+        kind = rng.randrange(4)
+        if kind == 0:
+            row[i], row[j], b = F(1), F(-1), F(0)
+        elif kind == 1:
+            row[i], row[j], b = F(1), F(1), F(1)
+        elif kind == 2:
+            row[i], row[j], b = F(-1), F(-1), F(-1)
+        else:
+            row[i], b = F(1), F(1)
+        rows.append(row)
+        rhs.append(b)
+    return c, rows, rhs
+
+
+def test_compact_tableau_matches_the_dense_tableau():
+    rng = random.Random(20240611)
+    seen = {"optimal": 0, InfeasibleError: 0, UnboundedError: 0,
+            "phase one": 0}
+    for trial in range(3000):
+        make = _general_program if trial % 2 else _order_program
+        c, rows, rhs = make(rng)
+        expected = _outcome(_dense_maximize, c, rows, rhs)
+        got = _outcome(maximize, c, rows, rhs)
+        assert got == expected, (trial, c, rows, rhs)
+        seen["optimal" if isinstance(expected, tuple) else expected] += 1
+        seen["phase one"] += any(b < 0 for b in rhs)
+    assert min(seen.values()) >= 100, seen

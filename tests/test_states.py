@@ -1,10 +1,13 @@
 """States, full sets, numerical events and the ring inequality."""
 
+import io
+import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from omlkit import corpus, states
+from omlkit import cli, corpus, lattice, states
 from omlkit.errors import (
     DimensionMismatch,
     InvalidState,
@@ -276,3 +279,187 @@ def test_product_pipeline_is_exact_and_fast():
     report = boolean_test(ev)
     assert not report.is_boolean
     assert report.witness["value"] == "2"
+
+
+def test_check_full_witness_matches_a_lexicographic_scan():
+    for name in ("mo2", "mo3", "product_2p4_mo2"):
+        oml = corpus.builtin(name)
+        found = find_full_state_set(oml).states
+        leq = oml.poset.leq
+        rng = random.Random(name)
+        for _ in range(40):
+            subset = rng.sample(found, rng.randint(0, len(found)))
+            expected = next(
+                ((oml.elements[x], oml.elements[y])
+                 for x in range(oml.n) for y in range(oml.n)
+                 if x != y and all(s.values[x] <= s.values[y] for s in subset)
+                 != leq[x][y]),
+                None)
+            report = check_full(oml, subset)
+            assert report.passed == (expected is None), (name, subset)
+            if expected is not None:
+                assert (report.witness["x"], report.witness["y"]) == expected
+
+
+def _shuffled_product(factors, seed):
+    """A product lattice as an oml file listing its elements in a seeded
+    random order, labelled e00, e01, ... in that order."""
+    oml = corpus.builtin(factors[0])
+    for f in factors[1:]:
+        oml = lattice.direct_product(oml, corpus.builtin(f))
+    n, leq = oml.n, oml.poset.leq
+    order = random.Random(seed).sample(range(n), n)
+    name = {x: f"e{pos:02d}" for pos, x in enumerate(order)}
+    covers = [(x, y) for x in range(n) for y in range(n)
+              if x != y and leq[x][y]
+              and not any(z not in (x, y) and leq[x][z] and leq[z][y]
+                          for z in range(n))]
+    lines = ["KIND oml", "ELEMENTS", " ".join(name[x] for x in order), "COVERS"]
+    lines += [f"{name[x]} {name[y]}" for x, y in covers]
+    lines += ["COMPLEMENT"] + [f"{name[x]} {name[oml.comp[x]]}" for x in order]
+    return "\n".join(lines) + "\n"
+
+
+#: states-find on mo3 x 2^2 in a random element order, which needs many
+#: phase-one pivots; every emitted state must stay exactly these.
+MO3_B2_SHUFFLED_FOUND = """\
+KIND oml
+ELEMENTS
+e25 e00 e01 e02 e03 e04 e05 e06 e07 e08 e09 e10
+e11 e12 e13 e14 e15 e16 e17 e18 e19 e20 e21 e22
+e23 e24 e26 e27 e28 e29 e30 e31
+COVERS
+e25 e01
+e25 e09
+e25 e12
+e25 e13
+e25 e16
+e25 e24
+e25 e26
+e25 e31
+e00 e03
+e00 e06
+e00 e10
+e00 e14
+e00 e17
+e00 e22
+e01 e00
+e01 e04
+e01 e11
+e01 e19
+e01 e21
+e01 e23
+e01 e29
+e02 e28
+e03 e28
+e04 e02
+e04 e14
+e05 e22
+e05 e27
+e06 e28
+e07 e06
+e07 e27
+e08 e03
+e08 e27
+e09 e08
+e09 e18
+e09 e23
+e10 e28
+e11 e02
+e11 e22
+e12 e04
+e12 e18
+e12 e30
+e13 e00
+e13 e05
+e13 e07
+e13 e08
+e13 e15
+e13 e20
+e13 e30
+e14 e28
+e15 e17
+e15 e27
+e16 e15
+e16 e18
+e16 e21
+e17 e28
+e18 e02
+e18 e27
+e19 e02
+e19 e06
+e20 e10
+e20 e27
+e21 e02
+e21 e17
+e22 e28
+e23 e02
+e23 e03
+e24 e05
+e24 e11
+e24 e18
+e26 e07
+e26 e18
+e26 e19
+e27 e28
+e29 e02
+e29 e10
+e30 e14
+e30 e27
+e31 e18
+e31 e20
+e31 e29
+COMPLEMENT
+e25 e28
+e00 e18
+e01 e27
+e02 e13
+e03 e24
+e04 e07
+e05 e23
+e06 e12
+e07 e04
+e08 e11
+e09 e22
+e10 e16
+e11 e08
+e12 e06
+e13 e02
+e14 e26
+e15 e29
+e16 e10
+e17 e31
+e18 e00
+e19 e30
+e20 e21
+e21 e20
+e22 e09
+e23 e05
+e24 e03
+e26 e14
+e27 e01
+e28 e25
+e29 e15
+e30 e19
+e31 e17
+STATES
+0 1 0 0 1 0 1 1 1 1 0 1 0 0 1 1 1 0 1 0 0 1 0 1 0 0 0 1 1 0 1 0
+0 1 1 1 1 1 0 1 0 0 0 1 1 0 0 1 0 0 1 0 1 0 1 1 1 0 0 0 1 1 0 0
+0 0 0 1 0 0 1 1 1 0 0 0 1 0 0 0 1 1 1 1 1 0 1 1 0 1 1 1 1 0 0 0
+0 0 0 1 0 1 1 0 0 0 0 0 1 1 0 1 1 1 1 1 0 0 1 1 0 1 0 1 1 0 1 0
+0 0 0 1 1 0 0 1 1 1 1 0 0 0 0 0 1 1 1 1 1 0 1 0 1 0 1 1 1 0 0 0
+0 0 0 1 0 0 1 1 1 0 0 1 1 0 0 0 0 0 0 1 1 1 0 1 0 1 1 1 1 1 0 1
+0 0 0 1 1 1 0 0 0 1 1 0 0 1 0 1 1 1 1 1 0 0 1 0 1 0 0 1 1 0 1 0
+0 0 0 1 1 0 0 1 1 1 1 1 0 0 0 0 0 0 0 1 1 1 0 0 1 0 1 1 1 1 0 1
+0 0 0 1 0 1 1 0 0 0 0 1 1 1 0 1 0 0 0 1 0 1 0 1 0 1 0 1 1 1 1 1
+"""
+
+
+def test_states_find_output_on_a_shuffled_product_is_pinned(tmp_path):
+    path = tmp_path / "mo3xb2.txt"
+    path.write_text(_shuffled_product(("mo3", "boolean_2"), 2))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["states-find", str(path)])
+    assert code == 0
+    assert out.getvalue() == MO3_B2_SHUFFLED_FOUND
