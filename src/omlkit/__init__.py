@@ -30,6 +30,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
+from .laws import LAWS, Failure, Verdict
 from .lattice import (
     FiniteOml,
     FinitePoset,

@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import check_oml
+from .laws import LAWS, Verdict
 from .rlse import (
     RlseTables,
     check_correspondence,
@@ -136,22 +137,18 @@ def _report(command, target, checks, data=None):
     }
 
 
-def _oml_entries(report) -> list:
-    entries = [_check(law, True) for law in report.passed_laws]
-    if not report.passed:
-        entries.append(_check(report.failed_law, False, witness=report.witness))
-    return entries
-
-
-def _axiom_entries(report) -> list:
+def _entries(verdict: Verdict) -> list:
+    """One entry per checked law.  A failed ring law shows the whole failure
+    (statement, witness and detail), any other law its bare detail."""
     out = []
-    for axiom in report.checked:
-        failure = report.failure_for(axiom)
-        if failure is None:
-            out.append(_check(axiom, True))
+    for law in verdict.checked:
+        f = verdict.failure_for(law)
+        if f is None:
+            out.append(_check(law, True))
         else:
-            out.append(_check(axiom, False, str(failure),
-                              witness=failure.assignment()))
+            ring = LAWS.get(law, ("",))[0] == "ring"
+            out.append(_check(law, False, str(f) if ring else f.detail or None,
+                              witness=f.witness))
     return out
 
 
@@ -162,24 +159,23 @@ def _axiom_entries(report) -> list:
 
 def _cmd_check_oml(args):
     target = _expect(_load_target(args.file), "oml", "check-oml")
-    report = check_oml(target.poset, target.comp)
-    return _report("check-oml", target.name, _oml_entries(report))
+    verdict, _ = check_oml(target.poset, target.comp)
+    return _report("check-oml", target.name, _entries(verdict))
 
 
 def _cmd_check_rlse(args):
     target = _expect(_load_target(args.file), "rlse", "check-rlse")
     r = target.ring
     axioms = check_rlse(r)
-    entries = _axiom_entries(axioms)
+    entries = _entries(axioms)
     if axioms.passed:
-        derived = check_derived_identities(r)
-        entries += _axiom_entries(derived)
+        entries += _entries(check_derived_identities(r))
         forms = check_r4_orthogonal_form(r)
+        f = forms.orthogonal.first
         entries.append(_check(
-            "orthogonal-addition-form", forms.agree and forms.r4_holds,
+            "orthogonal-addition-form", forms.agree and forms.r4.passed,
             None if forms.agree else "the two R4 readings disagree",
-            witness=forms.orthogonal_failure.assignment()
-            if forms.orthogonal_failure else None))
+            witness=f.witness if f else None))
     both = check_correspondence(r)
     a, b = both.verdicts
     entries.append(_check("correspondence-verdicts-agree", a == b,
@@ -192,39 +188,39 @@ def _cmd_derive(args):
     try:
         oml = derived_lattice(target.ring)
     except NotAnRlse as exc:
-        return _report("derive", target.name, _axiom_entries(exc.report))
+        return _report("derive", target.name, _entries(exc.verdict))
     text = structfile.serialize_structure(structfile.from_oml(oml))
     return _report("derive", target.name, [_check("is-valid-ring", True)],
                    {"structure": text})
 
 
-def _valid_oml(target: _Target):
-    """check_oml on the target; (oml, None) or (None, failure report)."""
-    report = check_oml(target.poset, target.comp)
-    if not report.passed:
-        return None, report
-    return report.oml, None
+def _custom_plus(path: str, elements) -> list:
+    """The addition table of an rlse file, re-indexed into the order of
+    the lattice elements; the file may list them in any order."""
+    sf = structfile.parse_structure(Path(path).read_text())
+    if sf.kind != "rlse":
+        raise _Usage("custom addition must come from an rlse file")
+    if set(sf.elements) != set(elements):
+        raise _Usage("custom addition must be over the elements of the lattice")
+    row = {lab: i for i, lab in enumerate(sf.elements)}
+    order = [row[lab] for lab in elements]
+    return [[sf.oplus[i][j] for j in order] for i in order]
 
 
 def _cmd_construct(args):
     target = _expect(_load_target(args.file), "oml", "construct")
-    oml, bad = _valid_oml(target)
+    verdict, oml = check_oml(target.poset, target.comp)
     if oml is None:
-        return _report("construct", target.name, _oml_entries(bad))
+        return _report("construct", target.name, _entries(verdict))
     plus = args.plus
     if plus.startswith("custom="):
-        sf = structfile.parse_structure(Path(plus[7:]).read_text())
-        if sf.kind != "rlse":
-            raise _Usage("custom addition must come from an rlse file")
-        plus = sf.oplus
+        plus = _custom_plus(plus[7:], oml.elements)
     elif plus not in ("t1", "t2"):
         raise _Usage(f"--plus must be t1, t2 or custom=FILE, got {plus!r}")
     try:
         ring = rlse_from_oml(oml, plus)
     except CustomPlusInvalid as exc:
-        f = exc.failure
-        return _report("construct", target.name,
-                       [_check(f.axiom, False, str(f), witness=f.assignment())])
+        return _report("construct", target.name, _entries(Verdict.of(exc.failure)))
     text = structfile.serialize_structure(structfile.from_rlse(ring))
     return _report("construct", target.name,
                    [_check("addition-is-valid", True)], {"structure": text})
@@ -275,9 +271,9 @@ def _cmd_terms_filter(args):
 
 def _cmd_states_find(args):
     target = _expect(_load_target(args.file), "oml", "states-find")
-    oml, bad = _valid_oml(target)
+    verdict, oml = check_oml(target.poset, target.comp)
     if oml is None:
-        return _report("states-find", target.name, _oml_entries(bad))
+        return _report("states-find", target.name, _entries(verdict))
     result = states.find_full_state_set(oml)
     if not result.ok:
         entry = _check("full-state-set", False,
@@ -292,40 +288,32 @@ def _cmd_states_find(args):
 
 def _cmd_states_check_full(args):
     target = _expect(_load_target(args.file), "oml", "states-check-full")
-    oml, bad = _valid_oml(target)
+    verdict, oml = check_oml(target.poset, target.comp)
     if oml is None:
-        return _report("states-check-full", target.name, _oml_entries(bad))
+        return _report("states-check-full", target.name, _entries(verdict))
     if not target.states:
         raise _Usage("the target has no STATES section")
     try:
-        report = states.check_full(oml, target.states)
+        full = states.check_full(oml, target.states)
     except InvalidState as exc:
         entry = _check("states-valid", False,
                        f"state {exc.position} fails {exc.failure}")
         return _report("states-check-full", target.name, [entry])
     entries = [_check("states-valid", True, f"{len(target.states)} states")]
-    entries.append(_check("order-determining", report.passed,
-                          None if report.passed else "order not recovered",
-                          witness=report.witness))
-    return _report("states-check-full", target.name, entries)
+    return _report("states-check-full", target.name, entries + _entries(full))
 
 
 def _ring_test_entries(r: RlseTables) -> list:
     axioms = check_rlse(r)
     if not axioms.passed:
-        return _axiom_entries(axioms)
+        return _entries(axioms)
     report = is_boolean_ring(r)
     entries = [_check("valid-ring", True)]
-    for label, route in (("identity-route", report.identity_route),
-                         ("ring-route", report.ring_route)):
-        failure = route.failures[0] if route.failures else None
-        entries.append(_check(label, route.passed,
-                              str(failure) if failure else None,
-                              witness=failure.assignment() if failure else None))
-    w = report.witness
-    entries.append(_check("boolean-ring", report.is_boolean_ring,
-                          str(w) if w else None,
-                          witness=w.assignment() if w else None))
+    for label, f in (("identity-route", report.identity_route.first),
+                     ("ring-route", report.ring_route.first),
+                     ("boolean-ring", report.witness)):
+        entries.append(_check(label, f is None, str(f) if f else None,
+                              witness=f.witness if f else None))
     return entries
 
 
@@ -335,8 +323,7 @@ def _event_test_entries(ev: states.NumericalEventSet) -> list:
     except NotLatticeOrdered as exc:
         return [_check("lattice-ordered", False, str(exc))]
     except NotAnEventAlgebra as exc:
-        law, witness, detail = exc.report.failures[0]
-        return [_check(law, False, detail or None, witness=witness)]
+        return _entries(Verdict.of(exc.verdict.first))
     if report.is_boolean:
         return [_check("ring-inequality", True,
                        "p+q-2(p^q) never exceeds 1; addition matches "
@@ -355,9 +342,9 @@ def _cmd_boolean_test(args):
     if target.kind == "events":
         return _report("boolean-test", target.name,
                        _event_test_entries(target.events))
-    oml, bad = _valid_oml(target)
+    verdict, oml = check_oml(target.poset, target.comp)
     if oml is None:
-        return _report("boolean-test", target.name, _oml_entries(bad))
+        return _report("boolean-test", target.name, _entries(verdict))
     result = states.find_full_state_set(oml)
     if not result.ok:
         entry = _check("full-state-set", False,

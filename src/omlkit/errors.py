@@ -40,9 +40,9 @@ class MalformedTable(OmlkitError):
 class NotAnRlse(OmlkitError):
     """A structure that must satisfy the event-ring axioms does not."""
 
-    def __init__(self, report):
-        self.report = report
-        failed = ", ".join(f.axiom for f in report.failures)
+    def __init__(self, verdict):
+        self.verdict = verdict
+        failed = ", ".join(f.law for f in verdict.failures)
         super().__init__(f"structure fails event-ring axioms: {failed}")
 
 
@@ -52,7 +52,7 @@ class CustomPlusInvalid(OmlkitError):
     def __init__(self, failure):
         self.failure = failure
         super().__init__(
-            f"custom addition table fails {failure.axiom} at {failure.witness}"
+            f"custom addition table fails {failure.law} at {failure.witness}"
         )
 
 
@@ -111,10 +111,10 @@ class NotLatticeOrdered(OmlkitError):
 class NotAnEventAlgebra(OmlkitError):
     """A set of event vectors fails one of the probability-algebra axioms."""
 
-    def __init__(self, report):
-        self.report = report
+    def __init__(self, verdict):
+        self.verdict = verdict
         super().__init__("event set fails the probability-algebra axiom "
-                         f"{report.failures[0][0]}")
+                         f"{verdict.failures[0].law}")
 
 
 class ParseError(OmlkitError):

@@ -1,13 +1,19 @@
 """Finite bounded posets and orthomodular lattices, table-based.
 
 Elements are kept as dense indices 0..n-1 with a label per index; the bottom
-element sits at index 0 after loading.  All lattice operations are exhaustive
-table computations, so every verdict comes with a concrete witness.
+element sits at index 0 after loading.  The order is held as bitmasks, one
+per element, and meet and join as index tables computed from them
+(lattice_tables, which also serves the pointwise order of event vectors).
+check_oml returns a Verdict over the lattice laws of laws.LAWS; each law is
+scanned row by row with laws.first_mismatch, so a failure carries the
+lexicographically first witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product, repeat
 
 from .errors import (
     CycleError,
@@ -16,11 +22,11 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
+from .laws import Failure, collect, first_mismatch, witness
 
 __all__ = [
     "FinitePoset",
     "FiniteOml",
-    "OmlReport",
     "build_poset",
     "check_oml",
     "meet_of",
@@ -29,8 +35,6 @@ __all__ = [
     "direct_product",
     "lattice_tables",
     "is_distributive",
-    "orthomodular_identity_ok",
-    "orthomodular_implication_ok",
 ]
 
 
@@ -63,14 +67,7 @@ class FinitePoset:
 
     def down_masks(self) -> list[int]:
         """Per element, the bitmask of everything below it (columns)."""
-        n = self.n
-        masks = [0] * n
-        for i, row in enumerate(self.leq):
-            bit = 1 << i
-            for j in range(n):
-                if row[j]:
-                    masks[j] |= bit
-        return masks
+        return _transpose(self.up_masks())
 
 
 def _row_mask(row) -> int:
@@ -79,6 +76,18 @@ def _row_mask(row) -> int:
         if v:
             m |= 1 << j
     return m
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Column masks of the square bit matrix with the given row masks."""
+    cols = [0] * len(rows)
+    for i, m in enumerate(rows):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
 
 
 def _validate_poset(elements, rows) -> tuple[int, int]:
@@ -107,14 +116,7 @@ def _validate_poset(elements, rows) -> tuple[int, int]:
                     f"order not transitive through {elements[i]!r} <= {elements[j]!r}"
                 )
     bottoms = [i for i in range(n) if rows[i] == full]
-    cols = [0] * n
-    for i in range(n):
-        m = rows[i]
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    tops = [j for j in range(n) if cols[j] == full]
+    tops = [j for j, col in enumerate(_transpose(rows)) if col == full]
     if len(bottoms) != 1:
         raise NoBoundsError(f"poset has {len(bottoms)} minimum elements, wants 1")
     if len(tops) != 1:
@@ -188,27 +190,29 @@ def build_poset(labels, pairs) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-def lattice_tables(poset: FinitePoset):
+def lattice_tables(poset, up=None):
     """Compute meet and join tables from the order, or report a failure.
 
-    Returns (meet, join, None) on success, where the tables are index-valued
-    and row-major, or (None, None, (kind, (x_label, y_label))) naming the
-    first pair without an infimum or supremum.
+    A caller that holds the order as up-masks (up[i] is the bitmask of
+    everything at or above i) passes them as up; poset then only has to
+    supply the labels, as an elements attribute.  Returns (meet, join,
+    None) on success, where the tables are index-valued and row-major, or
+    (None, None, (kind, (x_label, y_label))) naming the first pair without
+    an infimum ("meet") or supremum ("join").
     """
-    n = poset.n
-    down = poset.down_masks()
-    up = poset.up_masks()
+    if up is None:
+        up = poset.up_masks()
+    down = _transpose(up)
+    n = len(up)
     meet: list[list[int]] = [[0] * n for _ in range(n)]
     join: list[list[int]] = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
-            s = down[x] & down[y]
-            z = _max_of(s, down)
+            z = _bound_of(down[x] & down[y], down)
             if z < 0:
                 return None, None, ("meet", (poset.elements[x], poset.elements[y]))
             meet[x][y] = meet[y][x] = z
-            s = up[x] & up[y]
-            z = _min_of(s, up)
+            z = _bound_of(up[x] & up[y], up)
             if z < 0:
                 return None, None, ("join", (poset.elements[x], poset.elements[y]))
             join[x][y] = join[y][x] = z
@@ -219,25 +223,18 @@ def lattice_tables(poset: FinitePoset):
     )
 
 
-def _max_of(s: int, down: list[int]) -> int:
-    """Greatest element of the bitmask set s, or -1 if there is none."""
+def _bound_of(s: int, masks: list[int]) -> int:
+    """The z in bitmask set s whose mask contains all of s, or -1.
+
+    With down-masks that is the greatest element of s, with up-masks the
+    least.
+    """
     m = s
     while m:
         low = m & -m
         z = low.bit_length() - 1
         m ^= low
-        if down[z] & s == s:
-            return z
-    return -1
-
-
-def _min_of(s: int, up: list[int]) -> int:
-    m = s
-    while m:
-        low = m & -m
-        z = low.bit_length() - 1
-        m ^= low
-        if up[z] & s == s:
+        if masks[z] & s == s:
             return z
     return -1
 
@@ -273,40 +270,21 @@ class FiniteOml:
         """x is below the complement of y."""
         return self.poset.leq[x][self.comp[y]]
 
-
-@dataclass(frozen=True)
-class OmlReport:
-    """Outcome of check_oml: the validated lattice or the first failure."""
-
-    oml: FiniteOml | None
-    failed_law: str | None = None
-    witness: dict[str, str] | None = None
-    passed_laws: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.oml is not None
+    @cached_property
+    def orthogonal_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per x, the y >= x orthogonal to x, in index order; built once."""
+        leq, comp, n = self.poset.leq, self.comp, self.n
+        return tuple(tuple(y for y in range(x, n) if leq[x][comp[y]]) for x in range(n))
 
 
-#: Laws verified by check_oml, in checking order.
-OML_LAWS = (
-    "meet-exists",
-    "join-exists",
-    "involution",
-    "antitone",
-    "complement-law",
-    "orthomodular-law",
-)
-
-
-def check_oml(poset: FinitePoset, comp: dict) -> OmlReport:
+def check_oml(poset: FinitePoset, comp: dict):
     """Verify that (poset, comp) is an orthomodular lattice.
 
-    comp maps labels to labels.  Laws are checked in OML_LAWS order and the
-    first failure is reported with its witness pair; on success the report
-    carries the fully tabulated lattice.
+    comp maps labels to labels.  The lattice laws of LAWS are checked in
+    order up to the first failure, which carries its witness pair.
+    Returns (verdict, oml), where oml is the fully tabulated lattice, or
+    None when a law fails.
     """
-    n = poset.n
     els = poset.elements
     cvec = []
     for lab in els:
@@ -317,67 +295,37 @@ def check_oml(poset: FinitePoset, comp: dict) -> OmlReport:
     if extra:
         raise UnknownLabel(sorted(extra)[0])
 
-    passed: list[str] = []
-
-    meet, join, fail = lattice_tables(poset)
-    if fail is not None:
-        kind, pair = fail
-        if kind == "join":
-            passed.append("meet-exists")
-        law = "meet-exists" if kind == "meet" else "join-exists"
-        return OmlReport(None, law, {"x": pair[0], "y": pair[1]}, tuple(passed))
-    passed += ["meet-exists", "join-exists"]
-
-    for x in range(n):
-        if cvec[cvec[x]] != x:
-            return OmlReport(None, "involution", {"x": els[x]}, tuple(passed))
-    passed.append("involution")
-
-    leq = poset.leq
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] and not leq[cvec[y]][cvec[x]]:
-                return OmlReport(
-                    None, "antitone", {"x": els[x], "y": els[y]}, tuple(passed)
-                )
-    passed.append("antitone")
-
-    for x in range(n):
-        if meet[x][cvec[x]] != poset.bottom or join[x][cvec[x]] != poset.top:
-            return OmlReport(None, "complement-law", {"x": els[x]}, tuple(passed))
-    passed.append("complement-law")
-
-    ok, witness = orthomodular_identity_ok(meet, join, cvec)
-    if not ok:
-        x, y = witness
-        return OmlReport(
-            None, "orthomodular-law", {"x": els[x], "y": els[y]}, tuple(passed)
-        )
-    passed.append("orthomodular-law")
-
-    return OmlReport(FiniteOml(poset, meet, join, tuple(cvec)), None, None, tuple(passed))
+    meet, join, bad = lattice_tables(poset)
+    verdict = collect(_oml_laws(poset, cvec, meet, join, bad), first_only=True)
+    if not verdict.passed:
+        return verdict, None
+    return verdict, FiniteOml(poset, meet, join, tuple(cvec))
 
 
-def orthomodular_identity_ok(meet, join, comp):
-    """Brute-force the identity ((x^y) v x') ^ x = x^y over all pairs."""
-    n = len(comp)
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            xy = mx[y]
-            if meet[join[xy][comp[x]]][x] != xy:
-                return False, (x, y)
-    return True, None
+def _oml_laws(poset, c, meet, join, bad):
+    """(law, first failure or None) for each lattice law, lazily, in order."""
+    els, leq, n = poset.elements, poset.leq, poset.n
+    rng, xs = range(n), [(x,) for x in range(n)]
 
+    def failure(law, names, hit):
+        return law, None if hit is None else Failure(law, witness(names, els, hit))
 
-def orthomodular_implication_ok(leq, meet, join, comp):
-    """Brute-force the conditional form: x <= y implies y = x v (x' ^ y)."""
-    n = len(comp)
-    for x in range(n):
-        for y in range(n):
-            if leq[x][y] and join[x][meet[comp[x]][y]] != y:
-                return False, (x, y)
-    return True, None
+    for kind in ("meet", "join"):
+        law = kind + "-exists"
+        failed = bad is not None and bad[0] == kind
+        yield law, Failure(law, dict(zip("xy", bad[1]))) if failed else None
+    yield failure("involution", "x",
+                  first_mismatch([()], [[c[c[x]] for x in rng]], [list(rng)]))
+    yield failure("antitone", "xy", first_mismatch(
+        xs, ([not lx[y] or leq[c[y]][c[x]] for y in rng] for x, lx in enumerate(leq)),
+        repeat([True] * n)))
+    yield failure("complement-law", "x", first_mismatch(
+        [()], [[(meet[x][c[x]], join[x][c[x]]) for x in rng]],
+        [[(poset.bottom, poset.top)] * n]))
+    # ((x^y) v x') ^ x = x^y, with y running along the row of x^y
+    yield failure("orthomodular-law", "xy", first_mismatch(
+        xs, ([meet[join[v][c[x]]][x] for v in mx] for x, mx in enumerate(meet)),
+        map(list, meet)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +372,21 @@ def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:
         for xa in range(na)
         for xb in range(nb)
     }
-    report = check_oml(poset, comp)
-    if not report.passed:
-        raise OracleMismatch(
-            f"product of valid lattices failed {report.failed_law} at {report.witness}"
-        )
-    return report.oml
+    verdict, oml = check_oml(poset, comp)
+    if oml is None:
+        f = verdict.failures[0]
+        raise OracleMismatch(f"product of valid lattices failed {f.law} at {f.witness}")
+    return oml
 
 
 def is_distributive(oml: FiniteOml):
     """Exhaustive distributivity test; returns (verdict, witness_labels)."""
-    n = oml.n
     meet, join = oml.meet, oml.join
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            jy = join[y]
-            lhs = [mx[v] for v in jy]
-            ja = join[mx[y]]
-            rhs = [ja[v] for v in mx]
-            if lhs != rhs:
-                z = next(i for i in range(n) if lhs[i] != rhs[i])
-                els = oml.elements
-                return False, (els[x], els[y], els[z])
-    return True, None
+    # x^(y v z) against (x^y) v (x^z), one row over z per pair (x, y)
+    hit = first_mismatch(
+        product(range(oml.n), repeat=2),
+        ([mx[v] for v in jy] for mx in meet for jy in join),
+        ([ja[v] for v in mx] for mx in meet for ja in map(join.__getitem__, mx)))
+    if hit is None:
+        return True, None
+    return False, tuple(oml.elements[i] for i in hit[:3])

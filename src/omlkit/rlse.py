@@ -5,12 +5,20 @@ idempotent commutative monoid with absorbing zero and the four identities
 R1..R4 below hold.  Writing x' for x+1, the derived operations x^y := x*y
 and x v y := (x'*y')' then always produce an orthomodular lattice, and the
 toolkit checks both directions of that correspondence against each other.
+
+Every ring law is written once, in _ring_laws, as its variables, the
+detail line of a failure and the rows of both sides: the last variable
+runs along a row, one row per assignment of the others.
+laws.first_mismatch compares the rows whole, so each check reports the
+lexicographically first counterexample, and every check returns a
+laws.Verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import lattice as _lat
 from .errors import (
@@ -20,12 +28,10 @@ from .errors import (
     OracleMismatch,
     UnknownLabel,
 )
+from .laws import Failure, Verdict, collect, first_mismatch, witness
 
 __all__ = [
     "RlseTables",
-    "AxiomFailure",
-    "AxiomReport",
-    "AXIOMS",
     "check_rlse",
     "require_rlse",
     "derived_lattice",
@@ -40,71 +46,7 @@ __all__ = [
     "R4FormsReport",
     "BooleanRingReport",
     "CorrespondenceReport",
-    "LatticeSideReport",
 ]
-
-
-#: Human-readable statement of every axiom or identity this module checks.
-AXIOMS = {
-    "times-commutative": "x*y = y*x",
-    "times-idempotent": "x*x = x",
-    "times-associative": "(x*y)*z = x*(y*z)",
-    "times-unit": "x*1 = x",
-    "times-zero": "x*0 = 0",
-    "R1": "x+y = y+x",
-    "R2": "(x*y + 1)*(x + 1) + 1 = x",
-    "R3": "((x*y + 1)*x + 1)*x = x*y",
-    "R4": "x*y + (x + 1) = (x*y + 1)*x + 1",
-    "R4-orthogonal": "x orth y  implies  (x+y) + 1 = (x+1)*(y+1)",
-    "R5": "x+y = x*(y+1) + (x+1)*y",
-    "weak-associativity": "(x+y) + 1 = x + (y+1)",
-    "T": "(x*(y+1) + 1) * ((x+1)*y + 1) + 1 = x+y",
-    "double-negation": "(x+1) + 1 = x",
-    "negation-disjoint": "x*(x+1) = 0",
-    "one-self-inverse": "1+1 = 0",
-    "zero-neutral": "x+0 = x",
-    "negation-covers": "x + (x+1) = 1",
-    "negation-antitone": "x <= y  iff  y+1 <= x+1",
-    "plus-self-inverse": "x+x = 0",
-    "plus-associative": "(x+y)+z = x+(y+z)",
-    "distributive": "x*(y+z) = x*y + x*z",
-    "plus-at-one": "x+1 = x'",
-    "orthogonal-join": "x orth y  implies  x+y = x v y",
-}
-
-
-@dataclass(frozen=True)
-class AxiomFailure:
-    """One failed axiom with the first counterexample found."""
-
-    axiom: str
-    witness: tuple[tuple[str, str], ...]  # variable -> element label
-    detail: str = ""
-
-    def assignment(self) -> dict:
-        return dict(self.witness)
-
-    def __str__(self) -> str:
-        asg = ", ".join(f"{v}={lab}" for v, lab in self.witness)
-        out = f"{self.axiom} [{AXIOMS.get(self.axiom, '?')}] fails at {asg}"
-        if self.detail:
-            out += f": {self.detail}"
-        return out
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Verdict of an axiom batch; failures hold one witness per broken law."""
-
-    passed: bool
-    failures: tuple[AxiomFailure, ...] = ()
-    checked: tuple[str, ...] = ()
-
-    def failure_for(self, axiom: str) -> AxiomFailure | None:
-        for f in self.failures:
-            if f.axiom == axiom:
-                return f
-        return None
 
 
 @dataclass(frozen=True)
@@ -191,138 +133,112 @@ def _check_shape(r: RlseTables) -> None:
         raise MalformedTable("zero/one out of range")
 
 
-def _w(r, **kw) -> tuple[tuple[str, str], ...]:
-    return tuple((v, r.elements[i]) for v, i in kw.items())
+# ---------------------------------------------------------------------------
+# The ring laws, one row scan each
+# ---------------------------------------------------------------------------
+
+
+def _ring_laws(r: RlseTables, comp=()) -> dict:
+    """Every ring law: law -> (variables, detail template, lhs rows, rhs rows).
+
+    The last variable runs along a row, one row per assignment of the
+    others in lexicographic order; a one-variable law has a single row.
+    Rows of two- and three-variable laws are generated only as far as a
+    scan draws them, once.  The template is filled with the labels of the
+    witness and of the two sides' values, a and b, at the first mismatch.
+    comp, the lattice's complement vector, serves plus-at-one.
+    """
+    P = [list(row) for row in r.oplus]
+    T = [list(row) for row in r.times]
+    N = [row[r.one] for row in r.oplus]  # x+1
+    z, u, n = r.zero, r.one, r.n
+    ids = list(range(n))
+    TN = [T[v] for v in N]  # the row of x+1 in T
+    return {
+        "times-commutative": ("xy", "{x}*{y} = {a}, {y}*{x} = {b}", T, map(list, zip(*T))),
+        "times-idempotent": ("x", "{x}*{x} = {a}", [[tx[x] for x, tx in enumerate(T)]], [ids]),
+        "times-associative": ("xyz", "", (T[v] for tx in T for v in tx),
+                              ([tx[v] for v in ty] for tx in T for ty in T)),
+        "times-unit": ("x", "{x}*1 = {a}", [[tx[u] for tx in T]], [ids]),
+        "times-zero": ("x", "{x}*0 = {a}", [[tx[z] for tx in T]], [[z] * n]),
+        "R1": ("xy", "{x}+{y} = {a}, {y}+{x} = {b}", P, map(list, zip(*P))),
+        "R2": ("xy", "got {a}, wants {b}",
+               ([N[T[N[v]][nx]] for v in tx] for tx, nx in zip(T, N)), ([x] * n for x in ids)),
+        "R3": ("xy", "got {a}, wants {b}",
+               ([T[N[T[N[v]][x]]][x] for v in tx] for x, tx in enumerate(T)), T),
+        "R4": ("xy", "lhs {a}, rhs {b}", ([P[v][nx] for v in tx] for tx, nx in zip(T, N)),
+               ([N[T[N[v]][x]] for v in tx] for x, tx in enumerate(T))),
+        # only pairs with x <= y+1 count; the others read -1 on both sides
+        "R4-orthogonal": ("xy", "lhs {a}, rhs {b}",
+                          ([N[v] if tx[ny] == x else -1 for v, ny in zip(px, N)]
+                           for x, (px, tx) in enumerate(zip(P, T))),
+                          ([tnx[ny] if tx[ny] == x else -1 for ny in N]
+                           for x, (tx, tnx) in enumerate(zip(T, TN)))),
+        "double-negation": ("x", "got {a}", [[N[v] for v in N]], [ids]),
+        "negation-disjoint": ("x", "got {a}", [[tx[v] for tx, v in zip(T, N)]], [[z] * n]),
+        "one-self-inverse": ("", "1+1 = {a}", [[P[u][u]]], [[z]]),
+        "zero-neutral": ("x", "got {a}", [[px[z] for px in P]], [ids]),
+        "negation-covers": ("x", "got {a}", [[px[v] for px, v in zip(P, N)]], [[u] * n]),
+        # the order: x <= y iff x*y = x
+        "negation-antitone": ("xy", "", ([v == x for v in tx] for x, tx in enumerate(T)),
+                              ([T[ny][nx] == ny for ny in N] for nx in N)),
+        "weak-associativity": ("xy", "lhs {a}, rhs {b}", ([N[v] for v in px] for px in P),
+                               ([px[v] for v in N] for px in P)),
+        "T": ("xy", "lhs {a}, rhs {b}",
+              ([N[T[N[tx[ny]]][N[tnx[y]]]] for y, ny in enumerate(N)]
+               for tx, tnx in zip(T, TN)), P),
+        "R5": ("xy", "lhs {a}, rhs {b}", P,
+               ([P[tx[ny]][tnx[y]] for y, ny in enumerate(N)] for tx, tnx in zip(T, TN))),
+        "plus-self-inverse": ("x", "{x}+{x} = {a}, expected {b}",
+                              [[px[x] for x, px in enumerate(P)]], [[z] * n]),
+        "plus-associative": ("xyz", "lhs {a}, rhs {b}", (P[v] for px in P for v in px),
+                             ([px[v] for v in py] for px in P for py in P)),
+        "distributive": ("xyz", "lhs {a}, rhs {b}",
+                         ([tx[v] for v in py] for tx in T for py in P),
+                         ([row[v] for v in tx] for tx in T for row in map(P.__getitem__, tx))),
+        "plus-at-one": ("x", "{x}+1 = {a}, complement is {b}", [N], [list(comp)]),
+    }
+
+
+def _failures(r: RlseTables, laws, comp=()):
+    """(law, first counterexample or None) for the named ring laws, lazily."""
+    rows, els = _ring_laws(r, comp), r.elements
+    for law in laws:
+        names, detail, lhs, rhs = rows[law]
+        prefixes = product(range(r.n), repeat=max(len(names) - 1, 0))
+        hit = first_mismatch(prefixes, lhs, rhs)
+        if hit is None:
+            yield law, None
+            continue
+        w = witness(names, els, hit)
+        if detail:
+            detail = detail.format(a=els[hit[-2]], b=els[hit[-1]], **w)
+        yield law, Failure(law, w, detail)
+
+
+def _verdict(r: RlseTables, laws) -> Verdict:
+    return collect(_failures(r, laws))
+
+
+_AXIOMS = ("times-commutative", "times-idempotent", "times-associative",
+           "times-unit", "times-zero", "R1", "R2", "R3", "R4")
 
 
 @lru_cache(maxsize=None)
-def check_rlse(r: RlseTables) -> AxiomReport:
+def check_rlse(r: RlseTables) -> Verdict:
     """Exhaustively verify the monoid laws and R1..R4.
 
     Every axiom is checked over all assignments; the lexicographically
     first counterexample per failed axiom is recorded.
     """
     _check_shape(r)
-    n, els = r.n, r.elements
-    oplus, times, zero, one = r.oplus, r.times, r.zero, r.one
-    rng = range(n)
-    failures = []
-
-    def fail(axiom, detail="", **kw):
-        failures.append(AxiomFailure(axiom, _w(r, **kw), detail))
-
-    for x in rng:
-        tx = times[x]
-        for y in rng:
-            if tx[y] != times[y][x]:
-                fail("times-commutative",
-                     f"{els[x]}*{els[y]} = {els[tx[y]]}, {els[y]}*{els[x]} = {els[times[y][x]]}",
-                     x=x, y=y)
-                break
-        else:
-            continue
-        break
-
-    for x in rng:
-        if times[x][x] != x:
-            fail("times-idempotent", f"{els[x]}*{els[x]} = {els[times[x][x]]}", x=x)
-            break
-
-    done = False
-    for x in rng:
-        tx = times[x]
-        for y in rng:
-            txy_row = times[tx[y]]
-            ty = times[y]
-            got = [tx[v] for v in ty]
-            if list(txy_row) != got:
-                z = next(i for i in rng if txy_row[i] != got[i])
-                fail("times-associative", "", x=x, y=y, z=z)
-                done = True
-                break
-        if done:
-            break
-
-    for x in rng:
-        if times[x][one] != x:
-            fail("times-unit", f"{els[x]}*1 = {els[times[x][one]]}", x=x)
-            break
-    for x in rng:
-        if times[x][zero] != zero:
-            fail("times-zero", f"{els[x]}*0 = {els[times[x][zero]]}", x=x)
-            break
-
-    for x in rng:
-        ox = oplus[x]
-        for y in rng:
-            if ox[y] != oplus[y][x]:
-                fail("R1",
-                     f"{els[x]}+{els[y]} = {els[ox[y]]}, {els[y]}+{els[x]} = {els[oplus[y][x]]}",
-                     x=x, y=y)
-                break
-        else:
-            continue
-        break
-
-    w = _r2_witness(r)
-    if w is not None:
-        x, y, got = w
-        fail("R2", f"got {els[got]}, wants {els[x]}", x=x, y=y)
-    w = _r3_witness(r)
-    if w is not None:
-        x, y, got = w
-        fail("R3", f"got {els[got]}, wants {els[times[x][y]]}", x=x, y=y)
-    w = _r4_witness(r)
-    if w is not None:
-        x, y, lhs, rhs = w
-        fail("R4", f"lhs {els[lhs]}, rhs {els[rhs]}", x=x, y=y)
-
-    order = ("times-commutative", "times-idempotent", "times-associative",
-             "times-unit", "times-zero", "R1", "R2", "R3", "R4")
-    failures.sort(key=lambda f: order.index(f.axiom))
-    return AxiomReport(not failures, tuple(failures), order)
-
-
-def _r2_witness(r):
-    oplus, times, one = r.oplus, r.times, r.one
-    for x in range(r.n):
-        tx = times[x]
-        nx = oplus[x][one]
-        for y in range(r.n):
-            got = oplus[times[oplus[tx[y]][one]][nx]][one]
-            if got != x:
-                return x, y, got
-    return None
-
-
-def _r3_witness(r):
-    oplus, times, one = r.oplus, r.times, r.one
-    for x in range(r.n):
-        tx = times[x]
-        for y in range(r.n):
-            got = times[oplus[times[oplus[tx[y]][one]][x]][one]][x]
-            if got != tx[y]:
-                return x, y, got
-    return None
-
-
-def _r4_witness(r):
-    oplus, times, one = r.oplus, r.times, r.one
-    for x in range(r.n):
-        tx = times[x]
-        nx = oplus[x][one]
-        for y in range(r.n):
-            lhs = oplus[tx[y]][nx]
-            rhs = oplus[times[oplus[tx[y]][one]][x]][one]
-            if lhs != rhs:
-                return x, y, lhs, rhs
-    return None
+    return _verdict(r, _AXIOMS)
 
 
 def require_rlse(r: RlseTables) -> None:
-    report = check_rlse(r)
-    if not report.passed:
-        raise NotAnRlse(report)
+    verdict = check_rlse(r)
+    if not verdict.passed:
+        raise NotAnRlse(verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +270,24 @@ def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
     require_rlse(r)
     poset = _order_poset(r)
     comp = {r.elements[i]: r.elements[r.neg(i)] for i in range(r.n)}
-    report = _lat.check_oml(poset, comp)
-    if not report.passed:
+    verdict, oml = _lat.check_oml(poset, comp)
+    if oml is None:
         raise OracleMismatch(
-            f"derived lattice of a valid event ring failed {report.failed_law}"
+            f"derived lattice of a valid event ring failed {verdict.failures[0].law}"
         )
     if poset.bottom != r.zero or poset.top != r.one:
         raise OracleMismatch("derived lattice bounds disagree with ring constants")
-    return report.oml
+    return oml
 
 
 def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     """Equip a lattice with an addition, giving a validated event ring.
 
     plus is "t1" for the symmetric difference (x^y') v (x'^y), "t2" for
-    the upper bound choice (x v y)^(x' v y'), or an n x n label table.
-    A custom table must be commutative, must send x,1 to the complement
-    of x and must satisfy R4; anything else raises CustomPlusInvalid.
+    the upper bound choice (x v y)^(x' v y'), or an n x n label table
+    whose row and column i belong to the lattice's element i.  A custom
+    table must be commutative, must send x,1 to the complement of x and
+    must satisfy R4; anything else raises CustomPlusInvalid.
     """
     n = oml.n
     meet, join, comp = oml.meet, oml.join, oml.comp
@@ -398,30 +315,17 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     r = RlseTables(oml.elements, oplus, oml.meet, oml.poset.bottom, oml.poset.top)
 
     if not isinstance(plus, str):
-        els = oml.elements
-        for x in range(n):
-            for y in range(n):
-                if oplus[x][y] != oplus[y][x]:
-                    raise CustomPlusInvalid(AxiomFailure("R1", _w(r, x=x, y=y)))
-        for x in range(n):
-            if oplus[x][oml.poset.top] != comp[x]:
-                raise CustomPlusInvalid(AxiomFailure(
-                    "plus-at-one",
-                    _w(r, x=x),
-                    f"{els[x]}+1 = {els[oplus[x][oml.poset.top]]}, complement is {els[comp[x]]}",
-                ))
-        w = _r4_witness(r)
-        if w is not None:
-            x, y, lhs, rhs = w
-            raise CustomPlusInvalid(AxiomFailure(
-                "R4", _w(r, x=x, y=y), f"lhs {els[lhs]}, rhs {els[rhs]}"
-            ))
+        for law, failure in _failures(r, ("R1", "plus-at-one", "R4"), comp):
+            if failure is not None:
+                if law == "R1":  # reported without the two sums
+                    failure = Failure(law, failure.witness)
+                raise CustomPlusInvalid(failure)
 
-    report = check_rlse(r)
-    if not report.passed:
+    verdict = check_rlse(r)
+    if not verdict.passed:
         raise OracleMismatch(
             "lattice-derived addition failed the ring axioms: "
-            + "; ".join(str(f) for f in report.failures)
+            + "; ".join(str(f) for f in verdict.failures)
         )
     return r
 
@@ -431,62 +335,24 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
 # ---------------------------------------------------------------------------
 
 
-def check_derived_identities(r: RlseTables) -> AxiomReport:
+def check_derived_identities(r: RlseTables) -> Verdict:
     """The five consequences of the axioms: double negation, x*(x+1)=0 and
     1+1=0, neutrality of zero, x+(x+1)=1, and antitonicity of x+1."""
     require_rlse(r)
-    n, els = r.n, r.elements
-    oplus, times, zero, one = r.oplus, r.times, r.zero, r.one
-    failures = []
-
-    def fail(axiom, detail="", **kw):
-        failures.append(AxiomFailure(axiom, _w(r, **kw), detail))
-
-    for x in range(n):
-        if oplus[r.neg(x)][one] != x:
-            fail("double-negation", f"got {els[oplus[r.neg(x)][one]]}", x=x)
-            break
-    for x in range(n):
-        if times[x][r.neg(x)] != zero:
-            fail("negation-disjoint", f"got {els[times[x][r.neg(x)]]}", x=x)
-            break
-    if oplus[one][one] != zero:
-        fail("one-self-inverse", f"1+1 = {els[oplus[one][one]]}")
-    for x in range(n):
-        if oplus[x][zero] != x:
-            fail("zero-neutral", f"got {els[oplus[x][zero]]}", x=x)
-            break
-    for x in range(n):
-        if oplus[x][r.neg(x)] != one:
-            fail("negation-covers", f"got {els[oplus[x][r.neg(x)]]}", x=x)
-            break
-    done = False
-    for x in range(n):
-        for y in range(n):
-            if r.below(x, y) != r.below(r.neg(y), r.neg(x)):
-                fail("negation-antitone", "", x=x, y=y)
-                done = True
-                break
-        if done:
-            break
-
-    checked = ("double-negation", "negation-disjoint", "one-self-inverse",
-               "zero-neutral", "negation-covers", "negation-antitone")
-    return AxiomReport(not failures, tuple(failures), checked)
+    return _verdict(r, ("double-negation", "negation-disjoint", "one-self-inverse",
+                        "zero-neutral", "negation-covers", "negation-antitone"))
 
 
 @dataclass(frozen=True)
 class R4FormsReport:
     """Both readings of R4: the identity and its orthogonal-pair form."""
 
-    r4_holds: bool
-    r4_failure: AxiomFailure | None
-    orthogonal_holds: bool
-    orthogonal_failure: AxiomFailure | None
+    r4: Verdict
+    orthogonal: Verdict
 
     @property
     def agree(self) -> bool:
-        return self.r4_holds == self.orthogonal_holds
+        return self.r4.passed == self.orthogonal.passed
 
 
 def check_r4_orthogonal_form(r: RlseTables) -> R4FormsReport:
@@ -497,82 +363,25 @@ def check_r4_orthogonal_form(r: RlseTables) -> R4FormsReport:
     from the multiplicative order: x orth y iff x <= y+1.
     """
     _check_shape(r)
-    n, els = r.n, r.elements
-    oplus, times, one = r.oplus, r.times, r.one
-
-    w = _r4_witness(r)
-    r4_failure = None
-    if w is not None:
-        x, y, lhs, rhs = w
-        r4_failure = AxiomFailure("R4", _w(r, x=x, y=y),
-                                  f"lhs {els[lhs]}, rhs {els[rhs]}")
-
-    orth_failure = None
-    done = False
-    for x in range(n):
-        for y in range(n):
-            if times[x][oplus[y][one]] != x:
-                continue
-            lhs = oplus[oplus[x][y]][one]
-            rhs = times[oplus[x][one]][oplus[y][one]]
-            if lhs != rhs:
-                orth_failure = AxiomFailure(
-                    "R4-orthogonal", _w(r, x=x, y=y),
-                    f"lhs {els[lhs]}, rhs {els[rhs]}")
-                done = True
-                break
-        if done:
-            break
-
-    return R4FormsReport(r4_failure is None, r4_failure,
-                         orth_failure is None, orth_failure)
+    return R4FormsReport(_verdict(r, ("R4",)), _verdict(r, ("R4-orthogonal",)))
 
 
-def _identity_report(r, axiom, lhs_rhs) -> AxiomReport:
-    """Scan all pairs for a two-variable identity given index-level sides."""
-    els = r.elements
-    for x in range(r.n):
-        for y in range(r.n):
-            lhs, rhs = lhs_rhs(x, y)
-            if lhs != rhs:
-                f = AxiomFailure(axiom, _w(r, x=x, y=y),
-                                 f"lhs {els[lhs]}, rhs {els[rhs]}")
-                return AxiomReport(False, (f,), (axiom,))
-    return AxiomReport(True, (), (axiom,))
-
-
-def check_weak_assoc(r: RlseTables) -> AxiomReport:
+def check_weak_assoc(r: RlseTables) -> Verdict:
     """(x+y)+1 = x+(y+1) over all pairs."""
     require_rlse(r)
-    oplus, one = r.oplus, r.one
-    return _identity_report(
-        r, "weak-associativity",
-        lambda x, y: (oplus[oplus[x][y]][one], oplus[x][oplus[y][one]]),
-    )
+    return _verdict(r, ("weak-associativity",))
 
 
-def check_identity_T(r: RlseTables) -> AxiomReport:
+def check_identity_T(r: RlseTables) -> Verdict:
     """(x*y' + 1)*(x'*y + 1) + 1 = x+y over all pairs."""
     require_rlse(r)
-    oplus, times, one = r.oplus, r.times, r.one
-
-    def sides(x, y):
-        a = oplus[times[x][oplus[y][one]]][one]
-        b = oplus[times[oplus[x][one]][y]][one]
-        return oplus[times[a][b]][one], oplus[x][y]
-
-    return _identity_report(r, "T", sides)
+    return _verdict(r, ("T",))
 
 
-def check_r5(r: RlseTables) -> AxiomReport:
+def check_r5(r: RlseTables) -> Verdict:
     """x+y = x*(y+1) + (x+1)*y over all pairs."""
     require_rlse(r)
-    oplus, times, one = r.oplus, r.times, r.one
-    return _identity_report(
-        r, "R5",
-        lambda x, y: (oplus[x][y],
-                      oplus[times[x][oplus[y][one]]][times[oplus[x][one]][y]]),
-    )
+    return _verdict(r, ("R5",))
 
 
 @dataclass(frozen=True)
@@ -580,12 +389,12 @@ class BooleanRingReport:
     """Two independent Boolean-ring verdicts that are required to agree."""
 
     is_boolean_ring: bool
-    identity_route: AxiomReport   # weak associativity plus identity T
-    ring_route: AxiomReport       # direct ring axioms
+    identity_route: Verdict   # weak associativity plus identity T
+    ring_route: Verdict       # direct ring axioms
 
     @property
-    def witness(self) -> AxiomFailure | None:
-        return (self.ring_route.failures or self.identity_route.failures or (None,))[0]
+    def witness(self) -> Failure | None:
+        return self.ring_route.first or self.identity_route.first
 
 
 def is_boolean_ring(r: RlseTables) -> BooleanRingReport:
@@ -597,68 +406,9 @@ def is_boolean_ring(r: RlseTables) -> BooleanRingReport:
     are provably equivalent for valid event rings.
     """
     require_rlse(r)
-    wa = check_weak_assoc(r)
-    t = check_identity_T(r)
-    identity_route = AxiomReport(
-        wa.passed and t.passed,
-        wa.failures + t.failures,
-        wa.checked + t.checked,
-    )
-
-    n, els = r.n, r.elements
-    oplus, times, zero = r.oplus, r.times, r.zero
-    rng = range(n)
-    failures = []
-    for x in rng:
-        if oplus[x][x] != zero:
-            failures.append(AxiomFailure(
-                "plus-self-inverse", _w(r, x=x),
-                f"{els[x]}+{els[x]} = {els[oplus[x][x]]}, expected {els[zero]}"))
-            break
-    for x in rng:
-        if oplus[x][zero] != x:
-            failures.append(AxiomFailure(
-                "zero-neutral", _w(r, x=x), f"got {els[oplus[x][zero]]}"))
-            break
-    done = False
-    for x in rng:
-        ox = oplus[x]
-        for y in rng:
-            row = oplus[ox[y]]
-            oy = oplus[y]
-            got = [ox[v] for v in oy]
-            if list(row) != got:
-                z = next(i for i in rng if row[i] != got[i])
-                failures.append(AxiomFailure(
-                    "plus-associative", _w(r, x=x, y=y, z=z),
-                    f"lhs {els[row[z]]}, rhs {els[got[z]]}"))
-                done = True
-                break
-        if done:
-            break
-    done = False
-    for x in rng:
-        tx = times[x]
-        for y in rng:
-            oy = oplus[y]
-            lhs = [tx[v] for v in oy]
-            row = oplus[tx[y]]
-            rhs = [row[v] for v in tx]
-            if lhs != rhs:
-                z = next(i for i in rng if lhs[i] != rhs[i])
-                failures.append(AxiomFailure(
-                    "distributive", _w(r, x=x, y=y, z=z),
-                    f"lhs {els[lhs[z]]}, rhs {els[rhs[z]]}"))
-                done = True
-                break
-        if done:
-            break
-
-    ring_route = AxiomReport(
-        not failures, tuple(failures),
-        ("plus-self-inverse", "zero-neutral", "plus-associative", "distributive"),
-    )
-
+    identity_route = _verdict(r, ("weak-associativity", "T"))
+    ring_route = _verdict(r, ("plus-self-inverse", "zero-neutral",
+                              "plus-associative", "distributive"))
     if identity_route.passed != ring_route.passed:
         raise OracleMismatch(
             "Boolean-ring routes disagree: identities say "
@@ -673,67 +423,56 @@ def is_boolean_ring(r: RlseTables) -> BooleanRingReport:
 
 
 @dataclass(frozen=True)
-class LatticeSideReport:
-    """Outcome of checking 'derived structure is an OML plus conditions'."""
-
-    passed: bool
-    failed_check: str | None = None
-    witness: dict | None = None
-
-
-@dataclass(frozen=True)
 class CorrespondenceReport:
-    as_rlse: AxiomReport
-    as_lattice: LatticeSideReport
+    as_rlse: Verdict
+    as_lattice: Verdict
 
     @property
     def verdicts(self) -> tuple[bool, bool]:
         return self.as_rlse.passed, self.as_lattice.passed
 
 
-def _lattice_side(r: RlseTables) -> LatticeSideReport:
-    n, els = r.n, r.elements
-    oplus, times, one = r.oplus, r.times, r.one
+def _lattice_side(r: RlseTables) -> Verdict:
+    """'The derived structure is an OML whose meet is *, whose join is the
+    De Morgan dual of *, with + commutative, x+1 = x' and x+y = x v y on
+    orthogonal pairs', checked up to the first failure."""
+    els = r.elements
     try:
         poset = _order_poset(r)
     except Exception as exc:  # not even a bounded poset
-        return LatticeSideReport(False, "times-order", {"reason": str(exc)})
+        return Verdict.of(Failure("times-order", {"reason": str(exc)}))
     if poset.bottom != r.zero or poset.top != r.one:
-        return LatticeSideReport(False, "bounds", {
-            "bottom": els[poset.bottom], "top": els[poset.top]})
+        return Verdict.of(Failure("bounds", {
+            "bottom": els[poset.bottom], "top": els[poset.top]}))
+    comp = {els[i]: els[r.neg(i)] for i in range(r.n)}
+    verdict, oml = _lat.check_oml(poset, comp)
+    if oml is None:
+        return verdict
+    return collect(_lattice_side_laws(r, poset, oml), first_only=True)
 
-    comp = {els[i]: els[oplus[i][one]] for i in range(n)}
-    report = _lat.check_oml(poset, comp)
-    if not report.passed:
-        return LatticeSideReport(False, report.failed_law, report.witness)
-    oml = report.oml
 
-    if oml.meet != times:
-        return LatticeSideReport(False, "meet-is-times", None)
-    cvec = oml.comp
-    for x in range(n):
-        dm = times[cvec[x]]
-        got = [oplus[dm[cvec[y]]][one] for y in range(n)]
-        if list(oml.join[x]) != got:
-            y = next(i for i in range(n) if oml.join[x][i] != got[i])
-            return LatticeSideReport(False, "join-is-demorgan",
-                                     {"x": els[x], "y": els[y]})
+def _lattice_side_laws(r, poset, oml):
+    N = [row[r.one] for row in r.oplus]
+    c, xs = oml.comp, [(x,) for x in range(r.n)]
 
-    for x in range(n):
-        ox = oplus[x]
-        for y in range(n):
-            if ox[y] != oplus[y][x]:
-                return LatticeSideReport(False, "plus-commutative",
-                                         {"x": els[x], "y": els[y]})
-    for x in range(n):
-        if oplus[x][one] != cvec[x]:
-            return LatticeSideReport(False, "plus-at-one", {"x": els[x]})
-    for x in range(n):
-        for y in range(n):
-            if poset.leq[x][cvec[y]] and oplus[x][y] != oml.join[x][y]:
-                return LatticeSideReport(False, "orthogonal-join",
-                                         {"x": els[x], "y": els[y]})
-    return LatticeSideReport(True)
+    def failure(law, hit):
+        return law, None if hit is None else Failure(law, witness("xy", r.elements, hit))
+
+    def renamed(law, found):
+        return law, None if found is None else Failure(law, found.witness)
+
+    yield "meet-is-times", None if oml.meet == r.times else Failure("meet-is-times", {})
+    yield failure("join-is-demorgan", first_mismatch(
+        xs, map(list, oml.join), ([N[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c))))
+    ring = _failures(r, ("R1", "plus-at-one"), c)
+    yield renamed("plus-commutative", next(ring)[1])
+    yield renamed("plus-at-one", next(ring)[1])
+    # only orthogonal pairs count; the others read -1 on both sides
+    yield failure("orthogonal-join", first_mismatch(
+        xs, ([px[y] if lx[cy] else -1 for y, cy in enumerate(c)]
+             for px, lx in zip(r.oplus, poset.leq)),
+        ([jx[y] if lx[cy] else -1 for y, cy in enumerate(c)]
+         for jx, lx in zip(oml.join, poset.leq))))
 
 
 def check_correspondence(r: RlseTables) -> CorrespondenceReport:

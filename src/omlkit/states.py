@@ -10,7 +10,13 @@ Which pairs a state set separates is kept as dominance masks: above[x]
 is the bitmask of the y with m(x) > m(y) in some state, built by sorting
 each state's values once.  The full-set search consults it to skip pairs
 already separated, and check_full reads its verdict and first witness
-pair off it, one mask operation per element.
+pair off it, one mask operation per element.  The same masks give the
+pointwise order of numerical events, which the event side builds once
+and hands to lattice.lattice_tables for infima and suprema.
+
+Checks return a laws.Verdict; their counterexample scans compare whole
+rows with laws.first_mismatch, so each failure carries the
+lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 
 from . import simplex
 from .errors import (
@@ -30,19 +38,16 @@ from .errors import (
     OracleMismatch,
     ValidationError,
 )
-from .lattice import FiniteOml, is_distributive
+from .laws import Failure, Verdict, collect, first_mismatch, witness
+from .lattice import FiniteOml, lattice_tables
 from .rlse import RlseTables
 
 __all__ = [
     "State",
-    "StateReport",
     "Infeasible",
     "StateSearchResult",
-    "FullnessReport",
     "NumericalEventSet",
-    "EventAxiomReport",
     "BooleanEventReport",
-    "RepresentationReport",
     "check_state",
     "find_separating_state",
     "find_full_state_set",
@@ -68,36 +73,34 @@ class State:
         return self.values[oml.index(label)]
 
 
-@dataclass(frozen=True)
-class StateReport:
-    passed: bool
-    failed_check: str | None = None
-    witness: dict | None = None
-
-
-def check_state(oml: FiniteOml, values) -> StateReport:
-    """Verify range, top value and orthogonal additivity, exhaustively."""
+def check_state(oml: FiniteOml, values) -> Verdict:
+    """Verify range, top value and orthogonal additivity, exhaustively,
+    up to the first failure."""
     vals = tuple(Fraction(v) for v in values)
     if len(vals) != oml.n:
         raise DimensionMismatch(oml.n, len(vals))
-    els = oml.elements
-    for i, v in enumerate(vals):
-        if not (0 <= v <= 1):
-            return StateReport(False, "range", {"x": els[i], "value": str(v)})
-    if vals[oml.poset.top] != 1:
-        return StateReport(False, "top-probability-one",
-                           {"value": str(vals[oml.poset.top])})
-    leq, comp, join = oml.poset.leq, oml.comp, oml.join
-    for x in range(oml.n):
-        vx = vals[x]
-        for y in range(x, oml.n):
-            if leq[x][comp[y]] and vals[join[x][y]] != vx + vals[y]:
-                return StateReport(False, "orthogonal-additivity", {
-                    "x": els[x], "y": els[y],
-                    "sum": str(vx + vals[y]),
-                    "join-value": str(vals[join[x][y]]),
-                })
-    return StateReport(True)
+    return collect(_state_laws(oml, vals), first_only=True)
+
+
+def _state_laws(oml, vals):
+    els, n = oml.elements, oml.n
+    hit = first_mismatch([()], [[0 <= v <= 1 for v in vals]], [[True] * n])
+    yield "range", hit and Failure("range", {"x": els[hit[0]], "value": str(vals[hit[0]])})
+    top = vals[oml.poset.top]
+    yield "top-probability-one", (
+        None if top == 1 else Failure("top-probability-one", {"value": str(top)}))
+    # m(x v y) against m(x) + m(y), along the orthogonal y >= x
+    orth = oml.orthogonal_rows
+    hit = first_mismatch(
+        [(x,) for x in range(n)],
+        ([vals[jx[y]] for y in ys] for jx, ys in zip(oml.join, orth)),
+        ([vx + vals[y] for y in ys] for vx, ys in zip(vals, orth)))
+    if hit is None:
+        yield "orthogonal-additivity", None
+    else:
+        x, i, got, want = hit
+        yield "orthogonal-additivity", Failure("orthogonal-additivity", {
+            "x": els[x], "y": els[orth[x][i]], "sum": str(want), "join-value": str(got)})
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +171,10 @@ class _StateSpace:
     def _build(self):
         oml = self.oml
         n = oml.n
-        leq, comp, join = oml.poset.leq, oml.comp, oml.join
+        join = oml.join
         bottom, top = oml.poset.bottom, oml.poset.top
-        constraints = []
-        for x in range(n):
-            if x == bottom:
-                continue
-            for y in range(x, n):
-                if y == bottom:
-                    continue
-                if leq[x][comp[y]]:
-                    constraints.append((x, y, join[x][y]))
+        constraints = [(x, y, join[x][y]) for x, ys in enumerate(oml.orthogonal_rows)
+                       if x != bottom for y in ys if y != bottom]
 
         exprs: list[_Aff | None] = [None] * n
         exprs[bottom] = _Aff()
@@ -353,9 +349,9 @@ def _separate(oml, space, xi, yi):
     if value <= 0:
         return Infeasible(oml.elements[xi], oml.elements[yi])
     state = State(values)
-    report = check_state(oml, values)
-    if not report.passed:
-        raise OracleMismatch(f"solver produced a non-state: {report.failed_check}")
+    verdict = check_state(oml, values)
+    if not verdict.passed:
+        raise OracleMismatch(f"solver produced a non-state: {verdict.failures[0].law}")
     return state
 
 
@@ -399,13 +395,7 @@ def find_full_state_set(oml: FiniteOml) -> StateSearchResult:
     return StateSearchResult(tuple(states), None)
 
 
-@dataclass(frozen=True)
-class FullnessReport:
-    passed: bool
-    witness: dict | None = None
-
-
-def check_full(oml: FiniteOml, states) -> FullnessReport:
+def check_full(oml: FiniteOml, states) -> Verdict:
     """Does x <= y hold exactly when every state weighs x at most y?
 
     Checks the biconditional on all ordered pairs and reports the first
@@ -415,18 +405,21 @@ def check_full(oml: FiniteOml, states) -> FullnessReport:
     above = [0] * oml.n
     for pos, s in enumerate(states):
         vals = s.values if isinstance(s, State) else tuple(Fraction(v) for v in s)
-        report = check_state(oml, vals)
-        if not report.passed:
-            raise InvalidState(pos, report.failed_check)
+        verdict = check_state(oml, vals)
+        if not verdict.passed:
+            raise InvalidState(pos, verdict.failures[0].law)
         _add_dominance(above, vals)
     full = (1 << oml.n) - 1
-    for x, up in enumerate(oml.poset.up_masks()):
-        # y where "no state puts x above y" disagrees with x <= y
-        wrong = (~above[x] ^ up) & full & ~(1 << x)
-        if wrong:
-            y = (wrong & -wrong).bit_length() - 1
-            return FullnessReport(False, {"x": oml.elements[x], "y": oml.elements[y]})
-    return FullnessReport(True)
+    # per x, the y where "no state puts x above y" disagrees with x <= y
+    wrong = [(~a ^ up) & full & ~(1 << x)
+             for x, (a, up) in enumerate(zip(above, oml.poset.up_masks()))]
+    hit = first_mismatch([()], [wrong], [[0] * oml.n])
+    if hit is None:
+        return Verdict(True, ("order-determining",))
+    x, ys = hit[:2]
+    y = (ys & -ys).bit_length() - 1
+    return Verdict.of(Failure("order-determining", {
+        "x": oml.elements[x], "y": oml.elements[y]}, "order not recovered"))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +446,10 @@ class NumericalEventSet:
 def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
     """Tabulate x -> (m1(x), m2(x), ...); requires an order-determining
     state set, otherwise the map would not be injective."""
-    report = check_full(oml, states)
-    if not report.passed:
-        raise NotFull((report.witness["x"], report.witness["y"]))
+    verdict = check_full(oml, states)
+    if not verdict.passed:
+        w = verdict.failures[0].witness
+        raise NotFull((w["x"], w["y"]))
     states = tuple(s if isinstance(s, State) else State(tuple(Fraction(v) for v in s))
                    for s in states)
     events = tuple(
@@ -466,115 +460,71 @@ def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
     return NumericalEventSet(oml.elements, states, events)
 
 
-#: Statements of the event-algebra axioms checked below.
-EVENT_AXIOMS = {
-    "contains-bounds": "the constant vectors 0 and 1 belong to the set",
-    "complement-closed": "1-p belongs to the set for every member p",
-    "orthogonal-triple-sum": "p+q+r belongs to the set for pairwise orthogonal members",
-    "orthogonal-pair-sum": "p+q belongs to the set and is the supremum, for orthogonal p, q",
-}
+def _pointwise_up(events) -> list[int]:
+    """up[i]: the bitmask of the j with events[i] <= events[j] in every
+    coordinate, folded in one coordinate at a time."""
+    above = [0] * len(events)
+    for column in zip(*events):
+        _add_dominance(above, column)
+    full = (1 << len(events)) - 1
+    return [full & ~a for a in above]
 
 
-@dataclass(frozen=True)
-class EventAxiomReport:
-    passed: bool
-    failures: tuple = ()
-    checked: tuple = tuple(EVENT_AXIOMS)
-
-
-def _vec_le(p, q) -> bool:
-    return all(a <= b for a, b in zip(p, q))
-
-
-def check_s_probability_algebra(ev: NumericalEventSet) -> EventAxiomReport:
+def check_s_probability_algebra(ev: NumericalEventSet) -> Verdict:
     """Exhaustive check of the probability-algebra axioms on the vectors.
 
     Orthogonality is numerical: p is orthogonal to q when p <= 1-q holds
     pointwise.  For every orthogonal pair the sum must be a member and the
     least upper bound of the pair within the set.
     """
-    events = ev.events
-    labels = ev.elements
-    k = ev.width
+    return collect(_algebra_laws(ev, _pointwise_up(ev.events)))
+
+
+def _algebra_laws(ev, le):
+    events, labels, m = ev.events, ev.elements, len(ev.events)
     member = {vec: i for i, vec in enumerate(events)}
-    m = len(events)
-    failures = []
 
-    zero = tuple([_ZERO] * k)
-    one = tuple([_ONE] * k)
-    if zero not in member or one not in member:
-        failures.append(("contains-bounds", {}, "missing a constant vector"))
+    bounds = (_ZERO,) * ev.width, (_ONE,) * ev.width
+    yield "contains-bounds", None if all(b in member for b in bounds) else Failure(
+        "contains-bounds", {}, "missing a constant vector")
 
-    for i, p in enumerate(events):
-        q = tuple(_ONE - v for v in p)
-        if q not in member:
-            failures.append(("complement-closed", {"p": labels[i]}, ""))
-            break
+    hit = first_mismatch([()], [[tuple(_ONE - v for v in p) in member for p in events]],
+                         [[True] * m])
+    yield "complement-closed", hit and Failure("complement-closed", {"p": labels[hit[0]]})
 
-    # pointwise order and orthogonality, as index masks
-    le = []
-    for p in events:
-        mask = 0
-        for j, q in enumerate(events):
-            if _vec_le(p, q):
-                mask |= 1 << j
-        le.append(mask)
-    orth = []
-    for i, p in enumerate(events):
-        mask = 0
-        for j, q in enumerate(events):
-            if all(a + b <= 1 for a, b in zip(p, q)):
-                mask |= 1 << j
-        orth.append(mask)
+    orth = [sum(1 << j for j, q in enumerate(events) if all(a + b <= 1 for a, b in zip(p, q)))
+            for p in events]
+    pairs = [(i, j) for i in range(m) for j in range(i, m) if orth[i] >> j & 1]
 
-    done = False
-    for i in range(m):
-        if done:
-            break
-        for j in range(i, m):
-            if done or not orth[i] >> j & 1:
-                continue
-            rest = (orth[i] & orth[j]) >> j
-            rj = j
-            while rest:
-                if rest & 1:
-                    s = tuple(a + b + c for a, b, c in
-                              zip(events[i], events[j], events[rj]))
-                    if s not in member:
-                        failures.append((
-                            "orthogonal-triple-sum",
-                            {"p": labels[i], "q": labels[j], "r": labels[rj]},
-                            "",
-                        ))
-                        done = True
-                        break
-                rest >>= 1
-                rj += 1
+    def triple_rows():
+        # r runs from j on, over members orthogonal to both p and q
+        for i, j in pairs:
+            pq = tuple(map(add, events[i], events[j]))
+            rs = (orth[i] & orth[j]) >> j << j
+            yield [rs >> r & 1 == 0 or tuple(map(add, pq, er)) in member
+                   for r, er in enumerate(events)]
 
-    done = False
-    for i in range(m):
-        if done:
-            break
-        for j in range(i, m):
-            if not orth[i] >> j & 1:
-                continue
-            s = tuple(a + b for a, b in zip(events[i], events[j]))
-            if s not in member:
-                failures.append(("orthogonal-pair-sum",
-                                 {"p": labels[i], "q": labels[j]},
-                                 "sum is not a member"))
-                done = True
-                break
-            si = member[s]
-            uppers = le[i] & le[j]
-            if not le[i] >> si & 1 or not le[j] >> si & 1 or (uppers & ~le[si]):
-                failures.append(("orthogonal-pair-sum",
-                                 {"p": labels[i], "q": labels[j]},
-                                 "sum is not the supremum"))
-                done = True
-                break
+    hit = first_mismatch(pairs, triple_rows(), repeat([True] * m))
+    yield "orthogonal-triple-sum", hit and Failure(
+        "orthogonal-triple-sum", witness("pqr", labels, hit))
 
-    return EventAxiomReport(not failures, tuple(failures))
+    def pair_rows():
+        # what is wrong with p+q, for the orthogonal q from p on; "" if nothing.
+        # The sum s is the supremum when p, q <= s and s <= every common upper
+        # bound of p and q.
+        for i, p in enumerate(events):
+            qs = orth[i] >> i << i
+            sums = [member.get(tuple(map(add, p, q)), -1) if qs >> j & 1 else None
+                    for j, q in enumerate(events)]
+            yield ["" if s is None
+                   else "sum is not a member" if s < 0
+                   else "" if le[i] >> s & 1 and le[j] >> s & 1 and not le[i] & le[j] & ~le[s]
+                   else "sum is not the supremum"
+                   for j, s in enumerate(sums)]
+
+    hit = first_mismatch([(i,) for i in range(m)], pair_rows(), repeat([""] * m))
+    yield "orthogonal-pair-sum", hit and Failure(
+        "orthogonal-pair-sum", witness("pq", labels, hit), hit[2])
 
 
 def hat_plus(p, q, meet):
@@ -608,137 +558,93 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
     m = len(events)
     member = {vec: i for i, vec in enumerate(events)}
 
-    le = []
-    for p in events:
-        mask = 0
-        for j, q in enumerate(events):
-            if _vec_le(p, q):
-                mask |= 1 << j
-        le.append(mask)
-    ge = [0] * m
-    for i in range(m):
-        mask = le[i]
-        while mask:
-            low = mask & -mask
-            ge[low.bit_length() - 1] |= 1 << i
-            mask ^= low
+    up = _pointwise_up(events)
+    meet, join, bad = lattice_tables(ev, up)
+    if bad is not None:
+        kind, pair = bad
+        raise NotLatticeOrdered("infimum" if kind == "meet" else "supremum", pair)
 
-    def inf_of(i, j):
-        lowers = ge[i] & ge[j]
-        mask = lowers
-        while mask:
-            low = mask & -mask
-            z = low.bit_length() - 1
-            mask ^= low
-            if ge[z] & lowers == lowers:
-                return z
-        return -1
+    compl = [member.get(tuple(_ONE - v for v in p)) for p in events]
+    if None in compl:
+        raise ValidationError("event set is not complement-closed")
 
-    def sup_of(i, j):
-        uppers = le[i] & le[j]
-        mask = uppers
-        while mask:
-            low = mask & -mask
-            z = low.bit_length() - 1
-            mask ^= low
-            if le[z] & uppers == uppers:
-                return z
-        return -1
-
-    meet = [[0] * m for _ in range(m)]
-    join = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            z = inf_of(i, j)
-            if z < 0:
-                raise NotLatticeOrdered("infimum", (labels[i], labels[j]))
-            meet[i][j] = meet[j][i] = z
-            z = sup_of(i, j)
-            if z < 0:
-                raise NotLatticeOrdered("supremum", (labels[i], labels[j]))
-            join[i][j] = join[j][i] = z
-
-    compl = {}
-    for i, p in enumerate(events):
-        q = tuple(_ONE - v for v in p)
-        if q not in member:
-            raise ValidationError("event set is not complement-closed")
-        compl[i] = member[q]
-
-    for i in range(m):
-        for j in range(i, m):
-            h = hat_plus(events[i], events[j], events[meet[i][j]])
-            for pos, v in enumerate(h):
-                if v > 1:
-                    return BooleanEventReport(False, {
-                        "p": labels[i], "q": labels[j],
-                        "state": pos, "value": str(v),
-                    })
-
+    # p+q-2(p^q) is symmetric in p and q: one pass over the pairs p <= q
+    # both looks for a value above 1 and fills the addition table
     plus = [[0] * m for _ in range(m)]
-    sym = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            h = hat_plus(events[i], events[j], events[meet[i][j]])
-            hi = member.get(h)
-            s = join[meet[i][compl[j]]][meet[compl[i]][j]]
-            if hi is None or hi != s:
-                # the axiom check is exhaustive and slow: only a failed
-                # cross-check pays for it
-                algebra = check_s_probability_algebra(ev)
-                if not algebra.passed:
-                    raise NotAnEventAlgebra(algebra)
-                raise OracleMismatch(
-                    "ring addition disagrees with the symmetric difference "
-                    f"at ({labels[i]}, {labels[j]})"
-                )
-            plus[i][j] = hi
-            sym[i][j] = s
+    for i, (p, mi) in enumerate(zip(events, meet)):
+        hats = [hat_plus(p, events[j], events[mi[j]]) for j in range(i, m)]
+        hit = first_mismatch([(j,) for j in range(i, m)],
+                             ([v > 1 for v in h] for h in hats), repeat([False] * len(p)))
+        if hit is not None:
+            j, pos = hit[:2]
+            return BooleanEventReport(False, {
+                "p": labels[i], "q": labels[j],
+                "state": pos, "value": str(hats[j - i][pos]),
+            })
+        for j, h in enumerate(hats, start=i):
+            plus[i][j] = plus[j][i] = member.get(h)
+
+    sym = [[join[mi[cj]][meet[ci][j]] for j, cj in enumerate(compl)]
+           for mi, ci in zip(meet, compl)]
+    hit = first_mismatch([(i,) for i in range(m)], plus, sym)
+    if hit is not None:
+        # the axiom check is exhaustive and slow: only a failed
+        # cross-check pays for it
+        algebra = collect(_algebra_laws(ev, up))
+        if not algebra.passed:
+            raise NotAnEventAlgebra(algebra)
+        raise OracleMismatch(
+            "ring addition disagrees with the symmetric difference "
+            f"at ({labels[hit[0]]}, {labels[hit[1]]})"
+        )
     return BooleanEventReport(True, None,
                               tuple(tuple(r) for r in plus),
                               tuple(tuple(r) for r in sym))
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
-    passed: bool
-    failed_hypothesis: str | None = None
-    witness: dict | None = None
-
-
-def check_representation(r: RlseTables, ev: NumericalEventSet, f) -> RepresentationReport:
+def check_representation(r: RlseTables, ev: NumericalEventSet, f) -> Verdict:
     """Verify that f embeds the event ring into the numerical algebra.
 
-    f maps element labels to event vectors.  Checked hypotheses, in order:
-    f is a bijection onto the event set; f is an order isomorphism for the
-    multiplicative order versus the pointwise order; f turns orthogonal
-    sums into vector sums; the vectors satisfy the probability-algebra
-    axioms.
+    f maps element labels to event vectors.  Checked hypotheses, in order,
+    up to the first failure: f is a bijection onto the event set; f is an
+    order isomorphism for the multiplicative order versus the pointwise
+    order; f turns orthogonal sums into vector sums; the vectors satisfy
+    the probability-algebra axioms.
     """
-    els = r.elements
-    if sorted(f) != sorted(els):
-        return RepresentationReport(False, "bijection", {"reason": "domain mismatch"})
-    vecs = [tuple(Fraction(v) for v in f[lab]) for lab in els]
-    if len(set(vecs)) != len(vecs):
-        return RepresentationReport(False, "bijection", {"reason": "not injective"})
-    if set(vecs) != set(ev.events):
-        return RepresentationReport(False, "bijection", {"reason": "image differs"})
+    return collect(_representation_laws(r, ev, f), first_only=True)
 
-    n = r.n
-    for x in range(n):
-        for y in range(n):
-            if r.below(x, y) != _vec_le(vecs[x], vecs[y]):
-                return RepresentationReport(False, "order-isomorphism",
-                                            {"x": els[x], "y": els[y]})
-    for x in range(n):
-        for y in range(n):
-            if r.below(x, r.neg(y)):
-                s = tuple(a + b for a, b in zip(vecs[x], vecs[y]))
-                if vecs[r.oplus[x][y]] != s:
-                    return RepresentationReport(False, "orthogonal-additivity",
-                                                {"x": els[x], "y": els[y]})
+
+def _representation_laws(r, ev, f):
+    els = r.elements
+    reason = None
+    if sorted(f) != sorted(els):
+        reason = "domain mismatch"
+    else:
+        vecs = [tuple(Fraction(v) for v in f[lab]) for lab in els]
+        if len(set(vecs)) != len(vecs):
+            reason = "not injective"
+        elif set(vecs) != set(ev.events):
+            reason = "image differs"
+    yield "bijection", reason and Failure("bijection", {"reason": reason})
+
+    rng, xs = range(r.n), [(x,) for x in range(r.n)]
+    N = [row[r.one] for row in r.oplus]
+    up = _pointwise_up(vecs)
+    # the ring's order: x <= y iff x*y = x
+    hit = first_mismatch(xs, ([v == x for v in tx] for x, tx in enumerate(r.times)),
+                         ([ux >> y & 1 == 1 for y in rng] for ux in up))
+    yield "order-isomorphism", hit and Failure("order-isomorphism", witness("xy", els, hit))
+
+    # only orthogonal pairs, x <= y+1, count; the others read None on both sides
+    hit = first_mismatch(
+        xs,
+        ([vecs[v] if tx[ny] == x else None for v, ny in zip(px, N)]
+         for x, (px, tx) in enumerate(zip(r.oplus, r.times))),
+        ([tuple(map(add, vx, vy)) if tx[ny] == x else None for vy, ny in zip(vecs, N)]
+         for x, (vx, tx) in enumerate(zip(vecs, r.times))))
+    yield "orthogonal-additivity", hit and Failure(
+        "orthogonal-additivity", witness("xy", els, hit))
+
     algebra = check_s_probability_algebra(ev)
-    if not algebra.passed:
-        return RepresentationReport(False, "algebra-axioms",
-                                    {"axiom": algebra.failures[0][0]})
-    return RepresentationReport(True)
+    yield "algebra-axioms", None if algebra.passed else Failure(
+        "algebra-axioms", {"axiom": algebra.failures[0].law})

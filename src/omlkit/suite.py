@@ -219,7 +219,7 @@ def criterion_4() -> CriterionResult:
     if report.is_boolean_ring:
         problems.append("the 2-set example passed the Boolean-ring test")
     w = report.witness
-    if w is None or w.axiom != "plus-self-inverse" or w.assignment() != {"x": "{1}"}:
+    if w is None or w.law != "plus-self-inverse" or w.witness != {"x": "{1}"}:
         problems.append(f"unexpected witness {w}")
     one = ex.elements[ex.oplus[ex.index("{1}")][ex.index("{1}")]]
     if one != "{1,2}":
@@ -242,8 +242,8 @@ def criterion_5() -> CriterionResult:
         if not report.passed:
             problems.append(f"{label}: {report.failures[0]}")
         forms = check_r4_orthogonal_form(r)
-        if not (forms.agree and forms.r4_holds):
-            problems.append(f"{label}: R4 forms {forms.r4_holds}/{forms.orthogonal_holds}")
+        if not (forms.agree and forms.r4.passed):
+            problems.append(f"{label}: R4 forms {forms.r4.passed}/{forms.orthogonal.passed}")
     return _result(5, "derived identities", problems,
                    "all five identities and both R4 forms hold on 21 rings")
 
@@ -260,7 +260,7 @@ def criterion_6() -> CriterionResult:
     else:
         f = report.failures[0]
         values = f.detail
-        if f.assignment() != {"x": "a", "y": "b"} or values != "lhs 1, rhs 0":
+        if f.witness != {"x": "a", "y": "b"} or values != "lhs 1, rhs 0":
             problems.append(f"unexpected R5 witness {f}")
     boolean = set(_boolean_members())
     for name in corpus.OML_NAMES:
@@ -287,7 +287,7 @@ def criterion_7() -> CriterionResult:
         ev = _events(name)
         report = states.check_s_probability_algebra(ev)
         if not report.passed:
-            problems.append(f"{name} events fail {report.failures[0][0]}")
+            problems.append(f"{name} events fail {report.failures[0].law}")
     counts = ", ".join(f"{name}: {len(_full_states(name))}" for name in STATES_CORPUS)
     return _result(7, "states pipeline", problems,
                    f"full state sets found ({counts}); all axioms hold")

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from omlkit import cli, corpus, structfile
-from omlkit.rlse import check_rlse, derived_lattice, is_boolean_ring
+from omlkit.rlse import RlseTables, check_rlse, derived_lattice, is_boolean_ring
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCHEMA = json.loads((resources.files("omlkit") / "report_schema.json").read_text())
@@ -121,9 +121,9 @@ def test_derive_emits_the_ring_lattice():
     sf = structfile.parse_structure(out)
     poset, comp = structfile.to_oml_input(sf)
     from omlkit.lattice import check_oml
-    report = check_oml(poset, comp)
-    assert report.passed
-    assert report.oml == corpus.builtin("boolean_2")
+    verdict, oml = check_oml(poset, comp)
+    assert verdict.passed
+    assert oml == corpus.builtin("boolean_2")
 
 
 def test_derive_rejects_an_invalid_ring(tmp_path):
@@ -165,6 +165,42 @@ def test_construct_rejects_a_bad_custom_plus(tmp_path):
                            "custom=" + str(custom))
     assert code == 1
     assert "FAIL" in out
+
+
+def _permuted_ring_file(tmp_path, ring, order):
+    """ring written with its elements listed in the given order."""
+    pos = [ring.index(lab) for lab in order]
+    rows = {name: tuple(tuple(ring.elements[getattr(ring, name)[i][j]] for j in pos)
+                        for i in pos) for name in ("oplus", "times")}
+    permuted = RlseTables.from_labels(order, rows["oplus"], rows["times"],
+                                      ring.elements[ring.zero], ring.elements[ring.one])
+    path = tmp_path / "permuted.txt"
+    path.write_text(structfile.serialize_structure(structfile.from_rlse(permuted)))
+    return str(path)
+
+
+def test_construct_custom_plus_reads_the_file_in_its_own_order(tmp_path):
+    code, canonical, _ = run_cli("construct", "boolean_2", "--plus", "t1")
+    assert code == 0
+    ring = structfile.to_rlse(structfile.parse_structure(canonical))
+    path = _permuted_ring_file(tmp_path, ring, ("{1,2}", "{}", "{1}", "{2}"))
+    code, _, _ = run_cli("check-rlse", path)
+    assert code == 0
+    code, out, err = run_cli("construct", "boolean_2", "--plus", "custom=" + path)
+    assert (code, err) == (0, "")
+    assert out == canonical
+
+
+def test_construct_custom_plus_over_other_elements_is_unusable(tmp_path):
+    ring = corpus.builtin("paper-example-2set")
+    relabelled = RlseTables(("{}", "{1}", "{2}", "{3}"), ring.oplus, ring.times,
+                            ring.zero, ring.one)
+    path = tmp_path / "other.txt"
+    path.write_text(structfile.serialize_structure(structfile.from_rlse(relabelled)))
+    code, out, err = run_cli("construct", "boolean_2", "--plus", "custom=" + str(path))
+    assert code == 2
+    assert out == ""
+    assert "elements of the lattice" in err
 
 
 def test_bad_plus_value():
@@ -282,7 +318,7 @@ def test_boolean_test_on_an_events_file(tmp_path):
     poset, comp = structfile.to_oml_input(sf)
     from omlkit.lattice import check_oml
     from omlkit.states import State, events_from_states
-    oml = check_oml(poset, comp).oml
+    _, oml = check_oml(poset, comp)
     ev = events_from_states(oml, [State(v) for v in sf.states])
     path = tmp_path / "events.txt"
     path.write_text(structfile.serialize_structure(structfile.from_events(ev)))

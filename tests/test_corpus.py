@@ -97,6 +97,6 @@ def test_paper_example_tables():
 def test_o6_candidate_is_not_orthomodular():
     poset, comp = corpus.o6_candidate()
     assert len(poset.elements) == 6
-    report = check_oml(poset, comp)
-    assert not report.passed
-    assert report.failed_law == "orthomodular-law"
+    verdict, oml = check_oml(poset, comp)
+    assert not verdict.passed and oml is None
+    assert verdict.failures[0].law == "orthomodular-law"

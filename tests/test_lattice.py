@@ -76,10 +76,10 @@ def test_lattice_tables_failure_witness():
 def test_corpus_members_pass_all_laws(name):
     oml = corpus.builtin(name)
     comp = {lab: oml.elements[oml.comp[i]] for i, lab in enumerate(oml.elements)}
-    report = check_oml(oml.poset, comp)
-    assert report.passed
-    assert report.oml == oml
-    assert list(report.passed_laws) == [
+    verdict, got = check_oml(oml.poset, comp)
+    assert verdict.passed
+    assert got == oml
+    assert list(verdict.checked) == [
         "meet-exists", "join-exists", "involution", "antitone",
         "complement-law", "orthomodular-law",
     ]
@@ -87,17 +87,17 @@ def test_corpus_members_pass_all_laws(name):
 
 def test_hexagon_fails_orthomodular_law():
     poset, comp = corpus.o6_candidate()
-    report = check_oml(poset, comp)
-    assert not report.passed
-    assert report.failed_law == "orthomodular-law"
-    assert report.witness == {"x": "b", "y": "a"}
+    verdict, oml = check_oml(poset, comp)
+    assert not verdict.passed and oml is None
+    assert verdict.failures[0].law == "orthomodular-law"
+    assert verdict.failures[0].witness == {"x": "b", "y": "a"}
 
 
 def test_identity_complement_rejected():
     poset = build_poset(*DIAMOND)
-    report = check_oml(poset, {lab: lab for lab in poset.elements})
-    assert not report.passed
-    assert report.failed_law in ("antitone", "complement-law")
+    verdict, _ = check_oml(poset, {lab: lab for lab in poset.elements})
+    assert not verdict.passed
+    assert verdict.failures[0].law in ("antitone", "complement-law")
 
 
 def test_complement_map_must_cover_all_labels():

@@ -1,10 +1,11 @@
 """Event-ring axioms, constructions, derived laws and the equivalence."""
 
+import itertools
 import random
 
 import pytest
 
-from omlkit import corpus
+from omlkit import corpus, rlse
 from omlkit.errors import (
     CustomPlusInvalid,
     MalformedTable,
@@ -96,7 +97,7 @@ def test_broken_commutativity_is_caught():
     bad = _swap_cell(_paper(), "oplus", 0, 1, 0)  # {} + {1} := {}
     report = check_rlse(bad)
     assert not report.passed
-    axioms = [f.axiom for f in report.failures]
+    axioms = [f.law for f in report.failures]
     assert "R1" in axioms
 
 
@@ -105,7 +106,7 @@ def test_broken_idempotence_is_caught():
     report = check_rlse(bad)
     assert not report.passed
     assert report.failure_for("times-idempotent") is not None
-    w = report.failure_for("times-idempotent").assignment()
+    w = report.failure_for("times-idempotent").witness
     assert w == {"x": "{1}"}
 
 
@@ -126,8 +127,8 @@ def test_orthogonal_pair_mutation_breaks_both_r4_forms():
     bad = RlseTables(r.elements, tuple(tuple(row) for row in rows),
                      r.times, r.zero, r.one)
     forms = check_r4_orthogonal_form(bad)
-    assert not forms.r4_holds
-    assert not forms.orthogonal_holds
+    assert not forms.r4.passed
+    assert not forms.orthogonal.passed
     assert forms.agree
     a, b = check_correspondence(bad).verdicts
     assert (a, b) == (False, False)
@@ -150,7 +151,7 @@ def test_custom_plus_rejects_noncommutative():
     rows[0][1] = "{2}"
     with pytest.raises(CustomPlusInvalid) as info:
         rlse_from_oml(oml, tuple(tuple(r) for r in rows))
-    assert info.value.failure.axiom == "R1"
+    assert info.value.failure.law == "R1"
 
 
 def test_custom_plus_rejects_wrong_complement_column():
@@ -162,7 +163,7 @@ def test_custom_plus_rejects_wrong_complement_column():
     rows[1][3] = rows[3][1] = "{1}"   # {1}+1 must be {2}
     with pytest.raises(CustomPlusInvalid) as info:
         rlse_from_oml(oml, tuple(tuple(r) for r in rows))
-    assert info.value.failure.axiom == "plus-at-one"
+    assert info.value.failure.law == "plus-at-one"
 
 
 def test_custom_plus_rejects_broken_orthogonal_sum():
@@ -174,7 +175,7 @@ def test_custom_plus_rejects_broken_orthogonal_sum():
     rows[1][2] = rows[2][1] = "{1}"   # {1}+{2} redirected
     with pytest.raises(CustomPlusInvalid) as info:
         rlse_from_oml(oml, tuple(tuple(r) for r in rows))
-    assert info.value.failure.axiom == "R4"
+    assert info.value.failure.law == "R4"
 
 
 def test_custom_plus_rejects_unknown_labels():
@@ -207,14 +208,14 @@ def test_r4_forms_agree_on_corpus():
             rings.append(rlse_from_oml(corpus.builtin(name), plus))
     for r in rings:
         forms = check_r4_orthogonal_form(r)
-        assert forms.r4_holds and forms.orthogonal_holds
+        assert forms.r4.passed and forms.orthogonal.passed
 
 
 def test_weak_assoc_and_t_fail_exactly_on_the_modified_diagonal():
     r = _paper()
     wa = check_weak_assoc(r)
     assert not wa.passed
-    assert wa.failures[0].assignment() == {"x": "{1}", "y": "{1}"}
+    assert wa.failures[0].witness == {"x": "{1}", "y": "{1}"}
     t = check_identity_T(r)
     assert not t.passed
 
@@ -230,7 +231,7 @@ def test_r5_pins_down_the_addition():
     report = check_r5(rlse_from_oml(corpus.builtin("mo2"), "t2"))
     assert not report.passed
     f = report.failures[0]
-    assert f.assignment() == {"x": "a", "y": "b"}
+    assert f.witness == {"x": "a", "y": "b"}
     assert f.detail == "lhs 1, rhs 0"
 
 
@@ -245,8 +246,8 @@ def test_boolean_ring_verdicts():
 def test_boolean_ring_witness_is_the_modified_diagonal():
     report = is_boolean_ring(_paper())
     w = report.witness
-    assert w.axiom == "plus-self-inverse"
-    assert w.assignment() == {"x": "{1}"}
+    assert w.law == "plus-self-inverse"
+    assert w.witness == {"x": "{1}"}
     assert "{1}+{1} = {1,2}" in str(w)
 
 
@@ -279,7 +280,7 @@ def test_lattice_side_reports_where_a_mutant_fails():
     bad = _swap_cell(_paper(), "times", 0, 1, 1)  # {}*{1} := {1}
     report = check_correspondence(bad)
     assert report.verdicts == (False, False)
-    assert report.as_lattice.failed_check is not None
+    assert report.as_lattice.failures[0].law is not None
 
 
 def test_axiom_report_failure_lookup():
@@ -288,3 +289,97 @@ def test_axiom_report_failure_lookup():
     assert not report.passed
     assert report.failure_for("R1") is not None
     assert report.failure_for("times-commutative") is None
+
+
+def _brute_force_laws(r):
+    """law -> (variable count, sides, detail) written per assignment, for a
+    plain lexicographic scan; sides returns None where a law does not apply."""
+    els, P, T, z, u = r.elements, r.oplus, r.times, r.zero, r.one
+
+    def N(x):
+        return P[x][u]
+
+    def values(a, b):
+        return f"lhs {els[a]}, rhs {els[b]}"
+
+    return {
+        "times-commutative": (2, lambda x, y: (T[x][y], T[y][x]), lambda x, y, a, b:
+                              f"{els[x]}*{els[y]} = {els[a]}, {els[y]}*{els[x]} = {els[b]}"),
+        "times-idempotent": (1, lambda x: (T[x][x], x),
+                             lambda x, a, b: f"{els[x]}*{els[x]} = {els[a]}"),
+        "times-associative": (3, lambda x, y, w: (T[T[x][y]][w], T[x][T[y][w]]),
+                              lambda *_: ""),
+        "times-unit": (1, lambda x: (T[x][u], x), lambda x, a, b: f"{els[x]}*1 = {els[a]}"),
+        "times-zero": (1, lambda x: (T[x][z], z), lambda x, a, b: f"{els[x]}*0 = {els[a]}"),
+        "R1": (2, lambda x, y: (P[x][y], P[y][x]), lambda x, y, a, b:
+               f"{els[x]}+{els[y]} = {els[a]}, {els[y]}+{els[x]} = {els[b]}"),
+        "R2": (2, lambda x, y: (N(T[N(T[x][y])][N(x)]), x),
+               lambda x, y, a, b: f"got {els[a]}, wants {els[x]}"),
+        "R3": (2, lambda x, y: (T[N(T[N(T[x][y])][x])][x], T[x][y]),
+               lambda x, y, a, b: f"got {els[a]}, wants {els[T[x][y]]}"),
+        "R4": (2, lambda x, y: (P[T[x][y]][N(x)], N(T[N(T[x][y])][x])),
+               lambda x, y, a, b: values(a, b)),
+        "R4-orthogonal": (2, lambda x, y: (N(P[x][y]), T[N(x)][N(y)])
+                          if T[x][N(y)] == x else None, lambda x, y, a, b: values(a, b)),
+        "double-negation": (1, lambda x: (N(N(x)), x), lambda x, a, b: f"got {els[a]}"),
+        "negation-disjoint": (1, lambda x: (T[x][N(x)], z), lambda x, a, b: f"got {els[a]}"),
+        "one-self-inverse": (0, lambda: (P[u][u], z), lambda a, b: f"1+1 = {els[a]}"),
+        "zero-neutral": (1, lambda x: (P[x][z], x), lambda x, a, b: f"got {els[a]}"),
+        "negation-covers": (1, lambda x: (P[x][N(x)], u), lambda x, a, b: f"got {els[a]}"),
+        "negation-antitone": (2, lambda x, y: (T[x][y] == x, T[N(y)][N(x)] == N(y)),
+                              lambda *_: ""),
+        "weak-associativity": (2, lambda x, y: (N(P[x][y]), P[x][N(y)]),
+                               lambda x, y, a, b: values(a, b)),
+        "T": (2, lambda x, y: (N(T[N(T[x][N(y)])][N(T[N(x)][y])]), P[x][y]),
+              lambda x, y, a, b: values(a, b)),
+        "R5": (2, lambda x, y: (P[x][y], P[T[x][N(y)]][T[N(x)][y]]),
+               lambda x, y, a, b: values(a, b)),
+        "plus-self-inverse": (1, lambda x: (P[x][x], z), lambda x, a, b:
+                              f"{els[x]}+{els[x]} = {els[a]}, expected {els[z]}"),
+        "plus-associative": (3, lambda x, y, w: (P[P[x][y]][w], P[x][P[y][w]]),
+                             lambda x, y, w, a, b: values(a, b)),
+        "distributive": (3, lambda x, y, w: (T[x][P[y][w]], P[T[x][y]][T[x][w]]),
+                         lambda x, y, w, a, b: values(a, b)),
+    }
+
+
+def _first_counterexample(r, count, sides, detail):
+    for asg in itertools.product(range(r.n), repeat=count):
+        got = sides(*asg)
+        if got is not None and got[0] != got[1]:
+            return dict(zip("xyz", (r.elements[i] for i in asg))), detail(*asg, *got)
+    return None
+
+
+def _mutants(count, seed):
+    """Event-ring tables with one to three cells of + or * changed."""
+    rng = random.Random(seed)
+    bases = [_paper()] + [rlse_from_oml(corpus.builtin(name), plus)
+                          for name in ("boolean_2", "mo2", "boolean_3")
+                          for plus in ("t1", "t2")]
+    out = []
+    for _ in range(count):
+        r = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice(("oplus", "times"))
+            i, j = rng.randrange(r.n), rng.randrange(r.n)
+            r = _swap_cell(r, table, i, j, rng.randrange(r.n))
+        out.append(r)
+    return out
+
+
+def test_law_witnesses_match_a_brute_force_scan():
+    # every law of check_rlse, the derived identities, both Boolean-ring
+    # routes, R5, T and weak associativity, on tables that need not be rings
+    failed = dict.fromkeys(_brute_force_laws(_paper()), 0)
+    for r in _mutants(2000, 4242):
+        for law, (count, sides, detail) in _brute_force_laws(r).items():
+            expected = _first_counterexample(r, count, sides, detail)
+            verdict = rlse._verdict(r, (law,))
+            assert verdict.passed == (expected is None), (law, r)
+            if expected is not None:
+                f = verdict.failures[0]
+                assert (f.witness, f.detail) == expected, (law, r)
+                failed[law] += 1
+    assert min(failed.values()) >= 20, failed
+

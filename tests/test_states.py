@@ -11,12 +11,15 @@ from omlkit import cli, corpus, lattice, states
 from omlkit.errors import (
     DimensionMismatch,
     InvalidState,
+    NotAnEventAlgebra,
     NotFull,
     NotLatticeOrdered,
     NotUncomparable,
+    OracleMismatch,
     ValidationError,
 )
 from omlkit.states import (
+    BooleanEventReport,
     Infeasible,
     NumericalEventSet,
     State,
@@ -60,22 +63,52 @@ def test_check_state_dimension():
 def test_check_state_range():
     mo2 = corpus.builtin("mo2")
     report = check_state(mo2, (F(0), F(2), F(0), F(0), F(1), F(1)))
-    assert report.failed_check == "range"
-    assert report.witness == {"x": "a", "value": "2"}
+    assert report.failures[0].law == "range"
+    assert report.failures[0].witness == {"x": "a", "value": "2"}
 
 
 def test_check_state_top_value():
     mo2 = corpus.builtin("mo2")
     report = check_state(mo2, (F(0), F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2)))
-    assert report.failed_check == "top-probability-one"
+    assert report.failures[0].law == "top-probability-one"
 
 
 def test_check_state_additivity():
     mo2 = corpus.builtin("mo2")
     report = check_state(mo2, (F(0), F(1, 2), F(1, 4), F(1, 2), F(1, 2), F(1)))
-    assert report.failed_check == "orthogonal-additivity"
-    assert report.witness["x"] == "a"
-    assert report.witness["y"] == "a'"
+    assert report.failures[0].law == "orthogonal-additivity"
+    assert report.failures[0].witness["x"] == "a"
+    assert report.failures[0].witness["y"] == "a'"
+
+
+def test_check_state_witness_matches_a_lexicographic_scan():
+    values = (F(0), F(1, 2), F(1), F(3, 2))
+    for name in ("mo2", "mo3", "boolean_3"):
+        oml = corpus.builtin(name)
+        leq, comp, join, els = oml.poset.leq, oml.comp, oml.join, oml.elements
+        found = find_full_state_set(oml).states
+        rng = random.Random(name)
+        for _ in range(200):
+            vals = list(rng.choice(found).values)
+            for _ in range(rng.randint(0, 2)):
+                vals[rng.randrange(oml.n)] = rng.choice(values)
+            if any(not 0 <= v <= 1 for v in vals):
+                x = next(i for i, v in enumerate(vals) if not 0 <= v <= 1)
+                expected = ("range", {"x": els[x], "value": str(vals[x])})
+            elif vals[oml.poset.top] != 1:
+                expected = ("top-probability-one", {"value": str(vals[oml.poset.top])})
+            else:
+                expected = next((
+                    ("orthogonal-additivity", {
+                        "x": els[x], "y": els[y], "sum": str(vals[x] + vals[y]),
+                        "join-value": str(vals[join[x][y]])})
+                    for x in range(oml.n) for y in range(x, oml.n)
+                    if leq[x][comp[y]] and vals[join[x][y]] != vals[x] + vals[y]), None)
+            verdict = check_state(oml, vals)
+            assert verdict.passed == (expected is None)
+            if expected is not None:
+                f = verdict.failures[0]
+                assert (f.law, f.witness) == expected
 
 
 def test_separating_state_on_mo2():
@@ -123,7 +156,7 @@ def test_check_full_detects_a_missing_direction():
     mo2 = corpus.builtin("mo2")
     report = check_full(mo2, MO2_STATES[:3])
     assert not report.passed
-    assert report.witness == {"x": "a'", "y": "b'"}
+    assert report.failures[0].witness == {"x": "a'", "y": "b'"}
 
 
 def test_check_full_rejects_invalid_states():
@@ -163,7 +196,7 @@ def test_event_axioms_missing_bound():
     ev = NumericalEventSet(("p", "q"), (), ((F(1), F(0)), (F(0), F(1))))
     report = check_s_probability_algebra(ev)
     assert not report.passed
-    assert report.failures[0][0] == "contains-bounds"
+    assert report.failures[0].law == "contains-bounds"
 
 
 def test_event_axioms_missing_complement():
@@ -174,7 +207,7 @@ def test_event_axioms_missing_complement():
     )
     report = check_s_probability_algebra(ev)
     assert not report.passed
-    assert any(name == "complement-closed" for name, _, _ in report.failures)
+    assert any(f.law == "complement-closed" for f in report.failures)
 
 
 def test_event_axioms_missing_orthogonal_sum():
@@ -187,7 +220,7 @@ def test_event_axioms_missing_orthogonal_sum():
     )
     report = check_s_probability_algebra(ev)
     assert not report.passed
-    failed = {name for name, _, _ in report.failures}
+    failed = {f.law for f in report.failures}
     assert "orthogonal-pair-sum" in failed or "orthogonal-triple-sum" in failed
 
 
@@ -258,7 +291,7 @@ def test_representation_rejects_scrambled_map():
     f["{1}"], f["{1,2}"] = f["{1,2}"], f["{1}"]
     report = check_representation(ring, ev, f)
     assert not report.passed
-    assert report.failed_hypothesis == "order-isomorphism"
+    assert report.failures[0].law == "order-isomorphism"
 
 
 def test_representation_rejects_wrong_domain():
@@ -267,7 +300,7 @@ def test_representation_rejects_wrong_domain():
     ev = events_from_states(b2, find_full_state_set(b2).states)
     report = check_representation(ring, ev, {"x": (F(0), F(0))})
     assert not report.passed
-    assert report.failed_hypothesis == "bijection"
+    assert report.failures[0].law == "bijection"
 
 
 def test_product_pipeline_is_exact_and_fast():
@@ -298,7 +331,8 @@ def test_check_full_witness_matches_a_lexicographic_scan():
             report = check_full(oml, subset)
             assert report.passed == (expected is None), (name, subset)
             if expected is not None:
-                assert (report.witness["x"], report.witness["y"]) == expected
+                w = report.failures[0].witness
+                assert (w["x"], w["y"]) == expected
 
 
 def _shuffled_product(factors, seed):
@@ -463,3 +497,178 @@ def test_states_find_output_on_a_shuffled_product_is_pinned(tmp_path):
         code = cli.main(["states-find", str(path)])
     assert code == 0
     assert out.getvalue() == MO3_B2_SHUFFLED_FOUND
+
+
+# ---------------------------------------------------------------------------
+# The event side against its earlier form: pointwise order by pairwise
+# comparison, private infimum and supremum searches, two hat_plus passes
+# ---------------------------------------------------------------------------
+
+
+def _oracle_masks(events):
+    le = []
+    for p in events:
+        le.append(sum(1 << j for j, q in enumerate(events)
+                      if all(a <= b for a, b in zip(p, q))))
+    return le
+
+
+def _oracle_algebra(ev):
+    """(law, witness, detail) per failed probability-algebra axiom."""
+    events, labels, k, m = ev.events, ev.elements, ev.width, len(ev.events)
+    member = {vec: i for i, vec in enumerate(events)}
+    failures = []
+    if (F(0),) * k not in member or (F(1),) * k not in member:
+        failures.append(("contains-bounds", {}, "missing a constant vector"))
+    for i, p in enumerate(events):
+        if tuple(1 - v for v in p) not in member:
+            failures.append(("complement-closed", {"p": labels[i]}, ""))
+            break
+    le = _oracle_masks(events)
+    orth = [sum(1 << j for j, q in enumerate(events)
+                if all(a + b <= 1 for a, b in zip(p, q))) for p in events]
+    triples = ((i, j, r) for i in range(m) for j in range(i, m) for r in range(j, m)
+               if orth[i] >> j & 1 and orth[i] >> r & 1 and orth[j] >> r & 1)
+    for i, j, r in triples:
+        if tuple(a + b + c for a, b, c in zip(events[i], events[j], events[r])) \
+                not in member:
+            failures.append(("orthogonal-triple-sum",
+                             {"p": labels[i], "q": labels[j], "r": labels[r]}, ""))
+            break
+    for i, j in ((i, j) for i in range(m) for j in range(i, m) if orth[i] >> j & 1):
+        s = tuple(a + b for a, b in zip(events[i], events[j]))
+        if s not in member:
+            failures.append(("orthogonal-pair-sum", {"p": labels[i], "q": labels[j]},
+                             "sum is not a member"))
+            break
+        si = member[s]
+        if not le[i] >> si & 1 or not le[j] >> si & 1 or (le[i] & le[j] & ~le[si]):
+            failures.append(("orthogonal-pair-sum", {"p": labels[i], "q": labels[j]},
+                             "sum is not the supremum"))
+            break
+    return failures
+
+
+def _oracle_boolean_test(ev):
+    events, labels, m = ev.events, ev.elements, len(ev.events)
+    member = {vec: i for i, vec in enumerate(events)}
+    le = _oracle_masks(events)
+    ge = [sum(1 << i for i in range(m) if le[i] >> j & 1) for j in range(m)]
+
+    def inf_of(i, j):
+        lowers = ge[i] & ge[j]
+        return next((z for z in range(m) if lowers >> z & 1
+                     and ge[z] & lowers == lowers), -1)
+
+    def sup_of(i, j):
+        uppers = le[i] & le[j]
+        return next((z for z in range(m) if uppers >> z & 1
+                     and le[z] & uppers == uppers), -1)
+
+    meet = [[0] * m for _ in range(m)]
+    join = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            z = inf_of(i, j)
+            if z < 0:
+                raise NotLatticeOrdered("infimum", (labels[i], labels[j]))
+            meet[i][j] = meet[j][i] = z
+            z = sup_of(i, j)
+            if z < 0:
+                raise NotLatticeOrdered("supremum", (labels[i], labels[j]))
+            join[i][j] = join[j][i] = z
+    compl = {}
+    for i, p in enumerate(events):
+        q = tuple(1 - v for v in p)
+        if q not in member:
+            raise ValidationError("event set is not complement-closed")
+        compl[i] = member[q]
+    for i in range(m):
+        for j in range(i, m):
+            for pos, v in enumerate(hat_plus(events[i], events[j], events[meet[i][j]])):
+                if v > 1:
+                    return BooleanEventReport(False, {
+                        "p": labels[i], "q": labels[j], "state": pos, "value": str(v)})
+    plus = [[0] * m for _ in range(m)]
+    sym = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            hi = member.get(hat_plus(events[i], events[j], events[meet[i][j]]))
+            s = join[meet[i][compl[j]]][meet[compl[i]][j]]
+            if hi is None or hi != s:
+                if _oracle_algebra(ev):
+                    raise NotAnEventAlgebra(check_s_probability_algebra(ev))
+                raise OracleMismatch("ring addition disagrees with the symmetric "
+                                     f"difference at ({labels[i]}, {labels[j]})")
+            plus[i][j] = hi
+            sym[i][j] = s
+    return BooleanEventReport(True, None, tuple(map(tuple, plus)), tuple(map(tuple, sym)))
+
+
+def _random_event_sets(count, seed):
+    """Event sets around the found states of small lattices: as found, with
+    states dropped, with a vector added, changed or removed, and random
+    vectors over a few values with or without their complements."""
+    rng = random.Random(seed)
+    found = []
+    for name in ("boolean_1", "boolean_2", "boolean_3", "mo1", "mo2", "mo3"):
+        oml = corpus.builtin(name)
+        found.append(events_from_states(oml, find_full_state_set(oml).states).events)
+    values = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
+    out = []
+    while len(out) < count:
+        how = rng.randrange(6)
+        if how < 4:
+            vecs = list(rng.choice(found))
+            k = len(vecs[0])
+            if how == 1:
+                keep = sorted(rng.sample(range(k), rng.randint(1, k)))
+                vecs = [tuple(v[c] for c in keep) for v in vecs]
+                k = len(keep)
+            elif how == 2:
+                vecs.append(tuple(rng.choice(values) for _ in range(k)))
+            elif how == 3:
+                pos = rng.randrange(len(vecs))
+                if rng.random() < 0.5:
+                    del vecs[pos]
+                else:
+                    v = list(vecs[pos])
+                    v[rng.randrange(k)] = rng.choice(values)
+                    vecs[pos] = tuple(v)
+        else:
+            k = rng.randint(1, 3)
+            vecs = [(F(0),) * k, (F(1),) * k]
+            for _ in range(rng.randint(0, 4)):
+                v = tuple(rng.choice(values) for _ in range(k))
+                vecs.append(v)
+                if how == 5:
+                    vecs.append(tuple(1 - a for a in v))
+        vecs = list(dict.fromkeys(vecs))
+        rng.shuffle(vecs)
+        labels = tuple(f"e{i}" for i in range(len(vecs)))
+        cols = tuple(State(tuple(v[c] for v in vecs)) for c in range(len(vecs[0])))
+        out.append(NumericalEventSet(labels, cols, tuple(vecs)))
+    return out
+
+
+def _outcome(fn, ev):
+    try:
+        return fn(ev)
+    except (NotLatticeOrdered, ValidationError, NotAnEventAlgebra, OracleMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def test_boolean_test_matches_its_two_pass_form():
+    seen = set()
+    for ev in _random_event_sets(2000, 31):
+        got = _outcome(boolean_test, ev)
+        assert got == _outcome(_oracle_boolean_test, ev), ev
+        seen.add(got[0] if isinstance(got, tuple) else got.is_boolean)
+    assert seen >= {True, False, NotLatticeOrdered, ValidationError, NotAnEventAlgebra}
+
+
+def test_event_axiom_witnesses_match_their_earlier_form():
+    for ev in _random_event_sets(1000, 32):
+        verdict = check_s_probability_algebra(ev)
+        assert [(f.law, f.witness, f.detail) for f in verdict.failures] \
+            == _oracle_algebra(ev), ev

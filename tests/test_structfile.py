@@ -27,9 +27,9 @@ def test_oml_round_trip(name):
     oml = corpus.builtin(name)
     sf = parse_structure(serialize_structure(from_oml(oml)))
     poset, comp = to_oml_input(sf)
-    report = check_oml(poset, comp)
-    assert report.passed
-    assert report.oml == oml
+    verdict, got = check_oml(poset, comp)
+    assert verdict.passed
+    assert got == oml
 
 
 def test_rlse_round_trip():
@@ -62,9 +62,9 @@ def test_shipped_paper_example_matches_builtin():
 def test_shipped_hexagon_fails_the_lattice_check():
     text = (DATA / "o6.txt").read_text()
     poset, comp = to_oml_input(parse_structure(text))
-    report = check_oml(poset, comp)
-    assert not report.passed
-    assert report.failed_law == "orthomodular-law"
+    verdict, oml = check_oml(poset, comp)
+    assert not verdict.passed and oml is None
+    assert verdict.failures[0].law == "orthomodular-law"
 
 
 def test_kind_line_required():
