@@ -126,6 +126,10 @@ def _cases():
         "boolean_test_boolean_3": (["boolean-test", "boolean_3"], {}),
         "states_find_mo3": (["states-find", "mo3"], {}),
         "verify_all": (["verify-all"], {}),
+        "terms_filter": (["terms-filter"], {}),
+        # in this order the eliminations land on other members
+        "terms_filter_reordered": (
+            ["terms-filter", "--corpus", "mo2,product_2p4_mo2,boolean_3,boolean_2"], {}),
     }
     for name, mutation in RING_MUTANTS.items():
         files = {f"mutant_{name}.txt": _ring_mutant(*mutation)}
