@@ -23,7 +23,6 @@ from .rlse import RlseTables
 
 __all__ = [
     "builtin",
-    "oml_names",
     "all_names",
     "o6_candidate",
     "product_generating_pair",
@@ -37,10 +36,6 @@ OML_NAMES = (
 )
 
 RLSE_NAMES = ("paper-example-2set",)
-
-
-def oml_names() -> tuple[str, ...]:
-    return OML_NAMES
 
 
 def all_names() -> tuple[str, ...]:

@@ -17,7 +17,10 @@ __all__ = ["LAWS", "Failure", "Verdict", "collect", "first_mismatch", "witness"]
 
 #: Statement of every law, by name, with the family it belongs to:
 #: orthomodular lattices ("lattice", in the order check_oml runs them),
-#: event rings ("ring") and numerical event algebras ("event").
+#: event rings ("ring"), the lattice side of the ring correspondence
+#: ("correspondence"), states ("state"), numerical event algebras
+#: ("event") and the representation of a ring by event vectors
+#: ("representation").
 LAWS = {
     "meet-exists": ("lattice", "every pair has an infimum"),
     "join-exists": ("lattice", "every pair has a supremum"),
@@ -49,12 +52,24 @@ LAWS = {
     "distributive": ("ring", "x*(y+z) = x*y + x*z"),
     "plus-at-one": ("ring", "x+1 = x'"),
     "orthogonal-join": ("ring", "x orth y  implies  x+y = x v y"),
+    "times-order": ("correspondence", "x <= y iff x*y = x is a bounded partial order"),
+    "bounds": ("correspondence", "the order's bottom and top are 0 and 1"),
+    "meet-is-times": ("correspondence", "x ^ y = x*y"),
+    "join-is-demorgan": ("correspondence", "x v y = (x'*y')'"),
+    "plus-commutative": ("correspondence", "x+y = y+x"),
+    "range": ("state", "0 <= m(x) <= 1"),
+    "top-probability-one": ("state", "m(1) = 1"),
+    "orthogonal-additivity": ("state", "x orth y  implies  m(x v y) = m(x) + m(y)"),
+    "order-determining": ("state", "x <= y  iff  m(x) <= m(y) for every listed state m"),
     "contains-bounds": ("event", "the constant vectors 0 and 1 belong to the set"),
     "complement-closed": ("event", "1-p belongs to the set for every member p"),
     "orthogonal-triple-sum": ("event", "p+q+r belongs to the set for pairwise "
                                        "orthogonal members"),
     "orthogonal-pair-sum": ("event", "p+q belongs to the set and is the supremum, "
                                      "for orthogonal p, q"),
+    "bijection": ("representation", "f maps the elements one to one onto the events"),
+    "order-isomorphism": ("representation", "x <= y  iff  f(x) <= f(y) pointwise"),
+    "algebra-axioms": ("representation", "the events form a probability algebra"),
 }
 
 

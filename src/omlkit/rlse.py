@@ -32,6 +32,8 @@ from .laws import Failure, Verdict, collect, first_mismatch, witness
 
 __all__ = [
     "RlseTables",
+    "ADDITION_LAWS",
+    "addition_failure",
     "check_rlse",
     "require_rlse",
     "derived_lattice",
@@ -106,16 +108,9 @@ class RlseTables:
     def add(self, x: str, y: str) -> str:
         return self.elements[self.oplus[self.index(x)][self.index(y)]]
 
-    def mul(self, x: str, y: str) -> str:
-        return self.elements[self.times[self.index(x)][self.index(y)]]
-
     def neg(self, i: int) -> int:
         """Index-level x+1."""
         return self.oplus[i][self.one]
-
-    def below(self, i: int, j: int) -> bool:
-        """The multiplicative order: x <= y iff x*y = x."""
-        return self.times[i][j] == i
 
 
 def _check_shape(r: RlseTables) -> None:
@@ -197,6 +192,13 @@ def _ring_laws(r: RlseTables, comp=()) -> dict:
                          ([tx[v] for v in py] for tx in T for py in P),
                          ([row[v] for v in tx] for tx in T for row in map(P.__getitem__, tx))),
         "plus-at-one": ("x", "{x}+1 = {a}, complement is {b}", [N], [list(comp)]),
+        # x+y against the De Morgan join (x'*y')'; only pairs with x <= y+1
+        # count, the others read -1 on both sides
+        "orthogonal-join": ("xy", "",
+                            ([v if tx[ny] == x else -1 for v, ny in zip(px, N)]
+                             for x, (px, tx) in enumerate(zip(P, T))),
+                            ([N[tnx[ny]] if tx[ny] == x else -1 for ny in N]
+                             for x, (tx, tnx) in enumerate(zip(T, TN)))),
     }
 
 
@@ -218,6 +220,17 @@ def _failures(r: RlseTables, laws, comp=()):
 
 def _verdict(r: RlseTables, laws) -> Verdict:
     return collect(_failures(r, laws))
+
+
+#: What makes + an admissible addition on a lattice whose meet is *: it is
+#: commutative, x+1 = x', and x+y = x v y on orthogonal pairs.
+ADDITION_LAWS = ("R1", "plus-at-one", "orthogonal-join")
+
+
+def addition_failure(r: RlseTables, comp) -> Failure | None:
+    """The first admissible-addition law that r breaks, or None; comp is
+    the complement vector of the lattice whose meet table is r.times."""
+    return collect(_failures(r, ADDITION_LAWS, comp), first_only=True).first
 
 
 _AXIOMS = ("times-commutative", "times-idempotent", "times-associative",
@@ -448,31 +461,21 @@ def _lattice_side(r: RlseTables) -> Verdict:
     verdict, oml = _lat.check_oml(poset, comp)
     if oml is None:
         return verdict
-    return collect(_lattice_side_laws(r, poset, oml), first_only=True)
+    return collect(_lattice_side_laws(r, oml), first_only=True)
 
 
-def _lattice_side_laws(r, poset, oml):
+def _lattice_side_laws(r, oml):
     N = [row[r.one] for row in r.oplus]
-    c, xs = oml.comp, [(x,) for x in range(r.n)]
-
-    def failure(law, hit):
-        return law, None if hit is None else Failure(law, witness("xy", r.elements, hit))
-
-    def renamed(law, found):
-        return law, None if found is None else Failure(law, found.witness)
-
+    c = oml.comp
     yield "meet-is-times", None if oml.meet == r.times else Failure("meet-is-times", {})
-    yield failure("join-is-demorgan", first_mismatch(
-        xs, map(list, oml.join), ([N[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c))))
-    ring = _failures(r, ("R1", "plus-at-one"), c)
-    yield renamed("plus-commutative", next(ring)[1])
-    yield renamed("plus-at-one", next(ring)[1])
-    # only orthogonal pairs count; the others read -1 on both sides
-    yield failure("orthogonal-join", first_mismatch(
-        xs, ([px[y] if lx[cy] else -1 for y, cy in enumerate(c)]
-             for px, lx in zip(r.oplus, poset.leq)),
-        ([jx[y] if lx[cy] else -1 for y, cy in enumerate(c)]
-         for jx, lx in zip(oml.join, poset.leq))))
+    hit = first_mismatch(((x,) for x in range(r.n)), map(list, oml.join),
+                         ([N[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c)))
+    yield "join-is-demorgan", hit and Failure("join-is-demorgan", witness("xy", r.elements, hit))
+    # the admissible-addition laws, by witness only: once x+1 = x' holds
+    # and the join is the De Morgan one, their ring forms are the lattice's
+    for law, found in _failures(r, ADDITION_LAWS, c):
+        law = "plus-commutative" if law == "R1" else law
+        yield law, found and Failure(law, found.witness)
 
 
 def check_correspondence(r: RlseTables) -> CorrespondenceReport:

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
-from .lattice import FiniteOml, lattice_tables
+from .lattice import FiniteOml, _transpose, lattice_tables
 from .rlse import RlseTables
 
 __all__ = [
@@ -492,8 +492,10 @@ def _algebra_laws(ev, le):
                          [[True] * m])
     yield "complement-closed", hit and Failure("complement-closed", {"p": labels[hit[0]]})
 
-    orth = [sum(1 << j for j, q in enumerate(events) if all(a + b <= 1 for a, b in zip(p, q)))
-            for p in events]
+    # q is orthogonal to p when q <= 1-p: column m+i of the up-masks of the
+    # events followed by their complements, cut down to the members
+    up = _transpose(_pointwise_up([*events, *(tuple(_ONE - v for v in p) for p in events)]))
+    orth = [col & (1 << m) - 1 for col in up[m:]]
     pairs = [(i, j) for i in range(m) for j in range(i, m) if orth[i] >> j & 1]
 
     def triple_rows():

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 from .errors import EmptyCorpus, OracleMismatch, ParseError
 from .lattice import FiniteOml, is_distributive
+from .laws import first_mismatch, witness
+from .rlse import RlseTables, addition_failure
 
 __all__ = [
     "Term",
@@ -231,9 +233,6 @@ class TermFunction:
     oml: FiniteOml
     table: tuple[tuple[int, ...], ...]
 
-    def value_at(self, x: str, y: str) -> str:
-        return self.oml.elements[self.table[self.oml.index(x)][self.oml.index(y)]]
-
 
 def term_function(t: Term, oml: FiniteOml) -> TermFunction:
     return TermFunction(oml, _eval_table(t, oml))
@@ -329,41 +328,28 @@ class FilterResult:
     eliminated: tuple[Elimination, ...]
 
 
-def _condition_failure(table, oml: FiniteOml):
-    """First violated condition for a term table on one lattice, or None.
+#: The filter's name for each admissible-addition law of the ring side.
+_CONDITIONS = {"R1": "symmetry", "plus-at-one": "complement-at-one",
+               "orthogonal-join": "orthogonal-join"}
 
-    The conditions that make a term an addition candidate: symmetry in x,y;
-    value x' at y = 1; join on orthogonal pairs.
-    """
-    n = oml.n
-    els = oml.elements
-    for x in range(n):
-        row = table[x]
-        for y in range(x + 1, n):
-            if row[y] != table[y][x]:
-                return "symmetry", {"x": els[x], "y": els[y]}
-    top = oml.poset.top
-    comp = oml.comp
-    for x in range(n):
-        if table[x][top] != comp[x]:
-            return "complement-at-one", {"x": els[x]}
-    leq = oml.poset.leq
-    join = oml.join
-    for x in range(n):
-        row = table[x]
-        for y in range(n):
-            if leq[x][comp[y]] and row[y] != join[x][y]:
-                return "orthogonal-join", {"x": els[x], "y": els[y]}
-    return None
+
+def _table_condition(table, oml: FiniteOml):
+    """The first condition a term table breaks on oml, as (name, witness),
+    or None; the table is judged as the addition of the ring whose
+    multiplication is the lattice's meet."""
+    r = RlseTables(oml.elements, table, oml.meet, oml.poset.bottom, oml.poset.top)
+    f = addition_failure(r, oml.comp)
+    return f and (_CONDITIONS[f.law], f.witness)
 
 
 def filter_symmetric_difference_terms(corpus) -> FilterResult:
     """Keep the canonical terms that behave like an addition everywhere.
 
-    corpus is a sequence of lattices; a term survives when it is symmetric,
-    takes the value x' at (x, 1) and agrees with the join on orthogonal
-    pairs, on every member.  Survivors are grouped extensionally: two terms
-    land in one class when all their value tables coincide.
+    corpus is a sequence of lattices; a term survives when its table is an
+    admissible addition (rlse.ADDITION_LAWS: symmetric, x' at (x, 1), the
+    join on orthogonal pairs) on every member.  Survivors are grouped
+    extensionally: two terms land in one class when all their value tables
+    coincide.
     """
     corpus = list(corpus)
     if not corpus:
@@ -377,10 +363,9 @@ def filter_symmetric_difference_terms(corpus) -> FilterResult:
         verdict = None
         for ci, oml in enumerate(corpus):
             table = _eval_table(t, oml)
-            failure = _condition_failure(table, oml)
+            failure = _table_condition(table, oml)
             if failure is not None:
-                condition, witness = failure
-                verdict = Elimination(ti, index_sets[ti], condition, ci, witness)
+                verdict = Elimination(ti, index_sets[ti], failure[0], ci, failure[1])
                 break
             tables.append(table)
         if verdict is None:
@@ -432,19 +417,13 @@ def chain_check(oml: FiniteOml) -> ChainReport:
         for x in range(n) for y in range(n)
     )
     hat_eq = b == c
-    witness = None
-    for x in range(n):
-        if a[x] != c[x]:
-            y = next(i for i in range(n) if a[x][i] != c[x][i])
-            els = oml.elements
-            witness = {"x": els[x], "y": els[y],
-                       "t1": els[a[x][y]], "t2": els[c[x][y]]}
-            break
-    t1_eq = witness is None
+    hit = first_mismatch(((x,) for x in range(n)), a, c)
+    t1_eq = hit is None
     distributive, _ = is_distributive(oml)
     if t1_eq != distributive:
         raise OracleMismatch(
             "t1 = t2 must hold exactly on distributive lattices; "
             f"equality {t1_eq}, distributivity {distributive}"
         )
-    return ChainReport(chain, hat_eq, t1_eq, distributive, witness)
+    return ChainReport(chain, hat_eq, t1_eq, distributive,
+                       hit and witness(("x", "y", "t1", "t2"), oml.elements, hit))

@@ -340,6 +340,8 @@ def _brute_force_laws(r):
                              lambda x, y, w, a, b: values(a, b)),
         "distributive": (3, lambda x, y, w: (T[x][P[y][w]], P[T[x][y]][T[x][w]]),
                          lambda x, y, w, a, b: values(a, b)),
+        "orthogonal-join": (2, lambda x, y: (P[x][y], N(T[N(x)][N(y)]))
+                            if T[x][N(y)] == x else None, lambda *_: ""),
     }
 
 
@@ -370,7 +372,8 @@ def _mutants(count, seed):
 
 def test_law_witnesses_match_a_brute_force_scan():
     # every law of check_rlse, the derived identities, both Boolean-ring
-    # routes, R5, T and weak associativity, on tables that need not be rings
+    # routes, R5, T, weak associativity and the orthogonal join, on tables
+    # that need not be rings
     failed = dict.fromkeys(_brute_force_laws(_paper()), 0)
     for r in _mutants(2000, 4242):
         for law, (count, sides, detail) in _brute_force_laws(r).items():

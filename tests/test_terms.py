@@ -1,5 +1,7 @@
 """Binary terms: syntax, evaluation, the census and the filter."""
 
+import random
+
 import pytest
 
 from omlkit import corpus, terms
@@ -144,6 +146,55 @@ def test_filter_survivor_tables_match_the_named_terms():
     for cls, ref in zip(result.survivors, (T1, T2)):
         for pos, oml in enumerate(omls):
             assert cls.tables[pos] == term_function(ref, oml).table
+
+
+def _reference_condition(table, oml):
+    """The filter's three conditions as plain loops, in the filter's order:
+    symmetry in x, y; value x' at y = 1; the join on orthogonal pairs."""
+    n, els, comp, leq = oml.n, oml.elements, oml.comp, oml.poset.leq
+    for x in range(n):
+        for y in range(x + 1, n):
+            if table[x][y] != table[y][x]:
+                return "symmetry", {"x": els[x], "y": els[y]}
+    for x in range(n):
+        if table[x][oml.poset.top] != comp[x]:
+            return "complement-at-one", {"x": els[x]}
+    for x in range(n):
+        for y in range(n):
+            if leq[x][comp[y]] and table[x][y] != oml.join[x][y]:
+                return "orthogonal-join", {"x": els[x], "y": els[y]}
+    return None
+
+
+def test_filter_conditions_match_the_reference_on_every_term():
+    for name in corpus.OML_NAMES:
+        oml = corpus.builtin(name)
+        for t in enumerate_canonical_terms():
+            table = term_function(t, oml).table
+            assert terms._table_condition(table, oml) == _reference_condition(table, oml), (
+                name, format_term(t))
+
+
+def test_filter_conditions_match_the_reference_on_mutants():
+    # t1 and t2 tables with one to three cells changed, each change mirrored
+    # half of the time so that symmetric tables fail the later conditions
+    rng = random.Random(2718)
+    omls = [corpus.builtin(name) for name in ("boolean_2", "mo2", "boolean_3", "mo3")]
+    failed = dict.fromkeys(("symmetry", "complement-at-one", "orthogonal-join"), 0)
+    for _ in range(1500):
+        oml = rng.choice(omls)
+        rows = [list(row) for row in term_function(rng.choice((T1, T2)), oml).table]
+        for _ in range(rng.randint(1, 3)):
+            x, y, v = rng.randrange(oml.n), rng.randrange(oml.n), rng.randrange(oml.n)
+            rows[x][y] = v
+            if rng.random() < 0.5:
+                rows[y][x] = v
+        table = tuple(map(tuple, rows))
+        expected = _reference_condition(table, oml)
+        assert terms._table_condition(table, oml) == expected, (oml.elements, table)
+        if expected is not None:
+            failed[expected[0]] += 1
+    assert min(failed.values()) >= 20, failed
 
 
 def test_filter_rejects_empty_corpus():
