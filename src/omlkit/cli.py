@@ -57,6 +57,10 @@ class _Usage(Exception):
     """Input that cannot be processed at all; maps to exit status 2."""
 
 
+class _Early(Exception):
+    """Ends a subcommand early with the failing report it carries."""
+
+
 @dataclass
 class _Target:
     kind: str
@@ -106,6 +110,25 @@ def _expect(target: _Target, kind: str, command: str) -> _Target:
     if target.kind != kind:
         raise _Usage(f"{command} needs an {kind} structure, got {target.kind}")
     return target
+
+
+def _oml(target: _Target, command: str):
+    """The lattice of an oml target; failed laws end the command."""
+    verdict, oml = check_oml(_expect(target, "oml", command).poset, target.comp)
+    if oml is None:
+        raise _Early(_report(command, target.name, _entries(verdict)))
+    return oml
+
+
+def _full_state_set(target: _Target, command: str, oml):
+    """The states find_full_state_set collects, with their passing entry; a
+    pair no state separates ends the command."""
+    result = states.find_full_state_set(oml)
+    if not result.ok:
+        raise _Early(_report(command, target.name, [_check(
+            "full-state-set", False, "no state separates the witness pair",
+            witness={"x": result.failure.x, "y": result.failure.y})]))
+    return result.states, _check("full-state-set", True, f"{len(result.states)} states")
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +231,8 @@ def _custom_plus(path: str, elements) -> list:
 
 
 def _cmd_construct(args):
-    target = _expect(_load_target(args.file), "oml", "construct")
-    verdict, oml = check_oml(target.poset, target.comp)
-    if oml is None:
-        return _report("construct", target.name, _entries(verdict))
+    target = _load_target(args.file)
+    oml = _oml(target, "construct")
     plus = args.plus
     if plus.startswith("custom="):
         plus = _custom_plus(plus[7:], oml.elements)
@@ -270,27 +291,17 @@ def _cmd_terms_filter(args):
 
 
 def _cmd_states_find(args):
-    target = _expect(_load_target(args.file), "oml", "states-find")
-    verdict, oml = check_oml(target.poset, target.comp)
-    if oml is None:
-        return _report("states-find", target.name, _entries(verdict))
-    result = states.find_full_state_set(oml)
-    if not result.ok:
-        entry = _check("full-state-set", False,
-                       "no state separates the witness pair",
-                       witness={"x": result.failure.x, "y": result.failure.y})
-        return _report("states-find", target.name, [entry])
-    text = structfile.serialize_structure(structfile.from_oml(oml, result.states))
-    entry = _check("full-state-set", True, f"{len(result.states)} states")
+    target = _load_target(args.file)
+    oml = _oml(target, "states-find")
+    found, entry = _full_state_set(target, "states-find", oml)
+    text = structfile.serialize_structure(structfile.from_oml(oml, found))
     return _report("states-find", target.name, [entry],
-                   {"structure": text, "count": len(result.states)})
+                   {"structure": text, "count": len(found)})
 
 
 def _cmd_states_check_full(args):
-    target = _expect(_load_target(args.file), "oml", "states-check-full")
-    verdict, oml = check_oml(target.poset, target.comp)
-    if oml is None:
-        return _report("states-check-full", target.name, _entries(verdict))
+    target = _load_target(args.file)
+    oml = _oml(target, "states-check-full")
     if not target.states:
         raise _Usage("the target has no STATES section")
     try:
@@ -342,20 +353,10 @@ def _cmd_boolean_test(args):
     if target.kind == "events":
         return _report("boolean-test", target.name,
                        _event_test_entries(target.events))
-    verdict, oml = check_oml(target.poset, target.comp)
-    if oml is None:
-        return _report("boolean-test", target.name, _entries(verdict))
-    result = states.find_full_state_set(oml)
-    if not result.ok:
-        entry = _check("full-state-set", False,
-                       "no state separates the witness pair",
-                       witness={"x": result.failure.x, "y": result.failure.y})
-        return _report("boolean-test", target.name, [entry])
-    ev = states.events_from_states(oml, result.states)
-    entries = [_check("full-state-set", True, f"{len(result.states)} states")]
-    entries += _event_test_entries(ev)
-    return _report("boolean-test", target.name, entries,
-                   {"states": len(result.states)})
+    oml = _oml(target, "boolean-test")
+    found, entry = _full_state_set(target, "boolean-test", oml)
+    entries = [entry] + _event_test_entries(states.events_from_states(oml, found))
+    return _report("boolean-test", target.name, entries, {"states": len(found)})
 
 
 def _cmd_verify_all(args):
@@ -476,14 +477,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError, UnknownLabel, UnknownName,
-            MalformedTable, CycleError, NoBoundsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except _Early as exc:
+        report = exc.args[0]
+    except (_Usage, ParseError, ValidationError, UnknownLabel, UnknownName,
+            MalformedTable, CycleError, NoBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.witnesses:

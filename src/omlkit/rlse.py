@@ -23,10 +23,13 @@ from itertools import product
 from . import lattice as _lat
 from .errors import (
     CustomPlusInvalid,
+    CycleError,
     MalformedTable,
+    NoBoundsError,
     NotAnRlse,
     OracleMismatch,
     UnknownLabel,
+    ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
 
@@ -126,6 +129,8 @@ def _check_shape(r: RlseTables) -> None:
                     raise MalformedTable(f"{name} table entry {v!r} out of range")
     if not (0 <= r.zero < n and 0 <= r.one < n):
         raise MalformedTable("zero/one out of range")
+    if r.zero == r.one:
+        raise MalformedTable("zero equals one; the two-element ring is the smallest structure")
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +457,7 @@ def _lattice_side(r: RlseTables) -> Verdict:
     els = r.elements
     try:
         poset = _order_poset(r)
-    except Exception as exc:  # not even a bounded poset
+    except (ValidationError, CycleError, NoBoundsError) as exc:  # not even a bounded poset
         return Verdict.of(Failure("times-order", {"reason": str(exc)}))
     if poset.bottom != r.zero or poset.top != r.one:
         return Verdict.of(Failure("bounds", {

@@ -4,7 +4,9 @@ A state assigns a rational in [0,1] to every element, gives 1 to the top,
 and is additive on orthogonal pairs.  The searches below first solve the
 additivity equations symbolically, which shrinks each lattice to a handful
 of free coordinates, then run an exact simplex over those coordinates.
-Everything is Fraction arithmetic end to end.
+An affine form is a plain list [const, c0, c1, ...]; the propagation adds
+integers, and Fractions enter with the elimination, the simplex rows and
+the state values, so every result is exact.
 
 Which pairs a state set separates is kept as dominance masks: above[x]
 is the bitmask of the y with m(x) > m(y) in some state, built by sorting
@@ -24,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add
+from itertools import repeat, zip_longest
+from operator import add, sub
 
 from . import simplex
 from .errors import (
@@ -108,202 +110,111 @@ def _state_laws(oml, vals):
 # ---------------------------------------------------------------------------
 
 
-class _Aff:
-    """A tiny affine form: const + sum(coef * var)."""
-
-    __slots__ = ("const", "terms")
-
-    def __init__(self, const=_ZERO, terms=None):
-        self.const = const
-        self.terms = terms or {}
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = terms.get(k, _ZERO) + v
-            if nv:
-                terms[k] = nv
-            else:
-                terms.pop(k, None)
-        return _Aff(self.const + other.const, terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
-
-    def scaled(self, f):
-        if not f:
-            return _Aff()
-        return _Aff(self.const * f, {k: v * f for k, v in self.terms.items()})
-
-    def substitute(self, var, repl: "_Aff") -> "_Aff":
-        coef = self.terms.get(var)
-        if coef is None:
-            return self
-        out = _Aff(self.const, {k: v for k, v in self.terms.items() if k != var})
-        return out + repl.scaled(coef)
-
-    def value(self, assignment) -> Fraction:
-        return self.const + sum((v * assignment[k] for k, v in self.terms.items()),
-                                _ZERO)
-
-    def key(self):
-        return (self.const, tuple(sorted(self.terms.items())))
-
-
-class _StateSpace:
-    """The solution set of the additivity system, in few free variables.
-
-    exprs[e] gives m(e) as an affine form over the free coordinates; empty
-    is True when the equations are inconsistent (no states at all).
-    bound_rows/bound_rhs hold the deduplicated box inequalities over the
-    free coordinates, ready for the simplex.
-    """
-
-    def __init__(self, oml: FiniteOml):
-        self.oml = oml
-        self.empty = False
-        self.dim = 0
-        self.exprs: list[_Aff] = []
-        self._build()
-        if not self.empty:
-            self._build_bounds()
-
-    def _build(self):
-        oml = self.oml
-        n = oml.n
-        join = oml.join
-        bottom, top = oml.poset.bottom, oml.poset.top
-        constraints = [(x, y, join[x][y]) for x, ys in enumerate(oml.orthogonal_rows)
-                       if x != bottom for y in ys if y != bottom]
-
-        exprs: list[_Aff | None] = [None] * n
-        exprs[bottom] = _Aff()
-        residuals: list[_Aff] = []
-        nvars = 0
-
-        def solve(con):
-            """Use a constraint with >= 2 known sides; return True on progress."""
-            u, v, w = con
-            known = (exprs[u] is not None) + (exprs[v] is not None) + (exprs[w] is not None)
-            if known < 2:
-                return False
-            if known == 3:
-                resid = exprs[u] + exprs[v] - exprs[w]
-                if resid.terms or resid.const:
-                    residuals.append(resid)
-                return True
-            if exprs[w] is None:
-                exprs[w] = exprs[u] + exprs[v]
-            elif exprs[u] is None:
-                exprs[u] = exprs[w] - exprs[v]
-            else:
-                exprs[v] = exprs[w] - exprs[u]
-            return True
-
-        pending = constraints
-        while True:
-            progress = True
-            while progress and pending:
-                progress = False
-                still = []
-                for con in pending:
-                    if solve(con):
-                        progress = True
-                    else:
-                        still.append(con)
-                pending = still
-            unknown = next((i for i in range(n) if exprs[i] is None), -1)
-            if unknown < 0:
-                break
-            exprs[unknown] = _Aff(_ZERO, {nvars: _ONE})
-            nvars += 1
-
-        residuals.append(exprs[top] - _Aff(_ONE))
-
-        # Gaussian elimination on the residual equations.
-        solved: dict[int, _Aff] = {}
-        for row in residuals:
-            for var, repl in solved.items():
-                row = row.substitute(var, repl)
-            if not row.terms:
-                if row.const:
-                    self.empty = True
-                    return
-                continue
-            pivot = min(row.terms)
-            coef = row.terms[pivot]
-            repl = _Aff(row.const, dict(row.terms))
-            del repl.terms[pivot]
-            repl = repl.scaled(Fraction(-1) / coef)
-            for var in list(solved):
-                solved[var] = solved[var].substitute(pivot, repl)
-            solved[pivot] = repl
-
-        for var, repl in solved.items():
-            exprs = [e.substitute(var, repl) for e in exprs]
-
-        free = sorted({v for e in exprs for v in e.terms})
-        renum = {v: i for i, v in enumerate(free)}
-        self.dim = len(free)
-        self.exprs = [
-            _Aff(e.const, {renum[v]: cf for v, cf in e.terms.items()}) for e in exprs
-        ]
-
-        for x, y, w in constraints:
-            resid = self.exprs[x] + self.exprs[y] - self.exprs[w]
-            if resid.terms or resid.const:
-                raise OracleMismatch("additivity reduction lost a constraint")
-
-    def _build_bounds(self):
-        rows, rhs = [], []
-        seen = set()
-
-        def push(coefs, bound):
-            key = (tuple(coefs), bound)
-            if key in seen:
-                return
-            seen.add(key)
-            rows.append([Fraction(v) for v in coefs])
-            rhs.append(bound)
-
-        d = self.dim
-        for e in self.exprs:
-            if not e.terms:
-                if not (0 <= e.const <= 1):
-                    self.empty = True
-                    return
-                continue
-            coefs = [e.terms.get(j, _ZERO) for j in range(d)]
-            # expr <= 1
-            push(coefs, _ONE - e.const)
-            # 0 <= expr, except when it is a bare coordinate (implicit there)
-            if not (e.const == 0 and len(e.terms) == 1
-                    and next(iter(e.terms.values())) == 1):
-                push([-v for v in coefs], e.const)
-        self.bound_rows = rows
-        self.bound_rhs = rhs
-
-    def solve_max(self, objective: _Aff):
-        """Maximize an affine objective over the state polytope.
-
-        Returns (value, state values tuple) or None when there are no
-        states at all.
-        """
-        if self.empty:
-            return None
-        d = self.dim
-        c = [objective.terms.get(j, _ZERO) for j in range(d)]
-        try:
-            value, z = simplex.maximize(c, self.bound_rows, self.bound_rhs)
-        except simplex.InfeasibleError:
-            return None
-        values = tuple(e.value(z) for e in self.exprs)
-        return value + objective.const, values
+def _comb(a, b, f=1):
+    """The affine form a + f*b.  A form is a list [const, c0, c1, ...]
+    over the coordinates, its missing trailing entries read as zero."""
+    return [x + f * y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 @lru_cache(maxsize=None)
-def _state_space(oml: FiniteOml) -> _StateSpace:
-    return _StateSpace(oml)
+def _state_space(oml: FiniteOml):
+    """The solution set of the additivity system, in few free coordinates.
+
+    Returns None when there are no states at all, otherwise (exprs, rows,
+    rhs): exprs[e] gives m(e) as a form [const, c0, ..., c(d-1)] over the
+    d free coordinates, and rows.x <= rhs are the deduplicated box
+    inequalities 0 <= m(e) <= 1 over them, ready for the simplex.
+
+    Known values spread along m(x) + m(y) = m(x v y) for orthogonal x, y;
+    when they stall, the smallest unknown element becomes the next
+    coordinate.  The equations left over are solved by Gaussian
+    elimination, each pivoting on its first coordinate, which leaves the
+    unique reduced row-echelon parametrization.  The spreading only adds
+    integer forms; Fractions enter with the elimination.
+    """
+    n, join = oml.n, oml.join
+    bottom, top = oml.poset.bottom, oml.poset.top
+    constraints = [(x, y, join[x][y]) for x, ys in enumerate(oml.orthogonal_rows)
+                   if x != bottom for y in ys if y != bottom]
+
+    exprs = [None] * n
+    exprs[bottom] = [0]
+    residuals = []
+    nvars = 0
+    pending = constraints
+    while True:
+        progress = True
+        while progress and pending:
+            progress = False
+            still = []
+            for u, v, w in pending:
+                eu, ev, ew = exprs[u], exprs[v], exprs[w]
+                if (eu is None) + (ev is None) + (ew is None) > 1:
+                    still.append((u, v, w))
+                    continue
+                progress = True
+                if ew is None:
+                    exprs[w] = _comb(eu, ev)
+                elif eu is None:
+                    exprs[u] = _comb(ew, ev, -1)
+                elif ev is None:
+                    exprs[v] = _comb(ew, eu, -1)
+                else:
+                    resid = _comb(_comb(eu, ev), ew, -1)
+                    if any(resid):
+                        residuals.append(resid)
+            pending = still
+        unknown = next((i for i in range(n) if exprs[i] is None), -1)
+        if unknown < 0:
+            break
+        nvars += 1
+        exprs[unknown] = [0] * nvars + [1]
+    residuals.append(_comb(exprs[top], [1], -1))
+    width = nvars + 1
+    exprs = [e + [0] * (width - len(e)) for e in exprs]
+
+    # Gaussian elimination: pivots[k] is an equation with coefficient 1
+    # on coordinate k and 0 on every other pivot coordinate
+    pivots = {}
+    for row in residuals:
+        row = row + [0] * (width - len(row))
+        for k, p in pivots.items():
+            if row[k]:
+                row = _comb(row, p, -row[k])
+        k = next((k for k in range(1, width) if row[k]), 0)
+        if not k:
+            if row[0]:
+                return None
+            continue
+        inv = _ONE / row[k]
+        p = [v * inv for v in row]
+        for j, q in pivots.items():
+            if q[k]:
+                pivots[j] = _comb(q, p, -q[k])
+        pivots[k] = p
+    for k, p in pivots.items():
+        exprs = [_comb(e, p, -e[k]) if e[k] else e for e in exprs]
+
+    cols = [0] + [k for k in range(1, width) if any(e[k] for e in exprs)]
+    exprs = [[Fraction(e[k]) for k in cols] for e in exprs]
+
+    for x, y, w in constraints:
+        if any(map(sub, map(add, exprs[x], exprs[y]), exprs[w])):
+            raise OracleMismatch("additivity reduction lost a constraint")
+
+    box = []
+    for e in exprs:
+        const, coefs = e[0], tuple(e[1:])
+        if not any(coefs):
+            if not 0 <= const <= 1:
+                return None
+            continue
+        box.append((coefs, _ONE - const))
+        # 0 <= m(e), except for a bare coordinate (implicit there)
+        if const or [v for v in coefs if v] != [1]:
+            box.append((tuple(-v for v in coefs), const))
+    box = dict.fromkeys(box)
+    return exprs, [list(r) for r, _ in box], [b for _, b in box]
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +253,22 @@ def find_separating_state(oml: FiniteOml, x: str, y: str):
 
 
 def _separate(oml, space, xi, yi):
-    out = space.solve_max(space.exprs[xi] - space.exprs[yi])
-    if out is None:
-        return Infeasible(oml.elements[xi], oml.elements[yi])
-    value, values = out
-    if value <= 0:
-        return Infeasible(oml.elements[xi], oml.elements[yi])
-    state = State(values)
-    verdict = check_state(oml, values)
-    if not verdict.passed:
-        raise OracleMismatch(f"solver produced a non-state: {verdict.failures[0].law}")
-    return state
+    if space is not None:
+        exprs, rows, rhs = space
+        ex, ey = exprs[xi], exprs[yi]
+        try:
+            value, z = simplex.maximize(list(map(sub, ex[1:], ey[1:])), rows, rhs)
+        except simplex.InfeasibleError:
+            value = None
+        if value is not None and value + ex[0] - ey[0] > 0:
+            values = tuple(sum((c * v for c, v in zip(e[1:], z) if c), e[0])
+                           for e in exprs)
+            verdict = check_state(oml, values)
+            if not verdict.passed:
+                raise OracleMismatch(
+                    f"solver produced a non-state: {verdict.failures[0].law}")
+            return State(values)
+    return Infeasible(oml.elements[xi], oml.elements[yi])
 
 
 def _add_dominance(above, values):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,8 @@ import jsonschema
 import pytest
 
 from omlkit import cli, corpus, structfile
-from omlkit.rlse import RlseTables, check_rlse, derived_lattice, is_boolean_ring
+from omlkit.rlse import (
+    RlseTables, check_rlse, derived_lattice, is_boolean_ring, rlse_from_oml)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCHEMA = json.loads((resources.files("omlkit") / "report_schema.json").read_text())
@@ -383,3 +385,59 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def _ring_file(path, n, oplus, times, zero, one):
+    labels = [f"e{i}" for i in range(n)]
+    lines = ["KIND rlse", "ELEMENTS", " ".join(labels),
+             f"ZERO {labels[zero]}", f"ONE {labels[one]}", "OPLUS"]
+    lines += [" ".join(labels[v] for v in row) for row in oplus]
+    lines += ["TIMES"] + [" ".join(labels[v] for v in row) for row in times]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check-rlse", "derive", "boolean-test"])
+def test_a_one_element_ring_is_unusable_input(tmp_path, command):
+    # ZERO = ONE: every ring law holds, but there is no lattice to match
+    path = _ring_file(tmp_path / "one.txt", 1, [[0]], [[0]], 0, 0)
+    code, out, err = run_cli(command, path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero equals one; the two-element ring is the smallest structure\n"
+
+
+def _random_rings(count, seed):
+    """(n, oplus, times, zero, one) of 1 to 4 elements: the t1 rings of the
+    smallest lattices with a few cells changed, or random tables with random
+    constants."""
+    rng = random.Random(seed)
+    valid = [rlse_from_oml(corpus.builtin(name), "t1")
+             for name in ("boolean_1", "boolean_2", "mo1")]
+    for _ in range(count):
+        if rng.random() < 0.5:
+            r = rng.choice(valid)
+            n, zero, one = r.n, r.zero, r.one
+            oplus, times = [list(row) for row in r.oplus], [list(row) for row in r.times]
+            for _ in range(rng.randint(0, 2)):
+                rng.choice((oplus, times))[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        else:
+            n = rng.randint(1, 4)
+            oplus, times = ([[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                            for _ in range(2))
+            zero, one = rng.randrange(n), rng.randrange(n)
+        yield n, oplus, times, zero, one
+
+
+def test_ring_commands_never_raise_on_random_tables(tmp_path):
+    codes = set()
+    for k, ring in enumerate(_random_rings(300, 61)):
+        path = _ring_file(tmp_path / f"ring{k}.txt", *ring)
+        for command in ("check-rlse", "derive", "boolean-test"):
+            try:
+                code, _, _ = run_cli(command, path)
+            except Exception as exc:
+                pytest.fail(f"{command} raised {exc!r} on {ring}")
+            assert code in (0, 1, 2), (command, ring)
+            codes.add(code)
+    assert codes == {0, 1, 2}

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from omlkit import cli, corpus, lattice, states
+from omlkit import cli, corpus, lattice, simplex, states, structfile
 from omlkit.errors import (
     DimensionMismatch,
     InvalidState,
@@ -497,6 +497,218 @@ def test_states_find_output_on_a_shuffled_product_is_pinned(tmp_path):
         code = cli.main(["states-find", str(path)])
     assert code == 0
     assert out.getvalue() == MO3_B2_SHUFFLED_FOUND
+
+
+# ---------------------------------------------------------------------------
+# The state-space reduction against its earlier form: dict-of-Fraction
+# affine forms and a state-space class
+# ---------------------------------------------------------------------------
+
+
+class _RefAff:
+    """const + sum(coef * var), as a dict from variable to coefficient."""
+
+    def __init__(self, const=F(0), terms=None):
+        self.const = const
+        self.terms = terms or {}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            nv = terms.get(k, F(0)) + v
+            if nv:
+                terms[k] = nv
+            else:
+                terms.pop(k, None)
+        return _RefAff(self.const + other.const, terms)
+
+    def __sub__(self, other):
+        return self + other.scaled(F(-1))
+
+    def scaled(self, f):
+        if not f:
+            return _RefAff()
+        return _RefAff(self.const * f, {k: v * f for k, v in self.terms.items()})
+
+    def substitute(self, var, repl):
+        coef = self.terms.get(var)
+        if coef is None:
+            return self
+        out = _RefAff(self.const, {k: v for k, v in self.terms.items() if k != var})
+        return out + repl.scaled(coef)
+
+    def value(self, assignment):
+        return self.const + sum((v * assignment[k] for k, v in self.terms.items()), F(0))
+
+
+class _RefStateSpace:
+    """Propagation, elimination, renumbering and box rows, step by step."""
+
+    def __init__(self, oml):
+        self.oml = oml
+        self.empty = False
+        self.dim = 0
+        self.exprs = []
+        self._build()
+        if not self.empty:
+            self._build_bounds()
+
+    def _build(self):
+        oml = self.oml
+        n, join = oml.n, oml.join
+        bottom, top = oml.poset.bottom, oml.poset.top
+        constraints = [(x, y, join[x][y]) for x, ys in enumerate(oml.orthogonal_rows)
+                       if x != bottom for y in ys if y != bottom]
+        exprs = [None] * n
+        exprs[bottom] = _RefAff()
+        residuals = []
+        nvars = 0
+
+        def solve(con):
+            u, v, w = con
+            known = (exprs[u] is not None) + (exprs[v] is not None) + (exprs[w] is not None)
+            if known < 2:
+                return False
+            if known == 3:
+                resid = exprs[u] + exprs[v] - exprs[w]
+                if resid.terms or resid.const:
+                    residuals.append(resid)
+                return True
+            if exprs[w] is None:
+                exprs[w] = exprs[u] + exprs[v]
+            elif exprs[u] is None:
+                exprs[u] = exprs[w] - exprs[v]
+            else:
+                exprs[v] = exprs[w] - exprs[u]
+            return True
+
+        pending = constraints
+        while True:
+            progress = True
+            while progress and pending:
+                progress = False
+                still = []
+                for con in pending:
+                    if solve(con):
+                        progress = True
+                    else:
+                        still.append(con)
+                pending = still
+            unknown = next((i for i in range(n) if exprs[i] is None), -1)
+            if unknown < 0:
+                break
+            exprs[unknown] = _RefAff(F(0), {nvars: F(1)})
+            nvars += 1
+        residuals.append(exprs[top] - _RefAff(F(1)))
+
+        solved = {}
+        for row in residuals:
+            for var, repl in solved.items():
+                row = row.substitute(var, repl)
+            if not row.terms:
+                if row.const:
+                    self.empty = True
+                    return
+                continue
+            pivot = min(row.terms)
+            coef = row.terms[pivot]
+            repl = _RefAff(row.const, dict(row.terms))
+            del repl.terms[pivot]
+            repl = repl.scaled(F(-1) / coef)
+            for var in list(solved):
+                solved[var] = solved[var].substitute(pivot, repl)
+            solved[pivot] = repl
+        for var, repl in solved.items():
+            exprs = [e.substitute(var, repl) for e in exprs]
+
+        free = sorted({v for e in exprs for v in e.terms})
+        renum = {v: i for i, v in enumerate(free)}
+        self.dim = len(free)
+        self.exprs = [_RefAff(e.const, {renum[v]: cf for v, cf in e.terms.items()})
+                      for e in exprs]
+
+    def _build_bounds(self):
+        rows, rhs, seen = [], [], set()
+
+        def push(coefs, bound):
+            if (tuple(coefs), bound) not in seen:
+                seen.add((tuple(coefs), bound))
+                rows.append([F(v) for v in coefs])
+                rhs.append(bound)
+
+        for e in self.exprs:
+            if not e.terms:
+                if not (0 <= e.const <= 1):
+                    self.empty = True
+                    return
+                continue
+            coefs = [e.terms.get(j, F(0)) for j in range(self.dim)]
+            push(coefs, F(1) - e.const)
+            if not (e.const == 0 and len(e.terms) == 1
+                    and next(iter(e.terms.values())) == 1):
+                push([-v for v in coefs], e.const)
+        self.bound_rows, self.bound_rhs = rows, rhs
+
+    def solve_max(self, objective):
+        if self.empty:
+            return None
+        c = [objective.terms.get(j, F(0)) for j in range(self.dim)]
+        try:
+            value, z = simplex.maximize(c, self.bound_rows, self.bound_rhs)
+        except simplex.InfeasibleError:
+            return None
+        return value + objective.const, tuple(e.value(z) for e in self.exprs)
+
+
+def _reference_full_state_set(oml):
+    """find_full_state_set over the earlier reduction: the state vectors,
+    or the first pair no state separates."""
+    space = _RefStateSpace(oml)
+    leq, found, above = oml.poset.leq, [], [0] * oml.n
+    for x in range(oml.n):
+        for y in range(oml.n):
+            if leq[x][y] or above[x] >> y & 1:
+                continue
+            out = space.solve_max(space.exprs[x] - space.exprs[y])
+            if out is None or out[0] <= 0:
+                return oml.elements[x], oml.elements[y]
+            found.append(out[1])
+            states._add_dominance(above, out[1])
+    return found
+
+
+def _reduction_inputs():
+    """The builtin lattices, then products in seeded random element orders."""
+    for name in corpus.OML_NAMES:
+        yield name, corpus.builtin(name)
+    for seed in range(4):
+        for factors in (("mo3", "boolean_2"), ("mo2", "mo2", "boolean_1"),
+                        ("boolean_3", "boolean_3")):
+            sf = structfile.parse_structure(_shuffled_product(factors, 100 + seed))
+            yield (factors, seed), lattice.check_oml(*structfile.to_oml_input(sf))[1]
+
+
+def test_state_space_matches_its_earlier_form():
+    count = 0
+    for key, oml in _reduction_inputs():
+        ref = _RefStateSpace(oml)
+        space = states._state_space(oml)
+        assert not ref.empty and space is not None, key
+        exprs, rows, rhs = space
+        assert exprs == [[e.const] + [e.terms.get(j, F(0)) for j in range(ref.dim)]
+                         for e in ref.exprs], key
+        assert (rows, rhs) == (ref.bound_rows, ref.bound_rhs), key
+        # the simplex must see Fractions: an int right-hand side would
+        # make its ratio test float division
+        assert all(type(v) is F for r in rows for v in r), key
+        assert all(type(v) is F for e in exprs for v in e), key
+        assert all(type(v) is F for v in rhs), key
+        result = find_full_state_set(oml)
+        assert result.ok, key
+        assert [s.values for s in result.states] == _reference_full_state_set(oml), key
+        assert all(type(v) is F for s in result.states for v in s.values), key
+        count += 1
+    assert count == len(corpus.OML_NAMES) + 12
 
 
 # ---------------------------------------------------------------------------
