@@ -92,6 +92,10 @@ EVENT_FILES = {
     "chain": [("z", "0"), ("p", "1/3"), ("q", "2/3"), ("u", "1")],
     # the two-state events of boolean_2
     "boolean_2": [("0", "0 0"), ("a", "1 0"), ("b", "0 1"), ("1", "1 1")],
+    # mo2 over three states whose columns mix halves and thirds; a+b
+    # reaches 4/3 in the first
+    "mo2_thirds": [("0", "0 0 0"), ("a", "2/3 1/2 1/3"), ("a'", "1/3 1/2 2/3"),
+                   ("b", "2/3 1/3 1/2"), ("b'", "1/3 2/3 1/2"), ("1", "1 1 1")],
 }
 
 
@@ -106,6 +110,8 @@ STATE_FILES = {
     "invalid_state": ["0 1 1 1"],
     "not_full": ["0 1 0 1", "0 1 0 1"],
     "full": ["0 1 0 1", "0 0 1 1"],
+    # the second state weighs {1} and {2} 1/2 and 2/3, which sum to 7/6
+    "fractional_sum": ["0 1 0 1", "0 1/2 2/3 1"],
 }
 
 
