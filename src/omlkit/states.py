@@ -16,6 +16,13 @@ pair off it, one mask operation per element.  The same masks give the
 pointwise order of numerical events, which the event side builds once
 and hands to lattice.lattice_tables for infima and suprema.
 
+The state and event scans run on ints.  check_state multiplies one
+state by the lcm of its denominators; the event checks multiply each
+coordinate of the vectors by the lcm of its denominators (_scaled), which
+keeps their pointwise order, sums and membership, with the scaled 1 in
+place of 1.  State values, event vectors and witness values stay
+Fraction.
+
 Checks return a laws.Verdict; their counterexample scans compare whole
 rows with laws.first_mismatch, so each failure carries the
 lexicographically first witness.
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat, zip_longest
-from operator import add, sub
+from math import lcm
+from operator import add, gt, sub
 
 from . import simplex
 from .errors import (
@@ -61,7 +69,6 @@ __all__ = [
     "check_representation",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -85,24 +92,28 @@ def check_state(oml: FiniteOml, values) -> Verdict:
 
 
 def _state_laws(oml, vals):
+    # the scans run on the values times the lcm of their denominators
     els, n = oml.elements, oml.n
-    hit = first_mismatch([()], [[0 <= v <= 1 for v in vals]], [[True] * n])
+    den = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    hit = first_mismatch([()], [[0 <= v <= den for v in ints]], [[True] * n])
     yield "range", hit and Failure("range", {"x": els[hit[0]], "value": str(vals[hit[0]])})
-    top = vals[oml.poset.top]
+    top = oml.poset.top
     yield "top-probability-one", (
-        None if top == 1 else Failure("top-probability-one", {"value": str(top)}))
+        None if ints[top] == den else Failure("top-probability-one", {"value": str(vals[top])}))
     # m(x v y) against m(x) + m(y), along the orthogonal y >= x
     orth = oml.orthogonal_rows
     hit = first_mismatch(
         [(x,) for x in range(n)],
-        ([vals[jx[y]] for y in ys] for jx, ys in zip(oml.join, orth)),
-        ([vx + vals[y] for y in ys] for vx, ys in zip(vals, orth)))
+        ([ints[jx[y]] for y in ys] for jx, ys in zip(oml.join, orth)),
+        ([vx + ints[y] for y in ys] for vx, ys in zip(ints, orth)))
     if hit is None:
         yield "orthogonal-additivity", None
     else:
         x, i, got, want = hit
         yield "orthogonal-additivity", Failure("orthogonal-additivity", {
-            "x": els[x], "y": els[orth[x][i]], "sum": str(want), "join-value": str(got)})
+            "x": els[x], "y": els[orth[x][i]], "sum": str(Fraction(want, den)),
+            "join-value": str(Fraction(got, den))})
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +387,16 @@ def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
     return NumericalEventSet(oml.elements, states, events)
 
 
+def _scaled(events):
+    """(den, ints): den[k] is the lcm of the denominators in coordinate k,
+    and ints[i][k] = events[i][k] * den[k], an int.  A positive factor per
+    coordinate keeps the pointwise order, sums, differences and equality,
+    so the scans below run on ints with den[k] in place of 1."""
+    den = [lcm(*(v.denominator for v in col)) for col in zip(*events)]
+    return den, [tuple(v.numerator * (d // v.denominator) for v, d in zip(p, den, strict=True))
+                 for p in events]
+
+
 def _pointwise_up(events) -> list[int]:
     """up[i]: the bitmask of the j with events[i] <= events[j] in every
     coordinate, folded in one coordinate at a time."""
@@ -393,24 +414,27 @@ def check_s_probability_algebra(ev: NumericalEventSet) -> Verdict:
     pointwise.  For every orthogonal pair the sum must be a member and the
     least upper bound of the pair within the set.
     """
-    return collect(_algebra_laws(ev, _pointwise_up(ev.events)))
+    den, events = _scaled(ev.events)
+    return collect(_algebra_laws(ev, den, events, _pointwise_up(events)))
 
 
-def _algebra_laws(ev, le):
-    events, labels, m = ev.events, ev.elements, len(ev.events)
+def _algebra_laws(ev, den, events, le):
+    # events are ev's vectors scaled by den (_scaled), le their up-masks
+    labels, m = ev.elements, len(events)
     member = {vec: i for i, vec in enumerate(events)}
 
-    bounds = (_ZERO,) * ev.width, (_ONE,) * ev.width
-    yield "contains-bounds", None if all(b in member for b in bounds) else Failure(
-        "contains-bounds", {}, "missing a constant vector")
+    # den is the constant 1 scaled, when the vectors have ev.width coordinates
+    yield "contains-bounds", (
+        None if (0,) * ev.width in member and tuple(den) in member
+        else Failure("contains-bounds", {}, "missing a constant vector"))
 
-    hit = first_mismatch([()], [[tuple(_ONE - v for v in p) in member for p in events]],
-                         [[True] * m])
+    compl = [tuple(map(sub, den, p)) for p in events]
+    hit = first_mismatch([()], [[c in member for c in compl]], [[True] * m])
     yield "complement-closed", hit and Failure("complement-closed", {"p": labels[hit[0]]})
 
     # q is orthogonal to p when q <= 1-p: column m+i of the up-masks of the
     # events followed by their complements, cut down to the members
-    up = _transpose(_pointwise_up([*events, *(tuple(_ONE - v for v in p) for p in events)]))
+    up = _transpose(_pointwise_up([*events, *compl]))
     orth = [col & (1 << m) - 1 for col in up[m:]]
     pairs = [(i, j) for i in range(m) for j in range(i, m) if orth[i] >> j & 1]
 
@@ -471,8 +495,8 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
     when the vectors fail a probability-algebra axiom, and OracleMismatch
     only when they satisfy them all.
     """
-    events = ev.events
     labels = ev.elements
+    den, events = _scaled(ev.events)
     m = len(events)
     member = {vec: i for i, vec in enumerate(events)}
 
@@ -482,22 +506,23 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
         kind, pair = bad
         raise NotLatticeOrdered("infimum" if kind == "meet" else "supremum", pair)
 
-    compl = [member.get(tuple(_ONE - v for v in p)) for p in events]
+    compl = [member.get(tuple(map(sub, den, p))) for p in events]
     if None in compl:
         raise ValidationError("event set is not complement-closed")
 
     # p+q-2(p^q) is symmetric in p and q: one pass over the pairs p <= q
-    # both looks for a value above 1 and fills the addition table
+    # both looks for a value above 1 (den, scaled) and fills the addition
+    # table
     plus = [[0] * m for _ in range(m)]
     for i, (p, mi) in enumerate(zip(events, meet)):
         hats = [hat_plus(p, events[j], events[mi[j]]) for j in range(i, m)]
         hit = first_mismatch([(j,) for j in range(i, m)],
-                             ([v > 1 for v in h] for h in hats), repeat([False] * len(p)))
+                             ([*map(gt, h, den)] for h in hats), repeat([False] * len(den)))
         if hit is not None:
             j, pos = hit[:2]
             return BooleanEventReport(False, {
                 "p": labels[i], "q": labels[j],
-                "state": pos, "value": str(hats[j - i][pos]),
+                "state": pos, "value": str(Fraction(hats[j - i][pos], den[pos])),
             })
         for j, h in enumerate(hats, start=i):
             plus[i][j] = plus[j][i] = member.get(h)
@@ -508,7 +533,7 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
     if hit is not None:
         # the axiom check is exhaustive and slow: only a failed
         # cross-check pays for it
-        algebra = collect(_algebra_laws(ev, up))
+        algebra = collect(_algebra_laws(ev, den, events, up))
         if not algebra.passed:
             raise NotAnEventAlgebra(algebra)
         raise OracleMismatch(
@@ -547,6 +572,8 @@ def _representation_laws(r, ev, f):
 
     rng, xs = range(r.n), [(x,) for x in range(r.n)]
     N = [row[r.one] for row in r.oplus]
+    # order and sums compare alike on the vectors scaled to ints
+    _, vecs = _scaled(vecs)
     up = _pointwise_up(vecs)
     # the ring's order: x <= y iff x*y = x
     hit = first_mismatch(xs, ([v == x for v in tx] for x, tx in enumerate(r.times)),

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from omlkit import cli, corpus, structfile
 from omlkit.rlse import (
     RlseTables, check_rlse, derived_lattice, is_boolean_ring, rlse_from_oml)
+from omlkit.states import find_full_state_set
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SCHEMA = json.loads((resources.files("omlkit") / "report_schema.json").read_text())
@@ -440,4 +442,84 @@ def test_ring_commands_never_raise_on_random_tables(tmp_path):
                 pytest.fail(f"{command} raised {exc!r} on {ring}")
             assert code in (0, 1, 2), (command, ring)
             codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def _random_rational(rng):
+    """A rational with a small, mixed or large denominator, at times
+    outside [0,1]."""
+    den = rng.choice((1, 2, 3, 5, 12, 60, 997, 2**31 - 1, 10**12 + 39))
+    return Fraction(rng.randint(-den // 2, 3 * den // 2), den)
+
+
+def _found_states():
+    """(lattice, its found states) for the smallest builtin lattices."""
+    return [(oml, find_full_state_set(oml).states)
+            for oml in map(corpus.builtin, ("boolean_1", "boolean_2", "boolean_3",
+                                            "mo1", "mo2", "mo3"))]
+
+
+def _mutate_rows(rng, rows):
+    """rows (lists of value strings) with up to three random edits: a value
+    replaced by a random rational, a row duplicated, removed or cut short."""
+    rows = [list(r) for r in rows]
+    for _ in range(rng.randint(0, 3)):
+        how = rng.randrange(8)
+        pos = rng.randrange(len(rows))
+        if how < 5 and rows[pos]:
+            rows[pos][rng.randrange(len(rows[pos]))] = str(_random_rational(rng))
+        elif how == 5:
+            rows.append(list(rows[pos]))
+        elif how == 6 and len(rows) > 1:
+            del rows[pos]
+        elif how == 7:
+            rows[pos] = rows[pos][:-1]
+    return rows
+
+
+def test_events_files_never_raise_on_random_rationals(tmp_path):
+    rng = random.Random(71)
+    bases = _found_states()
+    codes = set()
+    for k in range(300):
+        oml, found = rng.choice(bases)
+        # columns: the found states, or mixtures of two of them in sevenths
+        cols = [s.values for s in found]
+        if rng.random() < 0.5:
+            cols = []
+            for s, t in zip(found, rng.sample(found, len(found))):
+                w = Fraction(rng.randint(0, 7), 7)
+                cols.append(tuple(w * a + (1 - w) * b for a, b in zip(s.values, t.values)))
+        rows = _mutate_rows(rng, [[str(v) for v in vec] for vec in zip(*cols)])
+        labels = [f"e{i}" for i in range(oml.n)]
+        lines = ["KIND events", "ELEMENTS", " ".join(labels), "EVENTS"]
+        lines += [f"{lab} {' '.join(r)}" for lab, r in zip(labels, rows)]
+        path = tmp_path / f"events{k}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            code, _, _ = run_cli("boolean-test", str(path))
+        except Exception as exc:
+            pytest.fail(f"boolean-test raised {exc!r} on {lines}")
+        assert code in (0, 1, 2), lines
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_state_files_never_raise_on_random_rationals(tmp_path):
+    rng = random.Random(72)
+    bases = _found_states()
+    codes = set()
+    for k in range(300):
+        oml, found = rng.choice(bases)
+        rows = _mutate_rows(rng, [[str(v) for v in s.values] for s in found])
+        text = structfile.serialize_structure(structfile.from_oml(oml))
+        text += "STATES\n" + "\n".join(" ".join(r) for r in rows) + "\n"
+        path = tmp_path / f"states{k}.txt"
+        path.write_text(text)
+        try:
+            code, _, _ = run_cli("states-check-full", str(path))
+        except Exception as exc:
+            pytest.fail(f"states-check-full raised {exc!r} on {text}")
+        assert code in (0, 1, 2), text
+        codes.add(code)
     assert codes == {0, 1, 2}

@@ -29,3 +29,25 @@ def test_check_rlse_keeps_its_cache_counters():
 
     info = rlse.check_rlse.cache_info()
     assert info.hits >= 0
+
+
+def test_state_searches_call_check_state_through_the_module(monkeypatch):
+    # launch.py counts states.check_state by rebinding the module
+    # attribute, so both searches must look it up there, once per state
+    from omlkit import corpus, states
+
+    calls = []
+    real = states.check_state
+
+    def counting(oml, values):
+        calls.append(values)
+        return real(oml, values)
+
+    monkeypatch.setattr(states, "check_state", counting)
+    mo2 = corpus.builtin("mo2")
+    found = states.find_full_state_set(mo2).states
+    assert len(found) == 4
+    assert calls == [s.values for s in found]
+    calls.clear()
+    assert states.check_full(mo2, found).passed
+    assert calls == [s.values for s in found]

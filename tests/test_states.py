@@ -1,6 +1,7 @@
 """States, full sets, numerical events and the ring inequality."""
 
 import io
+import math
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
@@ -33,7 +34,7 @@ from omlkit.states import (
     find_separating_state,
     hat_plus,
 )
-from omlkit.rlse import rlse_from_oml
+from omlkit.rlse import derived_lattice, rlse_from_oml
 
 
 MO2_STATES = (
@@ -81,34 +82,62 @@ def test_check_state_additivity():
     assert report.failures[0].witness["y"] == "a'"
 
 
+#: Twelfths and fifths, and two values outside [0,1]: a vector mixing
+#: twelfths and fifths has lcm 60.
+WIDE_VALUES = tuple(dict.fromkeys(
+    [F(k, 12) for k in range(13)] + [F(k, 5) for k in range(6)] + [F(3, 2), F(-1, 2)]))
+
+
+def _mixture(rng, found):
+    """A convex combination of three found states with weights a twelfth,
+    a fifth and the rest: a state whose values mix the two denominators."""
+    w1, w2 = F(rng.randint(0, 12), 12), F(rng.randint(0, 5), 5)
+    w2 = min(w2, 1 - w1)
+    parts = [rng.choice(found).values for _ in range(3)]
+    return tuple(w1 * a + w2 * b + (1 - w1 - w2) * c for a, b, c in zip(*parts))
+
+
 def test_check_state_witness_matches_a_lexicographic_scan():
-    values = (F(0), F(1, 2), F(1), F(3, 2))
-    for name in ("mo2", "mo3", "boolean_3"):
-        oml = corpus.builtin(name)
-        leq, comp, join, els = oml.poset.leq, oml.comp, oml.join, oml.elements
-        found = find_full_state_set(oml).states
-        rng = random.Random(name)
-        for _ in range(200):
-            vals = list(rng.choice(found).values)
-            for _ in range(rng.randint(0, 2)):
-                vals[rng.randrange(oml.n)] = rng.choice(values)
-            if any(not 0 <= v <= 1 for v in vals):
-                x = next(i for i, v in enumerate(vals) if not 0 <= v <= 1)
-                expected = ("range", {"x": els[x], "value": str(vals[x])})
-            elif vals[oml.poset.top] != 1:
-                expected = ("top-probability-one", {"value": str(vals[oml.poset.top])})
-            else:
-                expected = next((
-                    ("orthogonal-additivity", {
-                        "x": els[x], "y": els[y], "sum": str(vals[x] + vals[y]),
-                        "join-value": str(vals[join[x][y]])})
-                    for x in range(oml.n) for y in range(x, oml.n)
-                    if leq[x][comp[y]] and vals[join[x][y]] != vals[x] + vals[y]), None)
-            verdict = check_state(oml, vals)
-            assert verdict.passed == (expected is None)
-            if expected is not None:
-                f = verdict.failures[0]
-                assert (f.law, f.witness) == expected
+    seen = set()
+    for values, start in (((F(0), F(1, 2), F(1), F(3, 2)), "found"),
+                          (WIDE_VALUES, "mixture")):
+        for name in ("mo2", "mo3", "boolean_3"):
+            seen |= _check_state_against_a_scan(name, values, start)
+    # the wider values reach states over 60ths, passing and failing
+    assert {(True, 60), (False, 60)} <= seen
+
+
+def _check_state_against_a_scan(name, values, start):
+    """(passed, lcm of the denominators) of every state tried."""
+    oml = corpus.builtin(name)
+    leq, comp, join, els = oml.poset.leq, oml.comp, oml.join, oml.elements
+    found = find_full_state_set(oml).states
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(200):
+        vals = list(rng.choice(found).values if start == "found"
+                    else _mixture(rng, found))
+        for _ in range(rng.randint(0, 2)):
+            vals[rng.randrange(oml.n)] = rng.choice(values)
+        if any(not 0 <= v <= 1 for v in vals):
+            x = next(i for i, v in enumerate(vals) if not 0 <= v <= 1)
+            expected = ("range", {"x": els[x], "value": str(vals[x])})
+        elif vals[oml.poset.top] != 1:
+            expected = ("top-probability-one", {"value": str(vals[oml.poset.top])})
+        else:
+            expected = next((
+                ("orthogonal-additivity", {
+                    "x": els[x], "y": els[y], "sum": str(vals[x] + vals[y]),
+                    "join-value": str(vals[join[x][y]])})
+                for x in range(oml.n) for y in range(x, oml.n)
+                if leq[x][comp[y]] and vals[join[x][y]] != vals[x] + vals[y]), None)
+        verdict = check_state(oml, vals)
+        assert verdict.passed == (expected is None)
+        if expected is not None:
+            f = verdict.failures[0]
+            assert (f.law, f.witness) == expected
+        seen.add((verdict.passed, math.lcm(*(v.denominator for v in vals))))
+    return seen
 
 
 def test_separating_state_on_mo2():
@@ -301,6 +330,21 @@ def test_representation_rejects_wrong_domain():
     report = check_representation(ring, ev, {"x": (F(0), F(0))})
     assert not report.passed
     assert report.failures[0].law == "bijection"
+
+
+def test_representation_round_trip_on_every_builtin_ring():
+    # ring -> derived lattice -> full state set -> event vectors: the
+    # event map must embed the ring
+    rings = [corpus.builtin(name) for name in corpus.RLSE_NAMES]
+    rings += [rlse_from_oml(corpus.builtin(name), plus)
+              for name in corpus.OML_NAMES for plus in ("t1", "t2")]
+    for r in rings:
+        oml = derived_lattice(r)
+        ev = events_from_states(oml, find_full_state_set(oml).states)
+        verdict = check_representation(r, ev, {x: ev.event_of(x) for x in r.elements})
+        assert verdict.passed, (r.elements, verdict.first)
+        assert verdict.checked[-1] == "algebra-axioms"
+    assert len(rings) == len(corpus.RLSE_NAMES) + 2 * len(corpus.OML_NAMES)
 
 
 def test_product_pipeline_is_exact_and_fast():
@@ -863,6 +907,38 @@ def _random_event_sets(count, seed):
     return out
 
 
+def _wide_event_sets(count, seed):
+    """Event sets whose columns are states mixing twelfths and fifths: the
+    events of one to four mixtures of found states of small lattices, as
+    they are, with one value replaced by a wide value (3/2 and -1/2 among
+    them), with a wide vector and its complement added, or with a vector
+    removed."""
+    rng = random.Random(seed)
+    found = [find_full_state_set(corpus.builtin(name)).states
+             for name in ("boolean_2", "boolean_3", "mo1", "mo2", "mo3")]
+    out = []
+    while len(out) < count:
+        cols = [_mixture(rng, fs) for fs in [rng.choice(found)] * rng.randint(1, 4)]
+        vecs = list(zip(*cols))
+        k, how = len(cols), rng.randrange(4)
+        if how == 1:
+            pos = rng.randrange(len(vecs))
+            v = list(vecs[pos])
+            v[rng.randrange(k)] = rng.choice(WIDE_VALUES)
+            vecs[pos] = tuple(v)
+        elif how == 2:
+            v = tuple(rng.choice(WIDE_VALUES) for _ in range(k))
+            vecs += [v, tuple(1 - a for a in v)]
+        elif how == 3:
+            del vecs[rng.randrange(len(vecs))]
+        vecs = list(dict.fromkeys(vecs))
+        rng.shuffle(vecs)
+        labels = tuple(f"e{i}" for i in range(len(vecs)))
+        states_ = tuple(State(tuple(v[c] for v in vecs)) for c in range(k))
+        out.append(NumericalEventSet(labels, states_, tuple(vecs)))
+    return out
+
+
 def _outcome(fn, ev):
     try:
         return fn(ev)
@@ -884,3 +960,19 @@ def test_event_axiom_witnesses_match_their_earlier_form():
         verdict = check_s_probability_algebra(ev)
         assert [(f.law, f.witness, f.detail) for f in verdict.failures] \
             == _oracle_algebra(ev), ev
+
+
+def test_event_checks_match_their_earlier_form_on_wider_denominators():
+    seen, fractional, lcm60 = set(), 0, 0
+    for ev in _wide_event_sets(1200, 41):
+        got = _outcome(boolean_test, ev)
+        assert got == _outcome(_oracle_boolean_test, ev), ev
+        verdict = check_s_probability_algebra(ev)
+        assert [(f.law, f.witness, f.detail) for f in verdict.failures] \
+            == _oracle_algebra(ev), ev
+        seen.add(got[0] if isinstance(got, tuple) else got.is_boolean)
+        fractional += isinstance(got, BooleanEventReport) and not got.is_boolean \
+            and "/" in got.witness["value"]
+        lcm60 += any(math.lcm(*(v.denominator for v in col)) == 60 for col in zip(*ev.events))
+    assert seen >= {True, False, NotLatticeOrdered, ValidationError, NotAnEventAlgebra}
+    assert fractional >= 100 and lcm60 >= 100
