@@ -132,6 +132,7 @@ def _cases():
         "boolean_test_boolean_3": (["boolean-test", "boolean_3"], {}),
         "states_find_mo3": (["states-find", "mo3"], {}),
         "verify_all": (["verify-all"], {}),
+        "terms_enumerate": (["terms-enumerate"], {}),
         "terms_filter": (["terms-filter"], {}),
         # in this order the eliminations land on other members
         "terms_filter_reordered": (
