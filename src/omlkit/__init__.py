@@ -22,7 +22,6 @@ from .errors import (
     NotAnRlse,
     NotFull,
     NotLatticeOrdered,
-    NotUncomparable,
     OmlkitError,
     OracleMismatch,
     ParseError,
@@ -46,8 +45,6 @@ from .rlse import (
     check_r4_orthogonal_form,
     check_r5,
     check_rlse,
-    check_weak_assoc,
-    check_identity_T,
     derived_lattice,
     is_boolean_ring,
     rlse_from_oml,
@@ -61,7 +58,6 @@ from .states import (
     check_state,
     events_from_states,
     find_full_state_set,
-    find_separating_state,
 )
 from .structfile import parse_structure, serialize_structure
 from .terms import (
@@ -73,7 +69,6 @@ from .terms import (
     eval_term,
     filter_symmetric_difference_terms,
     format_term,
-    parse_term,
     term_function,
 )
 

@@ -73,15 +73,6 @@ class DimensionMismatch(OmlkitError):
         super().__init__(f"state vector has {got} entries, structure has {expected}")
 
 
-class NotUncomparable(OmlkitError):
-    """A separating state was requested for a comparable pair x <= y."""
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-        super().__init__(f"{x} <= {y}: no state can separate a comparable pair")
-
-
 class InvalidState(OmlkitError):
     """A supplied vector is not a state on the given structure."""
 
@@ -118,7 +109,7 @@ class NotAnEventAlgebra(OmlkitError):
 
 
 class ParseError(OmlkitError):
-    """A structure file or term string could not be parsed."""
+    """A structure file could not be parsed."""
 
     def __init__(self, message, line=None, column=None):
         self.line = line

@@ -29,9 +29,6 @@ __all__ = [
     "FiniteOml",
     "build_poset",
     "check_oml",
-    "meet_of",
-    "join_of",
-    "comp_of",
     "direct_product",
     "lattice_tables",
     "is_distributive",
@@ -263,13 +260,6 @@ class FiniteOml:
     def index(self, label: str) -> int:
         return self.poset.index(label)
 
-    def leq(self, x: int, y: int) -> bool:
-        return self.poset.leq[x][y]
-
-    def orthogonal(self, x: int, y: int) -> bool:
-        """x is below the complement of y."""
-        return self.poset.leq[x][self.comp[y]]
-
     @cached_property
     def orthogonal_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per x, the y >= x orthogonal to x, in index order; built once."""
@@ -326,23 +316,6 @@ def _oml_laws(poset, c, meet, join, bad):
     yield failure("orthomodular-law", "xy", first_mismatch(
         xs, ([meet[join[v][c[x]]][x] for v in mx] for x, mx in enumerate(meet)),
         map(list, meet)))
-
-
-# ---------------------------------------------------------------------------
-# Label-level operations
-# ---------------------------------------------------------------------------
-
-
-def meet_of(oml: FiniteOml, x: str, y: str) -> str:
-    return oml.elements[oml.meet[oml.index(x)][oml.index(y)]]
-
-
-def join_of(oml: FiniteOml, x: str, y: str) -> str:
-    return oml.elements[oml.join[oml.index(x)][oml.index(y)]]
-
-
-def comp_of(oml: FiniteOml, x: str) -> str:
-    return oml.elements[oml.comp[oml.index(x)]]
 
 
 def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:

@@ -43,8 +43,6 @@ __all__ = [
     "rlse_from_oml",
     "check_derived_identities",
     "check_r4_orthogonal_form",
-    "check_weak_assoc",
-    "check_identity_T",
     "is_boolean_ring",
     "check_r5",
     "check_correspondence",
@@ -382,18 +380,6 @@ def check_r4_orthogonal_form(r: RlseTables) -> R4FormsReport:
     """
     _check_shape(r)
     return R4FormsReport(_verdict(r, ("R4",)), _verdict(r, ("R4-orthogonal",)))
-
-
-def check_weak_assoc(r: RlseTables) -> Verdict:
-    """(x+y)+1 = x+(y+1) over all pairs."""
-    require_rlse(r)
-    return _verdict(r, ("weak-associativity",))
-
-
-def check_identity_T(r: RlseTables) -> Verdict:
-    """(x*y' + 1)*(x'*y + 1) + 1 = x+y over all pairs."""
-    require_rlse(r)
-    return _verdict(r, ("T",))
 
 
 def check_r5(r: RlseTables) -> Verdict:

@@ -44,7 +44,6 @@ from .errors import (
     NotAnEventAlgebra,
     NotFull,
     NotLatticeOrdered,
-    NotUncomparable,
     OracleMismatch,
     ValidationError,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "NumericalEventSet",
     "BooleanEventReport",
     "check_state",
-    "find_separating_state",
     "find_full_state_set",
     "check_full",
     "events_from_states",
@@ -251,18 +249,6 @@ class StateSearchResult:
         return self.failure is None
 
 
-def find_separating_state(oml: FiniteOml, x: str, y: str):
-    """A vertex state maximizing m(x) - m(y), if the maximum is positive.
-
-    Returns a State, or Infeasible(x, y) when every state weighs x at most
-    as much as y.  Raises NotUncomparable when x <= y in the lattice.
-    """
-    xi, yi = oml.index(x), oml.index(y)
-    if oml.poset.leq[xi][yi]:
-        raise NotUncomparable(x, y)
-    return _separate(oml, _state_space(oml), xi, yi)
-
-
 def _separate(oml, space, xi, yi):
     if space is not None:
         exprs, rows, rhs = space
@@ -423,9 +409,9 @@ def _algebra_laws(ev, den, events, le):
     labels, m = ev.elements, len(events)
     member = {vec: i for i, vec in enumerate(events)}
 
-    # den is the constant 1 scaled, when the vectors have ev.width coordinates
+    # den is the constant 1 scaled, one coordinate per coordinate of the vectors
     yield "contains-bounds", (
-        None if (0,) * ev.width in member and tuple(den) in member
+        None if (0,) * len(den) in member and tuple(den) in member
         else Failure("contains-bounds", {}, "missing a constant vector"))
 
     compl = [tuple(map(sub, den, p)) for p in events]

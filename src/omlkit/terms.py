@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyCorpus, OracleMismatch, ParseError
+from .errors import EmptyCorpus, OracleMismatch
 from .lattice import FiniteOml, is_distributive
 from .laws import first_mismatch, witness
 from .rlse import RlseTables, addition_failure
@@ -25,7 +25,6 @@ __all__ = [
     "Meet",
     "Join",
     "TermFunction",
-    "parse_term",
     "format_term",
     "eval_term",
     "term_function",
@@ -110,75 +109,6 @@ def format_term(t: Term) -> str:
             s = f"({s})"
         sides.append(s)
     return op.join(sides)
-
-
-def _tokenize(text: str):
-    tokens = []
-    for col, ch in enumerate(text, start=1):
-        if ch.isspace():
-            continue
-        if ch in "xy01^v()'":
-            tokens.append((ch, col))
-        else:
-            raise ParseError(f"unexpected character {ch!r} in term", line=1, column=col)
-    return tokens
-
-
-def parse_term(text: str) -> Term:
-    """Parse the text form; ^ binds tighter than v, both left-associative."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_join():
-        t = parse_meet()
-        while peek() == "v":
-            take()
-            t = Join(t, parse_meet())
-        return t
-
-    def parse_meet():
-        t = parse_unary()
-        while peek() == "^":
-            take()
-            t = Meet(t, parse_unary())
-        return t
-
-    def parse_unary():
-        tok = peek()
-        if tok == "(":
-            take()
-            t = parse_join()
-            if peek() != ")":
-                col = tokens[pos - 1][1] if pos <= len(tokens) else None
-                raise ParseError("missing closing parenthesis", line=1, column=col)
-            take()
-        elif tok in ("x", "y"):
-            take()
-            t = Var(tok)
-        elif tok in ("0", "1"):
-            take()
-            t = Const(int(tok))
-        else:
-            col = tokens[pos][1] if pos < len(tokens) else len(text)
-            raise ParseError(f"expected a term, got {tok!r}", line=1, column=col)
-        while peek() == "'":
-            take()
-            t = Comp(t)
-        return t
-
-    t = parse_join()
-    if pos != len(tokens):
-        raise ParseError("trailing input after term", line=1, column=tokens[pos][1])
-    return t
 
 
 # ---------------------------------------------------------------------------

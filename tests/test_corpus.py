@@ -51,7 +51,8 @@ def test_mo_labels():
     assert mo4.elements == ("0", "a", "a'", "b", "b'", "c", "c'", "d", "d'", "1")
     # atoms are pairwise incomparable
     a, b = mo4.index("a"), mo4.index("b")
-    assert not mo4.leq(a, b) and not mo4.leq(b, a)
+    leq = mo4.poset.leq
+    assert not leq[a][b] and not leq[b][a]
 
 
 def test_mo1_is_the_four_element_boolean_algebra():
@@ -72,7 +73,8 @@ def test_product_generating_pair_exists():
     prod = corpus.builtin("product_2p4_mo2")
     x, y = corpus.product_generating_pair()
     xi, yi = prod.index(x), prod.index(y)
-    assert not prod.leq(xi, yi) and not prod.leq(yi, xi)
+    leq = prod.poset.leq
+    assert not leq[xi][yi] and not leq[yi][xi]
 
 
 def test_paper_example_tables():

@@ -9,12 +9,9 @@ from omlkit.errors import CycleError, NoBoundsError, UnknownLabel, ValidationErr
 from omlkit.lattice import (
     build_poset,
     check_oml,
-    comp_of,
     direct_product,
     is_distributive,
-    join_of,
     lattice_tables,
-    meet_of,
 )
 
 DIAMOND = (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -110,17 +107,20 @@ def test_complement_map_must_cover_all_labels():
 
 def test_label_helpers_mo2():
     mo2 = corpus.builtin("mo2")
-    assert meet_of(mo2, "a", "b") == "0"
-    assert join_of(mo2, "a", "b") == "1"
-    assert meet_of(mo2, "a", "1") == "a"
-    assert comp_of(mo2, "a") == "a'"
-    assert comp_of(mo2, "0") == "1"
+    els, i = mo2.elements, mo2.index
+    assert els[mo2.meet[i("a")][i("b")]] == "0"
+    assert els[mo2.join[i("a")][i("b")]] == "1"
+    assert els[mo2.meet[i("a")][i("1")]] == "a"
+    assert els[mo2.comp[i("a")]] == "a'"
+    assert els[mo2.comp[i("0")]] == "1"
 
 
 def test_orthogonality():
     mo2 = corpus.builtin("mo2")
-    assert mo2.orthogonal(mo2.index("a"), mo2.index("a'"))
-    assert not mo2.orthogonal(mo2.index("a"), mo2.index("b"))
+    a, a_, b = mo2.index("a"), mo2.index("a'"), mo2.index("b")
+    # orthogonal_rows[x] lists the y >= x (in index order) below x'
+    assert max(a, a_) in mo2.orthogonal_rows[min(a, a_)]
+    assert max(a, b) not in mo2.orthogonal_rows[min(a, b)]
 
 
 def test_direct_product_shape():
@@ -146,11 +146,10 @@ def test_is_distributive_witness():
     mo2 = corpus.builtin("mo2")
     flag, witness = is_distributive(mo2)
     assert not flag
-    x, y, z = witness
+    x, y, z = map(mo2.index, witness)
+    meet, join = mo2.meet, mo2.join
     # the witness triple really violates the distributive law
-    lhs = meet_of(mo2, x, join_of(mo2, y, z))
-    rhs = join_of(mo2, meet_of(mo2, x, y), meet_of(mo2, x, z))
-    assert lhs != rhs
+    assert meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]
 
 
 def test_boolean_members_are_distributive():

@@ -32,8 +32,6 @@ def _ring_verdicts(r):
     yield from (both.as_rlse, both.as_lattice)
     if axioms.passed:
         yield rlse.check_derived_identities(r)
-        yield rlse.check_weak_assoc(r)
-        yield rlse.check_identity_T(r)
         yield rlse.check_r5(r)
         report = rlse.is_boolean_ring(r)
         yield from (report.identity_route, report.ring_route)

@@ -18,11 +18,9 @@ from omlkit.rlse import (
     RlseTables,
     check_correspondence,
     check_derived_identities,
-    check_identity_T,
     check_r4_orthogonal_form,
     check_r5,
     check_rlse,
-    check_weak_assoc,
     derived_lattice,
     is_boolean_ring,
     rlse_from_oml,
@@ -212,18 +210,16 @@ def test_r4_forms_agree_on_corpus():
 
 
 def test_weak_assoc_and_t_fail_exactly_on_the_modified_diagonal():
-    r = _paper()
-    wa = check_weak_assoc(r)
-    assert not wa.passed
-    assert wa.failures[0].witness == {"x": "{1}", "y": "{1}"}
-    t = check_identity_T(r)
-    assert not t.passed
+    route = is_boolean_ring(_paper()).identity_route
+    assert not route.passed
+    assert route.failure_for("weak-associativity").witness == {"x": "{1}", "y": "{1}"}
+    assert route.failure_for("T") is not None
 
 
 def test_weak_assoc_and_t_hold_on_boolean_construction():
-    r = rlse_from_oml(corpus.builtin("boolean_3"), "t1")
-    assert check_weak_assoc(r).passed
-    assert check_identity_T(r).passed
+    route = is_boolean_ring(rlse_from_oml(corpus.builtin("boolean_3"), "t1")).identity_route
+    assert route.passed
+    assert route.checked == ("weak-associativity", "T")
 
 
 def test_r5_pins_down_the_addition():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from omlkit import corpus, terms
-from omlkit.errors import EmptyCorpus, ParseError
+from omlkit.errors import EmptyCorpus
 from omlkit.terms import (
     T1,
     T2,
@@ -17,7 +17,6 @@ from omlkit.terms import (
     eval_term,
     filter_symmetric_difference_terms,
     format_term,
-    parse_term,
     term_function,
 )
 
@@ -26,31 +25,6 @@ def test_formatting_of_the_three_named_terms():
     assert format_term(T1) == "(x ^ y') v (x' ^ y)"
     assert format_term(T2) == "(x v y) ^ (x' v y')"
     assert format_term(THAT) == "(x ^ (x' v y')) v (y ^ (x' v y'))"
-
-
-def test_parse_inverts_format():
-    for t in (T1, T2, THAT, *enumerate_canonical_terms()):
-        assert parse_term(format_term(t)) == t
-
-
-def test_parse_accepts_plain_syntax():
-    assert parse_term("x") == terms.Var("x")
-    assert parse_term("x'") == terms.Comp(terms.Var("x"))
-    assert parse_term("x''") == terms.Comp(terms.Comp(terms.Var("x")))
-    assert parse_term("0'") == terms.Comp(terms.Const(0))
-    assert parse_term("x ^ y v z".replace("z", "x")) is not None
-
-
-def test_parse_error_positions():
-    with pytest.raises(ParseError) as info:
-        parse_term("x ^ @")
-    assert info.value.column == 5
-    with pytest.raises(ParseError):
-        parse_term("(x ^ y")
-    with pytest.raises(ParseError):
-        parse_term("x y")
-    with pytest.raises(ParseError):
-        parse_term("")
 
 
 def test_eval_corner_values_on_mo2():
