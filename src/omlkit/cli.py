@@ -100,7 +100,10 @@ def _load_target(arg: str) -> _Target:
     sf = structfile.parse_structure(text)
     if sf.kind == "oml":
         poset, comp = structfile.to_oml_input(sf)
-        return _Target("oml", name, poset=poset, comp=comp, states=sf.states)
+        # STATES columns follow ELEMENTS, which need not list the bottom first
+        cols = [sf.elements.index(lab) for lab in poset.elements]
+        states = tuple(tuple(row[i] for i in cols) for row in sf.states)
+        return _Target("oml", name, poset=poset, comp=comp, states=states)
     if sf.kind == "rlse":
         return _Target("rlse", name, ring=structfile.to_rlse(sf))
     return _Target("events", name, events=structfile.to_events(sf))

@@ -39,12 +39,12 @@ __all__ = [
 class FinitePoset:
     """A validated finite bounded poset.
 
-    leq is the full reflexive-transitive boolean relation, row-major:
-    leq[i][j] is True iff element i is below element j.
+    up[i] is the bitmask of everything at or above element i; this is the
+    only stored form of the order.
     """
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     bottom: int
     top: int
 
@@ -58,21 +58,11 @@ class FinitePoset:
         except ValueError:
             raise UnknownLabel(label) from None
 
-    def up_masks(self) -> list[int]:
-        """Per element, the bitmask of everything above it (rows)."""
-        return [_row_mask(row) for row in self.leq]
-
-    def down_masks(self) -> list[int]:
-        """Per element, the bitmask of everything below it (columns)."""
-        return _transpose(self.up_masks())
-
-
-def _row_mask(row) -> int:
-    m = 0
-    for j, v in enumerate(row):
-        if v:
-            m |= 1 << j
-    return m
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The order as a read-only boolean matrix derived from up:
+        leq[i][j] is True iff element i is below element j."""
+        return tuple(tuple(bool(m >> j & 1) for j in range(self.n)) for m in self.up)
 
 
 def _transpose(rows: list[int]) -> list[int]:
@@ -125,11 +115,7 @@ def _validate_poset(elements, rows) -> tuple[int, int]:
 
 def _poset_from_masks(elements, rows) -> FinitePoset:
     bottom, top = _validate_poset(elements, rows)
-    n = len(elements)
-    leq = tuple(
-        tuple(bool(rows[i] & (1 << j)) for j in range(n)) for i in range(n)
-    )
-    return FinitePoset(tuple(elements), leq, bottom, top)
+    return FinitePoset(tuple(elements), tuple(rows), bottom, top)
 
 
 def build_poset(labels, pairs) -> FinitePoset:
@@ -167,19 +153,16 @@ def build_poset(labels, pairs) -> FinitePoset:
                 rows[i] = acc
                 changed = True
 
-    bottom, _ = _validate_poset(labels, rows)
-    if bottom != 0:
-        order = [bottom] + [i for i in range(n) if i != bottom]
-        labels = [labels[i] for i in order]
-        old_rows = rows
-        rows = []
-        for i in order:
-            m = 0
-            for new_j, old_j in enumerate(order):
-                if old_rows[i] & (1 << old_j):
-                    m |= 1 << new_j
-            rows.append(m)
-    return _poset_from_masks(labels, rows)
+    bottom, top = _validate_poset(labels, rows)
+
+    def moved(m):
+        # bit bottom goes to 0 and the bits below it up by one
+        low = m & (1 << bottom) - 1
+        return m >> bottom + 1 << bottom + 1 | low << 1 | m >> bottom & 1
+
+    order = [bottom, *range(bottom), *range(bottom + 1, n)]
+    return FinitePoset(tuple(labels[i] for i in order),
+                       tuple(moved(rows[i]) for i in order), 0, top + (top < bottom))
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +170,15 @@ def build_poset(labels, pairs) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-def lattice_tables(poset, up=None):
+def lattice_tables(labels, up):
     """Compute meet and join tables from the order, or report a failure.
 
-    A caller that holds the order as up-masks (up[i] is the bitmask of
-    everything at or above i) passes them as up; poset then only has to
-    supply the labels, as an elements attribute.  Returns (meet, join,
-    None) on success, where the tables are index-valued and row-major, or
-    (None, None, (kind, (x_label, y_label))) naming the first pair without
-    an infimum ("meet") or supremum ("join").
+    up[i] is the bitmask of everything at or above element i, and labels
+    names the elements.  Returns (meet, join, None) on success, where the
+    tables are index-valued and row-major, or (None, None, (kind,
+    (x_label, y_label))) naming the first pair without an infimum
+    ("meet") or supremum ("join").
     """
-    if up is None:
-        up = poset.up_masks()
     down = _transpose(up)
     n = len(up)
     meet: list[list[int]] = [[0] * n for _ in range(n)]
@@ -207,11 +187,11 @@ def lattice_tables(poset, up=None):
         for y in range(x, n):
             z = _bound_of(down[x] & down[y], down)
             if z < 0:
-                return None, None, ("meet", (poset.elements[x], poset.elements[y]))
+                return None, None, ("meet", (labels[x], labels[y]))
             meet[x][y] = meet[y][x] = z
             z = _bound_of(up[x] & up[y], up)
             if z < 0:
-                return None, None, ("join", (poset.elements[x], poset.elements[y]))
+                return None, None, ("join", (labels[x], labels[y]))
             join[x][y] = join[y][x] = z
     return (
         tuple(tuple(r) for r in meet),
@@ -263,8 +243,8 @@ class FiniteOml:
     @cached_property
     def orthogonal_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per x, the y >= x orthogonal to x, in index order; built once."""
-        leq, comp, n = self.poset.leq, self.comp, self.n
-        return tuple(tuple(y for y in range(x, n) if leq[x][comp[y]]) for x in range(n))
+        up, comp, n = self.poset.up, self.comp, self.n
+        return tuple(tuple(y for y in range(x, n) if up[x] >> comp[y] & 1) for x in range(n))
 
 
 def check_oml(poset: FinitePoset, comp: dict):
@@ -285,7 +265,7 @@ def check_oml(poset: FinitePoset, comp: dict):
     if extra:
         raise UnknownLabel(sorted(extra)[0])
 
-    meet, join, bad = lattice_tables(poset)
+    meet, join, bad = lattice_tables(els, poset.up)
     verdict = collect(_oml_laws(poset, cvec, meet, join, bad), first_only=True)
     if not verdict.passed:
         return verdict, None
@@ -294,7 +274,7 @@ def check_oml(poset: FinitePoset, comp: dict):
 
 def _oml_laws(poset, c, meet, join, bad):
     """(law, first failure or None) for each lattice law, lazily, in order."""
-    els, leq, n = poset.elements, poset.leq, poset.n
+    els, up, n = poset.elements, poset.up, poset.n
     rng, xs = range(n), [(x,) for x in range(n)]
 
     def failure(law, names, hit):
@@ -307,7 +287,8 @@ def _oml_laws(poset, c, meet, join, bad):
     yield failure("involution", "x",
                   first_mismatch([()], [[c[c[x]] for x in rng]], [list(rng)]))
     yield failure("antitone", "xy", first_mismatch(
-        xs, ([not lx[y] or leq[c[y]][c[x]] for y in rng] for x, lx in enumerate(leq)),
+        xs, ([not ux >> y & 1 or up[c[y]] >> c[x] & 1 for y in rng]
+             for x, ux in enumerate(up)),
         repeat([True] * n)))
     yield failure("complement-law", "x", first_mismatch(
         [()], [[(meet[x][c[x]], join[x][c[x]]) for x in rng]],
@@ -324,21 +305,11 @@ def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:
     labels = [
         f"({la},{lb})" for la in a.elements for lb in b.elements
     ]
-    aleq, bleq = a.poset.leq, b.poset.leq
-    rows = []
-    for xa in range(na):
-        ra = aleq[xa]
-        for xb in range(nb):
-            rb = bleq[xb]
-            m = 0
-            k = 0
-            for ya in range(na):
-                if ra[ya]:
-                    for yb in range(nb):
-                        if rb[yb]:
-                            m |= 1 << (k + yb)
-                k += nb
-            rows.append(m)
+    # (ya, yb) is above (xa, xb) when ya is above xa and yb above xb: the
+    # up-mask of xb copied into block ya, nb bits wide, for each ya above
+    # xa.  The blocks do not overlap, so the copies are one product.
+    blocks = [sum(1 << ya * nb for ya in range(na) if ua >> ya & 1) for ua in a.poset.up]
+    rows = [block * ub for block in blocks for ub in b.poset.up]
     poset = _poset_from_masks(labels, rows)
     comp = {
         labels[xa * nb + xb]: labels[a.comp[xa] * nb + b.comp[xb]]

@@ -240,7 +240,8 @@ _AXIOMS = ("times-commutative", "times-idempotent", "times-associative",
            "times-unit", "times-zero", "R1", "R2", "R3", "R4")
 
 
-@lru_cache(maxsize=None)
+# bounded for long-lived callers; verify-all checks 27 distinct rings
+@lru_cache(maxsize=64)
 def check_rlse(r: RlseTables) -> Verdict:
     """Exhaustively verify the monoid laws and R1..R4.
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat, zip_longest
 from math import lcm
 from operator import add, gt, sub
@@ -125,7 +124,6 @@ def _comb(a, b, f=1):
     return [x + f * y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-@lru_cache(maxsize=None)
 def _state_space(oml: FiniteOml):
     """The solution set of the additivity system, in few free coordinates.
 
@@ -292,13 +290,12 @@ def find_full_state_set(oml: FiniteOml) -> StateSearchResult:
     distinct.  Returns them, or the first pair no state can separate.
     """
     space = _state_space(oml)
-    n = oml.n
-    leq = oml.poset.leq
+    n, up = oml.n, oml.poset.up
     states: list[State] = []
     above = [0] * n
     for x in range(n):
         for y in range(n):
-            if leq[x][y] or above[x] >> y & 1:
+            if (up[x] | above[x]) >> y & 1:
                 continue
             got = _separate(oml, space, x, y)
             if isinstance(got, Infeasible):
@@ -325,7 +322,7 @@ def check_full(oml: FiniteOml, states) -> Verdict:
     full = (1 << oml.n) - 1
     # per x, the y where "no state puts x above y" disagrees with x <= y
     wrong = [(~a ^ up) & full & ~(1 << x)
-             for x, (a, up) in enumerate(zip(above, oml.poset.up_masks()))]
+             for x, (a, up) in enumerate(zip(above, oml.poset.up))]
     hit = first_mismatch([()], [wrong], [[0] * oml.n])
     if hit is None:
         return Verdict(True, ("order-determining",))
@@ -487,7 +484,7 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
     member = {vec: i for i, vec in enumerate(events)}
 
     up = _pointwise_up(events)
-    meet, join, bad = lattice_tables(ev, up)
+    meet, join, bad = lattice_tables(labels, up)
     if bad is not None:
         kind, pair = bad
         raise NotLatticeOrdered("infimum" if kind == "meet" else "supremum", pair)

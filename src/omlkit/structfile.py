@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, UnknownLabel, ValidationError
-from .lattice import FiniteOml, FinitePoset, build_poset
+from .lattice import FiniteOml, FinitePoset, _transpose, build_poset
 from .rlse import RlseTables
 from .states import NumericalEventSet, State
 
@@ -263,19 +263,11 @@ def _wrap(labels, per_line=12):
 
 def _cover_pairs(poset: FinitePoset):
     """Transitive reduction of the strict order."""
-    n = len(poset.elements)
-    leq = poset.leq
-    up = poset.up_masks()
-    down = poset.down_masks()
-    out = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not leq[x][y]:
-                continue
-            between = up[x] & down[y] & ~(1 << x) & ~(1 << y)
-            if not between:
-                out.append((poset.elements[x], poset.elements[y]))
-    return out
+    up, els = poset.up, poset.elements
+    down = _transpose(up)
+    # x < y is a cover when nothing but x and y lies between them
+    return [(els[x], els[y]) for x in range(poset.n) for y in range(poset.n)
+            if x != y and up[x] & down[y] == 1 << x | 1 << y]
 
 
 def from_oml(oml: FiniteOml, states=()) -> StructureFile:

@@ -338,12 +338,12 @@ def chain_check(oml: FiniteOml) -> ChainReport:
     distributive lattices; the biconditional is cross-checked against a
     brute-force distributivity test and any disagreement raises."""
     n = oml.n
-    leq = oml.poset.leq
+    up = oml.poset.up
     a = _eval_table(T1, oml)
     b = _eval_table(THAT, oml)
     c = _eval_table(T2, oml)
     chain = all(
-        leq[a[x][y]][b[x][y]] and leq[b[x][y]][c[x][y]]
+        up[a[x][y]] >> b[x][y] & 1 and up[b[x][y]] >> c[x][y] & 1
         for x in range(n) for y in range(n)
     )
     hat_eq = b == c

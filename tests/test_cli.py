@@ -285,6 +285,42 @@ def test_states_check_full_passes_a_good_pair(tmp_path):
     assert code == 0
 
 
+def _reordered(text, order):
+    """An oml file listing its ELEMENTS in the given order, with the columns
+    of its STATES rows moved along."""
+    sf = structfile.parse_structure(text)
+    cols = [sf.elements.index(lab) for lab in order]
+    sf.elements = tuple(order)
+    sf.states = tuple(tuple(row[i] for i in cols) for row in sf.states)
+    return structfile.serialize_structure(sf)
+
+
+def test_states_check_full_reads_states_by_label(tmp_path):
+    # the bottom is moved to the front on loading; the values must follow
+    _, found, _ = run_cli("states-find", "mo2")
+    path = tmp_path / "mo2.txt"
+    path.write_text(_reordered(found, ("a", "0", "a'", "b", "b'", "1")))
+    code, out, _ = run_cli("states-check-full", str(path))
+    assert code == 0, out
+
+
+def test_states_check_full_verdict_ignores_element_order(tmp_path):
+    rng = random.Random(73)
+    _, found, _ = run_cli("states-find", "mo3")
+    sf = structfile.parse_structure(found)
+    sf.states = sf.states[:2]
+    not_full = structfile.serialize_structure(sf)
+    for text, want in ((found, 0), (not_full, 1)):
+        path = tmp_path / "states.txt"
+        path.write_text(text)
+        assert run_cli("states-check-full", str(path))[0] == want
+        for _ in range(8):
+            order = rng.sample(sf.elements, len(sf.elements))
+            path.write_text(_reordered(text, order))
+            code, out, _ = run_cli("states-check-full", str(path))
+            assert code == want, (order, out)
+
+
 def test_states_check_full_needs_a_states_section():
     code, _, err = run_cli("states-check-full", "boolean_2")
     assert code == 2

@@ -115,6 +115,31 @@ STATE_FILES = {
 }
 
 
+#: mo2 with the bottom listed second; the STATES columns follow ELEMENTS
+MO2_BOTTOM_SECOND = """KIND oml
+ELEMENTS
+a 0 a' b b' 1
+COVERS
+0 a
+0 a'
+0 b
+0 b'
+a 1
+a' 1
+b 1
+b' 1
+COMPLEMENT
+0 1
+a a'
+b b'
+STATES
+1 0 0 0 1 1
+1 0 0 1 0 1
+0 0 1 0 1 1
+0 0 1 1 0 1
+"""
+
+
 def _cases():
     """name -> (argv, {file name: contents})."""
     cases = {
@@ -131,6 +156,9 @@ def _cases():
         "boolean_test_mo2": (["boolean-test", "mo2"], {}),
         "boolean_test_boolean_3": (["boolean-test", "boolean_3"], {}),
         "states_find_mo3": (["states-find", "mo3"], {}),
+        "states_check_full_bottom_second": (
+            ["states-check-full", "@mo2_bottom_second.txt"],
+            {"mo2_bottom_second.txt": MO2_BOTTOM_SECOND}),
         "verify_all": (["verify-all"], {}),
         "terms_enumerate": (["terms-enumerate"], {}),
         "terms_filter": (["terms-filter"], {}),

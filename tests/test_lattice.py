@@ -1,6 +1,8 @@
 """Posets, lattice tables and the orthomodular checks."""
 
+from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,8 +30,17 @@ def test_build_poset_closure():
 
 
 def test_build_poset_bottom_is_first():
-    poset = build_poset(*DIAMOND)
-    assert poset.bottom == 0
+    # the bottom moves to index 0, the others keep their order and relations
+    for labels in (DIAMOND[0], ["a", "0", "b", "1"], ["1", "a", "b", "0"],
+                   ["a", "1", "0", "b"]):
+        poset = build_poset(labels, DIAMOND[1])
+        assert poset.bottom == 0
+        assert poset.elements == ("0", *(lab for lab in labels if lab != "0"))
+        assert poset.elements[poset.top] == "1"
+        pos = {lab: i for i, lab in enumerate(poset.elements)}
+        below = {*DIAMOND[1], ("0", "1"), *((lab, lab) for lab in labels)}
+        assert poset.up == tuple(sum(1 << pos[b] for a, b in below if a == lab)
+                                 for lab in poset.elements)
 
 
 def test_cycle_rejected():
@@ -50,7 +61,7 @@ def test_singleton_poset_rejected():
 
 def test_lattice_tables_diamond():
     poset = build_poset(*DIAMOND)
-    meet, join, bad = lattice_tables(poset)
+    meet, join, bad = lattice_tables(poset.elements, poset.up)
     assert bad is None
     i = {lab: k for k, lab in enumerate(poset.elements)}
     assert meet[i["a"]][i["b"]] == i["0"]
@@ -64,7 +75,7 @@ def test_lattice_tables_failure_witness():
         [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
          ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
     )
-    meet, join, bad = lattice_tables(poset)
+    meet, join, bad = lattice_tables(poset.elements, poset.up)
     assert meet is None and join is None
     assert bad == ("join", ("a", "b"))
 
@@ -133,6 +144,29 @@ def test_direct_product_shape():
     # componentwise complement
     i = prod.index("({1},a)")
     assert prod.elements[prod.comp[i]] == "({2},a')"
+
+
+@pytest.mark.parametrize("names", [("mo2", "boolean_2"), ("boolean_2", "mo1", "mo2"),
+                                   ("boolean_3", "mo3")])
+def test_direct_product_order_is_componentwise(names):
+    factors = [corpus.builtin(name) for name in names]
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = direct_product(prod, f)
+    # element k of the product is the k-th tuple of factor indices
+    tuples = list(product(*(range(f.n) for f in factors)))
+    assert prod.poset.up == tuple(
+        sum(1 << k for k, ys in enumerate(tuples)
+            if all(f.poset.leq[x][y] for f, x, y in zip(factors, xs, ys)))
+        for xs in tuples)
+
+
+@pytest.mark.parametrize("name", corpus.OML_NAMES)
+def test_leq_is_a_view_of_the_up_masks(name):
+    poset = corpus.builtin(name).poset
+    assert [f.name for f in fields(poset)] == ["elements", "up", "bottom", "top"]
+    assert all(poset.leq[i][j] == bool(poset.up[i] >> j & 1)
+               for i in range(poset.n) for j in range(poset.n))
 
 
 def test_product_distributivity_mixes():

@@ -1,4 +1,5 @@
-"""The traced benchmark run finds every function it times."""
+"""The benchmark harness finds every function it times, and its manifests
+agree with what omlkit reads from the inputs they describe."""
 
 import importlib
 import importlib.util
@@ -6,14 +7,18 @@ from pathlib import Path
 
 import pytest
 
-LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
-    launch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launch)
-    return launch.TRACED
+    return _load("launch").TRACED
 
 
 @pytest.mark.parametrize("module, names", sorted(_traced().items()))
@@ -51,3 +56,26 @@ def test_state_searches_call_check_state_through_the_module(monkeypatch):
     calls.clear()
     assert states.check_full(mo2, found).passed
     assert calls == [s.values for s in found]
+
+
+@pytest.mark.parametrize("workload", ["corpus-suite", "boolean-ladder", "mo-products"])
+def test_manifest_matches_the_lattices_it_describes(workload, tmp_path):
+    # the verdict oracle trusts the manifest's covers and complement, which
+    # inputs.py derives from poset.leq; omlkit must read the same from the
+    # files (or builtins) they describe
+    from omlkit import corpus, structfile
+    from omlkit.lattice import check_oml
+
+    manifest = _load("inputs").build(workload, 11, tmp_path)
+    described = [e for e in manifest["lattices"] if "covers" in e]
+    assert described
+    for entry in described:
+        path = Path(entry["target"])
+        if path.is_file():
+            _, oml = check_oml(*structfile.to_oml_input(
+                structfile.parse_structure(path.read_text())))
+        else:
+            oml = corpus.builtin(entry["target"])
+        assert sorted(map(list, structfile._cover_pairs(oml.poset))) == entry["covers"]
+        comp = {lab: oml.elements[c] for lab, c in zip(oml.elements, oml.comp)}
+        assert comp == entry["complement"]
