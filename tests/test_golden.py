@@ -28,10 +28,11 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 MODES = ((), ("--witnesses",), ("--json", "--witnesses"))
 
 
-def _ring_mutant(table, i, j, value):
+def _ring_mutant(table, *cells):
     r = corpus.builtin("paper-example-2set")
     rows = [list(row) for row in getattr(r, table)]
-    rows[i][j] = value
+    for i, j, value in cells:
+        rows[i][j] = value
     frozen = tuple(tuple(row) for row in rows)
     if table == "oplus":
         r = RlseTables(r.elements, frozen, r.times, r.zero, r.one)
@@ -40,15 +41,19 @@ def _ring_mutant(table, i, j, value):
     return structfile.serialize_structure(structfile.from_rlse(r))
 
 
-#: Single-cell mutants of the shipped 2-set ring and the laws they break.
+#: Mutants of the shipped 2-set ring, as (table, (row, column, value)...),
+#: and the laws they break.
 RING_MUTANTS = {
-    "r1": ("oplus", 3, 1, 0),           # R1
-    "r1_r2_r3_r4": ("oplus", 0, 3, 0),  # R1, R2, R3, R4
-    "r2_r3_r4": ("oplus", 3, 3, 1),     # R2, R3, R4
-    "idempotent": ("times", 1, 1, 0),   # times-idempotent, R2
-    "commutative": ("times", 0, 1, 1),  # times-commutative, -associative, R2-R4
-    "unit": ("times", 0, 3, 1),         # times-unit among others
-    "zero": ("times", 0, 0, 1),         # times-zero among others
+    "r1": ("oplus", (3, 1, 0)),             # R1
+    "r1_r2_r3_r4": ("oplus", (0, 3, 0)),    # R1, R2, R3, R4
+    "r2_r3_r4": ("oplus", (3, 3, 1)),       # R2, R3, R4
+    "idempotent": ("times", (1, 1, 0)),     # times-idempotent, R2
+    "commutative": ("times", (0, 1, 1)),    # times-commutative, -associative, R2-R4
+    "unit": ("times", (0, 3, 1)),           # times-unit among others
+    "zero": ("times", (0, 0, 1)),           # times-zero among others
+    # {1}*{2} = {2}*{1} = {1,2}: commutative and idempotent but not
+    # associative; times-associative, R2, R3, R4
+    "times_pair": ("times", (1, 2, 3), (2, 1, 3)),
 }
 
 #: The addition of the ring t1 builds on boolean_2, in its element order.
@@ -166,8 +171,8 @@ def _cases():
         "terms_filter_reordered": (
             ["terms-filter", "--corpus", "mo2,product_2p4_mo2,boolean_3,boolean_2"], {}),
     }
-    for name, mutation in RING_MUTANTS.items():
-        files = {f"mutant_{name}.txt": _ring_mutant(*mutation)}
+    for name, (table, *cells) in RING_MUTANTS.items():
+        files = {f"mutant_{name}.txt": _ring_mutant(table, *cells)}
         for command in ("check-rlse", "derive", "boolean-test"):
             cases[f"{command.replace('-', '_')}_mutant_{name}"] = (
                 [command, f"@mutant_{name}.txt"], files)
