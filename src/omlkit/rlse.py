@@ -11,7 +11,8 @@ detail line of a failure and the rows of both sides: the last variable
 runs along a row, one row per assignment of the others.
 laws.first_mismatch compares the rows whole, so each check reports the
 lexicographically first counterexample, and every check returns a
-laws.Verdict.
+laws.Verdict.  Associativity of * is decided in quadratic time, as the
+meet of its own order, before any of its n^3 triples is scanned.
 """
 
 from __future__ import annotations
@@ -205,10 +206,33 @@ def _ring_laws(r: RlseTables, comp=()) -> dict:
     }
 
 
+def _semilattice(T) -> bool:
+    """Whether the table T is commutative, idempotent and associative.
+
+    Such a table is the meet of its own order x <= y iff x*y = x (Birkhoff,
+    Lattice Theory, ch. II).  With down[y] the mask of the x below y, a
+    commutative idempotent table is associative exactly when
+    down[x] & down[y] == down[x*y] for every pair: the pairs with x <= y
+    make the order transitive, and then x*y is the greatest lower bound of
+    x and y.  That is n^2 mask tests in place of n^3 products.
+    """
+    if list(zip(*T)) != list(map(tuple, T)) or any(tx[x] != x for x, tx in enumerate(T)):
+        return False
+    down = [sum(1 << x for x, v in enumerate(ty) if v == x) for ty in T]
+    return all(dx & dy == down[v] for dx, tx in zip(down, T) for dy, v in zip(down, tx))
+
+
 def _failures(r: RlseTables, laws, comp=()):
-    """(law, first counterexample or None) for the named ring laws, lazily."""
+    """(law, first counterexample or None) for the named ring laws, lazily.
+
+    times-associative passes without a scan when _semilattice decides it;
+    its rows are scanned only to find the witness of a failure.
+    """
     rows, els = _ring_laws(r, comp), r.elements
     for law in laws:
+        if law == "times-associative" and _semilattice(r.times):
+            yield law, None
+            continue
         names, detail, lhs, rhs = rows[law]
         prefixes = product(range(r.n), repeat=max(len(names) - 1, 0))
         hit = first_mismatch(prefixes, lhs, rhs)
@@ -243,10 +267,12 @@ _AXIOMS = ("times-commutative", "times-idempotent", "times-associative",
 # bounded for long-lived callers; verify-all checks 27 distinct rings
 @lru_cache(maxsize=64)
 def check_rlse(r: RlseTables) -> Verdict:
-    """Exhaustively verify the monoid laws and R1..R4.
+    """Decide the monoid laws and R1..R4.
 
-    Every axiom is checked over all assignments; the lexicographically
-    first counterexample per failed axiom is recorded.
+    Every axiom holds over all assignments or has its lexicographically
+    first counterexample recorded.  Associativity is decided by the
+    semilattice test of _semilattice; its triples are scanned only to
+    find the first witness of a failure.
     """
     _check_shape(r)
     return _verdict(r, _AXIOMS)

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, text and JSON output, witnesses."""
 
+import dataclasses
 import io
 import json
 import os
@@ -558,4 +559,45 @@ def test_state_files_never_raise_on_random_rationals(tmp_path):
             pytest.fail(f"states-check-full raised {exc!r} on {text}")
         assert code in (0, 1, 2), text
         codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def _mutate_lattice(rng, sf):
+    """A KIND oml file with one to three edits: a cover dropped, added or
+    reversed, or the complements of two elements swapped."""
+    covers, comp = list(sf.covers), list(sf.complement)
+    for _ in range(rng.randint(1, 3)):
+        how = rng.randrange(4)
+        k = rng.randrange(len(covers))
+        if how == 0:
+            del covers[k]
+        elif how == 1:
+            covers.append((rng.choice(sf.elements), rng.choice(sf.elements)))
+        elif how == 2:
+            covers[k] = covers[k][::-1]
+        else:
+            i, j = rng.randrange(len(comp)), rng.randrange(len(comp))
+            (x, cx), (y, cy) = comp[i], comp[j]
+            comp[i], comp[j] = (x, cy), (y, cx)
+    return dataclasses.replace(sf, covers=tuple(covers), complement=tuple(comp))
+
+
+def test_lattice_files_never_raise_on_mutated_covers_and_complements(tmp_path):
+    rng = random.Random(73)
+    bases = [structfile.from_oml(corpus.builtin(name))
+             for name in ("boolean_2", "boolean_3", "mo1", "mo2", "mo3")]
+    codes = set()
+    for k in range(200):
+        text = structfile.serialize_structure(_mutate_lattice(rng, rng.choice(bases)))
+        path = tmp_path / f"lattice{k}.txt"
+        path.write_text(text)
+        for argv in (["check-oml"], ["construct", "--plus", "t1"], ["states-find"],
+                     ["boolean-test"]):
+            argv = argv[:1] + [str(path)] + argv[1:]
+            try:
+                code, _, _ = run_cli(*argv)
+            except Exception as exc:
+                pytest.fail(f"{argv[0]} raised {exc!r} on {text}")
+            assert code in (0, 1, 2), (argv[0], text)
+            codes.add(code)
     assert codes == {0, 1, 2}

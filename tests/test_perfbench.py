@@ -58,6 +58,28 @@ def test_state_searches_call_check_state_through_the_module(monkeypatch):
     assert calls == [s.values for s in found]
 
 
+def test_check_rlse_draws_a_linear_number_of_rows(monkeypatch):
+    # associativity is decided without its n^2 rows of triples; the other
+    # laws draw at most n rows each
+    from omlkit import corpus, rlse
+
+    drawn = []
+    real = rlse.first_mismatch
+
+    def counting(prefixes, lhs, rhs):
+        def rows():
+            for row in lhs:
+                drawn.append(row)
+                yield row
+        return real(prefixes, rows(), rhs)
+
+    monkeypatch.setattr(rlse, "first_mismatch", counting)
+    r = rlse.rlse_from_oml(corpus.builtin("boolean_5"), "t1")
+    drawn.clear()
+    assert rlse.check_rlse.__wrapped__(r).passed
+    assert len(drawn) <= 6 * r.n, len(drawn)
+
+
 @pytest.mark.parametrize("workload", ["corpus-suite", "boolean-ladder", "mo-products"])
 def test_manifest_matches_the_lattices_it_describes(workload, tmp_path):
     # the verdict oracle trusts the manifest's covers and complement, which

@@ -349,12 +349,16 @@ def _first_counterexample(r, count, sides, detail):
     return None
 
 
+def _bases():
+    return [_paper()] + [rlse_from_oml(corpus.builtin(name), plus)
+                         for name in ("boolean_2", "mo2", "boolean_3")
+                         for plus in ("t1", "t2")]
+
+
 def _mutants(count, seed):
     """Event-ring tables with one to three cells of + or * changed."""
     rng = random.Random(seed)
-    bases = [_paper()] + [rlse_from_oml(corpus.builtin(name), plus)
-                          for name in ("boolean_2", "mo2", "boolean_3")
-                          for plus in ("t1", "t2")]
+    bases = _bases()
     out = []
     for _ in range(count):
         r = rng.choice(bases)
@@ -382,3 +386,65 @@ def test_law_witnesses_match_a_brute_force_scan():
                 failed[law] += 1
     assert min(failed.values()) >= 20, failed
 
+
+def _assert_associativity_matches_brute_force(r):
+    expected = _first_counterexample(r, *_brute_force_laws(r)["times-associative"])
+    verdict = rlse._verdict(r, ("times-associative",))
+    assert verdict.passed == (expected is None), r.times
+    if expected is not None:
+        f = verdict.failures[0]
+        assert (f.witness, f.detail) == expected, r.times
+    return expected is None
+
+
+def _commutative_idempotent_tables(n):
+    """Every commutative idempotent table on n elements."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        rows = [[x if x == y else None for y in range(n)] for x in range(n)]
+        for (x, y), v in zip(pairs, values):
+            rows[x][y] = rows[y][x] = v
+        yield tuple(map(tuple, rows))
+
+
+def test_associativity_decider_matches_a_triple_scan_on_every_small_table():
+    # the semilattice test decides, the scan names the witness; both must
+    # agree with a plain scan of all triples
+    associative = 0
+    for n in range(1, 5):
+        elements = tuple(map(str, range(n)))
+        for times in _commutative_idempotent_tables(n):
+            r = RlseTables(elements, times, times, 0, n - 1)
+            associative += _assert_associativity_matches_brute_force(r)
+    # the meet-semilattices on 1..4 labelled elements; on 4 they are the
+    # chain (24 labellings), the Y (12), the claw (4), the chain with a
+    # second atom (24) and the diamond (12)
+    assert associative == 1 + 2 + 9 + 76
+
+
+def test_associativity_decider_matches_a_triple_scan_on_every_table_of_three():
+    # without its commutativity or idempotence guard the semilattice test
+    # would pass a few non-associative tables here, such as the idempotent
+    # rows 0 1 1 / 0 1 0 / 0 1 2
+    for n in range(1, 4):
+        elements = tuple(map(str, range(n)))
+        for cells in itertools.product(range(n), repeat=n * n):
+            times = tuple(cells[i:i + n] for i in range(0, n * n, n))
+            _assert_associativity_matches_brute_force(
+                RlseTables(elements, times, times, 0, n - 1))
+
+
+def test_associativity_decider_on_symmetric_two_cell_mutants():
+    # a one-cell change of * breaks commutativity or idempotence, so it
+    # rarely reaches the semilattice test's verdict; a symmetric pair does
+    rng = random.Random(4343)
+    bases = _bases()
+    reached = 0
+    for _ in range(1500):
+        r = rng.choice(bases)
+        x, y = rng.sample(range(r.n), 2)
+        v = rng.randrange(r.n)
+        r = _swap_cell(_swap_cell(r, "times", x, y, v), "times", y, x, v)
+        assert rlse._verdict(r, ("times-commutative", "times-idempotent")).passed
+        reached += not _assert_associativity_matches_brute_force(r)
+    assert reached >= 100, reached
