@@ -9,6 +9,10 @@ checks pass, 1 when some check fails, 2 for unusable input.
 Targets are resolved in order: an existing file path, a builtin corpus
 name (plus "o6", the non-orthomodular demonstration hexagon), then a
 file under $OMLKIT_CORPUS_DIR.
+
+Only the lattice and file modules are imported up front; each subcommand
+imports the rest of what it runs, so a process compiles no module it
+does not use.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import corpus, states, structfile, suite, terms
+from . import structfile
 from .errors import (
     CustomPlusInvalid,
     CycleError,
@@ -37,16 +41,6 @@ from .errors import (
 )
 from .lattice import check_oml
 from .laws import LAWS, Verdict
-from .rlse import (
-    RlseTables,
-    check_correspondence,
-    check_derived_identities,
-    check_r4_orthogonal_form,
-    check_rlse,
-    derived_lattice,
-    is_boolean_ring,
-    rlse_from_oml,
-)
 
 __all__ = ["main"]
 
@@ -67,8 +61,8 @@ class _Target:
     name: str
     poset: object = None
     comp: dict | None = None
-    ring: RlseTables | None = None
-    events: states.NumericalEventSet | None = None
+    ring: object = None
+    events: object = None
     states: tuple = ()
 
 
@@ -79,16 +73,18 @@ def _load_target(arg: str) -> _Target:
     if path.is_file():
         text = path.read_text()
         name = path.name
-    elif arg in corpus.RLSE_NAMES:
-        return _Target("rlse", arg, ring=corpus.builtin(arg))
-    elif arg in corpus.OML_NAMES:
-        oml = corpus.builtin(arg)
-        comp = {lab: oml.elements[oml.comp[i]] for i, lab in enumerate(oml.elements)}
-        return _Target("oml", arg, poset=oml.poset, comp=comp)
-    elif arg == "o6":
-        poset, comp = corpus.o6_candidate()
-        return _Target("oml", arg, poset=poset, comp=comp)
     else:
+        from . import corpus
+
+        if arg in corpus.RLSE_NAMES:
+            return _Target("rlse", arg, ring=corpus.builtin(arg))
+        if arg in corpus.OML_NAMES:
+            oml = corpus.builtin(arg)
+            comp = {lab: oml.elements[oml.comp[i]] for i, lab in enumerate(oml.elements)}
+            return _Target("oml", arg, poset=oml.poset, comp=comp)
+        if arg == "o6":
+            poset, comp = corpus.o6_candidate()
+            return _Target("oml", arg, poset=poset, comp=comp)
         base = os.environ.get("OMLKIT_CORPUS_DIR")
         if base:
             for cand in (Path(base) / arg, Path(base) / (arg + ".txt")):
@@ -126,6 +122,8 @@ def _oml(target: _Target, command: str):
 def _full_state_set(target: _Target, command: str, oml):
     """The states find_full_state_set collects, with their passing entry; a
     pair no state separates ends the command."""
+    from . import states
+
     result = states.find_full_state_set(oml)
     if not result.ok:
         raise _Early(_report(command, target.name, [_check(
@@ -190,6 +188,13 @@ def _cmd_check_oml(args):
 
 
 def _cmd_check_rlse(args):
+    from .rlse import (
+        check_correspondence,
+        check_derived_identities,
+        check_r4_orthogonal_form,
+        check_rlse,
+    )
+
     target = _expect(_load_target(args.file), "rlse", "check-rlse")
     r = target.ring
     axioms = check_rlse(r)
@@ -210,6 +215,8 @@ def _cmd_check_rlse(args):
 
 
 def _cmd_derive(args):
+    from .rlse import derived_lattice
+
     target = _expect(_load_target(args.file), "rlse", "derive")
     try:
         oml = derived_lattice(target.ring)
@@ -234,6 +241,8 @@ def _custom_plus(path: str, elements) -> list:
 
 
 def _cmd_construct(args):
+    from .rlse import rlse_from_oml
+
     target = _load_target(args.file)
     oml = _oml(target, "construct")
     plus = args.plus
@@ -251,6 +260,8 @@ def _cmd_construct(args):
 
 
 def _cmd_terms_enumerate(args):
+    from . import terms
+
     ts = terms.enumerate_canonical_terms()
     sets = terms.canonical_index_sets()
     data = {"terms": [
@@ -263,6 +274,8 @@ def _cmd_terms_enumerate(args):
 
 
 def _filter_corpus(names):
+    from . import corpus
+
     omls = []
     for name in names:
         if name not in corpus.OML_NAMES:
@@ -272,7 +285,9 @@ def _filter_corpus(names):
 
 
 def _cmd_terms_filter(args):
-    names = tuple(args.corpus.split(","))
+    from . import corpus, terms
+
+    names = corpus.FILTER_CORPUS if args.corpus is None else tuple(args.corpus.split(","))
     omls = _filter_corpus(names)
     result = terms.filter_symmetric_difference_terms(omls)
     classes = [{
@@ -303,6 +318,8 @@ def _cmd_states_find(args):
 
 
 def _cmd_states_check_full(args):
+    from . import states
+
     target = _load_target(args.file)
     oml = _oml(target, "states-check-full")
     if not target.states:
@@ -317,7 +334,9 @@ def _cmd_states_check_full(args):
     return _report("states-check-full", target.name, entries + _entries(full))
 
 
-def _ring_test_entries(r: RlseTables) -> list:
+def _ring_test_entries(r) -> list:
+    from .rlse import check_rlse, is_boolean_ring
+
     axioms = check_rlse(r)
     if not axioms.passed:
         return _entries(axioms)
@@ -331,7 +350,9 @@ def _ring_test_entries(r: RlseTables) -> list:
     return entries
 
 
-def _event_test_entries(ev: states.NumericalEventSet) -> list:
+def _event_test_entries(ev) -> list:
+    from . import states
+
     try:
         report = states.boolean_test(ev)
     except NotLatticeOrdered as exc:
@@ -356,6 +377,8 @@ def _cmd_boolean_test(args):
     if target.kind == "events":
         return _report("boolean-test", target.name,
                        _event_test_entries(target.events))
+    from . import states
+
     oml = _oml(target, "boolean-test")
     found, entry = _full_state_set(target, "boolean-test", oml)
     entries = [entry] + _event_test_entries(states.events_from_states(oml, found))
@@ -363,6 +386,8 @@ def _cmd_boolean_test(args):
 
 
 def _cmd_verify_all(args):
+    from . import suite
+
     entries = []
     for r in suite.run_all():
         entries.append(_check(f"criterion-{r.number}", r.passed,
@@ -467,8 +492,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="t1, t2 or custom=FILE (default t1)")
     add("terms-enumerate", "list the 96 canonical binary terms", with_file=False)
     p = add("terms-filter", "classify the addition candidates", with_file=False)
-    p.add_argument("--corpus", default=",".join(suite.FILTER_CORPUS),
-                   help="comma-separated builtin lattice names")
+    p.add_argument("--corpus", help="comma-separated builtin lattice names")
     add("states-find", "search for a full state set")
     add("states-check-full", "check that the listed states recover the order")
     add("boolean-test", "decide Booleanness of a ring, lattice or event set")

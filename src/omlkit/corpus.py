@@ -19,7 +19,6 @@ from functools import lru_cache
 from . import lattice as _lat
 from .errors import UnknownName
 from .lattice import FiniteOml, FinitePoset, check_oml, direct_product
-from .rlse import RlseTables
 
 __all__ = [
     "builtin",
@@ -36,6 +35,10 @@ OML_NAMES = (
 )
 
 RLSE_NAMES = ("paper-example-2set",)
+
+#: Corpus for the term filter; small members come first so cheap
+#: eliminations happen before the big product is consulted.
+FILTER_CORPUS = ("boolean_2", "mo2", "boolean_3", "product_2p4_mo2")
 
 
 def all_names() -> tuple[str, ...]:
@@ -86,6 +89,8 @@ def _mo(n: int) -> FiniteOml:
 
 
 def _paper_example() -> RlseTables:
+    from .rlse import RlseTables
+
     # Powerset of {1,2}; A+B is the whole set when A = B is a singleton,
     # otherwise the symmetric difference.  Multiplication is intersection.
     labels = [_set_label(m) for m in range(4)]

@@ -178,42 +178,41 @@ def lattice_tables(labels, up):
     tables are index-valued and row-major, or (None, None, (kind,
     (x_label, y_label))) naming the first pair without an infimum
     ("meet") or supremum ("join").
+
+    The masks are renumbered by rank, the size of the down-set, which
+    extends the order linearly.  A greatest element of a set then holds
+    its highest bit and a least element its lowest, so each bound takes
+    one containment test.  up must be a partial order (no two elements
+    with the same mask).
     """
-    down = _transpose(up)
     n = len(up)
+    down = _transpose(up)
+    order = sorted(range(n), key=lambda i: down[i].bit_count())
+    # dn[i] and un[i]: the down- and up-set of element i, bit r for rank r
+    dn = _transpose([up[i] for i in order])
+    un = _transpose([down[i] for i in order])
+    rdown = [dn[i] for i in order]
+    rup = [un[i] for i in order]
     meet: list[list[int]] = [[0] * n for _ in range(n)]
     join: list[list[int]] = [[0] * n for _ in range(n)]
     for x in range(n):
+        dx, ux = dn[x], un[x]
         for y in range(x, n):
-            z = _bound_of(down[x] & down[y], down)
-            if z < 0:
+            s = dx & dn[y]
+            r = s.bit_length() - 1
+            if not s or rdown[r] & s != s:
                 return None, None, ("meet", (labels[x], labels[y]))
-            meet[x][y] = meet[y][x] = z
-            z = _bound_of(up[x] & up[y], up)
-            if z < 0:
+            meet[x][y] = meet[y][x] = order[r]
+            s = ux & un[y]
+            r = (s & -s).bit_length() - 1
+            if not s or rup[r] & s != s:
                 return None, None, ("join", (labels[x], labels[y]))
-            join[x][y] = join[y][x] = z
+            join[x][y] = join[y][x] = order[r]
     return (
         tuple(tuple(r) for r in meet),
         tuple(tuple(r) for r in join),
         None,
     )
-
-
-def _bound_of(s: int, masks: list[int]) -> int:
-    """The z in bitmask set s whose mask contains all of s, or -1.
-
-    With down-masks that is the greatest element of s, with up-masks the
-    least.
-    """
-    m = s
-    while m:
-        low = m & -m
-        z = low.bit_length() - 1
-        m ^= low
-        if masks[z] & s == s:
-            return z
-    return -1
 
 
 @dataclass(frozen=True)

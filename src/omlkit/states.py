@@ -35,6 +35,7 @@ from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import lcm
 from operator import add, gt, sub
+from typing import TYPE_CHECKING
 
 from . import simplex
 from .errors import (
@@ -48,7 +49,9 @@ from .errors import (
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
 from .lattice import FiniteOml, _transpose, lattice_tables
-from .rlse import RlseTables
+
+if TYPE_CHECKING:
+    from .rlse import RlseTables
 
 __all__ = [
     "State",

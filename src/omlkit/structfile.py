@@ -32,8 +32,6 @@ from fractions import Fraction
 
 from .errors import ParseError, UnknownLabel, ValidationError
 from .lattice import FiniteOml, FinitePoset, _transpose, build_poset
-from .rlse import RlseTables
-from .states import NumericalEventSet, State
 
 __all__ = [
     "StructureFile",
@@ -225,6 +223,8 @@ def to_oml_input(sf: StructureFile):
 
 
 def to_rlse(sf: StructureFile) -> RlseTables:
+    from .rlse import RlseTables
+
     if sf.kind != "rlse":
         raise ValidationError(f"expected an rlse file, got {sf.kind}")
     return RlseTables.from_labels(sf.elements, sf.oplus, sf.times, sf.zero, sf.one)
@@ -232,6 +232,8 @@ def to_rlse(sf: StructureFile) -> RlseTables:
 
 def to_events(sf: StructureFile) -> NumericalEventSet:
     """Rebuild the event set; states are the columns of the value matrix."""
+    from .states import NumericalEventSet, State
+
     if sf.kind != "events":
         raise ValidationError(f"expected an events file, got {sf.kind}")
     order = {lab: i for i, (lab, _) in enumerate(sf.events)}
@@ -277,7 +279,11 @@ def from_oml(oml: FiniteOml, states=()) -> StructureFile:
     sf.complement = tuple(
         (lab, oml.elements[oml.comp[i]]) for i, lab in enumerate(oml.elements)
     )
-    sf.states = tuple(s.values if isinstance(s, State) else tuple(s) for s in states)
+    if states:
+        # only a lattice with states needs the states module
+        from .states import State
+
+        sf.states = tuple(s.values if isinstance(s, State) else tuple(s) for s in states)
     return sf
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import corpus, states, terms
+from .corpus import FILTER_CORPUS
 from .errors import OracleMismatch
 from .lattice import is_distributive
 from .rlse import (
@@ -35,10 +36,6 @@ from .rlse import (
 )
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
-
-#: Corpus for the term filter; small members come first so cheap
-#: eliminations happen before the big product is consulted.
-FILTER_CORPUS = ("boolean_2", "mo2", "boolean_3", "product_2p4_mo2")
 
 #: Lattices whose state spaces the suite exercises explicitly.
 STATES_CORPUS = ("boolean_2", "boolean_3", "mo2", "product_2p4_mo2")

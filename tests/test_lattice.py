@@ -1,5 +1,7 @@
 """Posets, lattice tables and the orthomodular checks."""
 
+import random
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -191,3 +193,75 @@ def test_boolean_members_are_distributive():
         oml = corpus.builtin(name)
         expected = name.startswith("boolean") or name == "mo1"
         assert is_distributive(oml)[0] is expected, name
+
+
+def _scanned_tables(labels, up):
+    """lattice_tables as it was: each bound found by scanning the common
+    lower (upper) bounds, lowest index first, for one that holds them all."""
+    down = [sum(1 << i for i in range(len(up)) if up[i] >> j & 1) for j in range(len(up))]
+
+    def bound_of(s, masks):
+        for z in range(len(masks)):
+            if s >> z & 1 and masks[z] & s == s:
+                return z
+        return -1
+
+    n = len(up)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            z = bound_of(down[x] & down[y], down)
+            if z < 0:
+                return None, None, ("meet", (labels[x], labels[y]))
+            meet[x][y] = meet[y][x] = z
+            z = bound_of(up[x] & up[y], up)
+            if z < 0:
+                return None, None, ("join", (labels[x], labels[y]))
+            join[x][y] = join[y][x] = z
+    return tuple(map(tuple, meet)), tuple(map(tuple, join)), None
+
+
+def _permuted(up, order):
+    """The up-masks with element order[k] moved to index k."""
+    at = {old: k for k, old in enumerate(order)}
+    return [sum(1 << at[j] for j in order if up[i] >> j & 1) for i in order]
+
+
+def _random_bounded_poset(rng):
+    # a random strict order on the inner elements, taken in a hidden
+    # topological order, under a bottom and over a top
+    inner = rng.randint(2, 8)
+    n = inner + 2
+    up = [1 << i for i in range(n)]
+    for i in range(1, inner + 1):
+        for j in range(i + 1, inner + 1):
+            if rng.random() < 0.3:
+                up[i] |= 1 << j
+    for i in range(inner, 0, -1):
+        for j in range(i + 1, inner + 1):
+            if up[i] >> j & 1:
+                up[i] |= up[j]
+        up[i] |= 1 << n - 1
+    up[0] = (1 << n) - 1
+    return _permuted(up, rng.sample(range(n), n))
+
+
+def test_lattice_tables_agree_with_the_bound_scan():
+    rng = random.Random(1009)
+    cases = [corpus.builtin(name).poset.up for name in corpus.OML_NAMES]
+    for factors in (("mo2", "boolean_3"), ("mo3", "boolean_2"), ("boolean_4",),
+                    ("mo2", "mo1", "boolean_2")):
+        oml = corpus.builtin(factors[0])
+        for name in factors[1:]:
+            oml = direct_product(oml, corpus.builtin(name))
+        for _ in range(3):
+            cases.append(_permuted(oml.poset.up, rng.sample(range(oml.n), oml.n)))
+    cases += [_random_bounded_poset(rng) for _ in range(1500)]
+    kinds = Counter()
+    for up in cases:
+        labels = [f"e{i}" for i in range(len(up))]
+        got = lattice_tables(labels, up)
+        assert got == _scanned_tables(labels, up), up
+        kinds[got[2] and got[2][0]] += 1
+    assert kinds["meet"] >= 10 and kinds["join"] >= 10, kinds

@@ -3,6 +3,10 @@ agree with what omlkit reads from the inputs they describe."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +105,23 @@ def test_manifest_matches_the_lattices_it_describes(workload, tmp_path):
         assert sorted(map(list, structfile._cover_pairs(oml.poset))) == entry["covers"]
         comp = {lab: oml.elements[c] for lab, c in zip(oml.elements, oml.comp)}
         assert comp == entry["complement"]
+
+
+def test_the_traced_launcher_runs_a_lazily_imported_command(tmp_path):
+    # launch.py wraps the functions of all nine traced modules, which a
+    # check-oml run would not import by itself
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "launch.py"), str(trace), "check-oml", "boolean_2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
+    stats = json.loads(trace.read_text())["stats"]
+    # one check builds the builtin, one is the command's own
+    assert stats["corpus.builtin"][0] == 1
+    assert stats["lattice.check_oml"][0] == 2
+    assert {f"{module}.{name}" for module, names in _traced().items()
+            for name in names} <= stats.keys()
