@@ -1,8 +1,7 @@
 """Compact-tableau two-phase simplex over exact rationals.
 
-Solves  max c.x  subject to  A x <= b, x >= 0  with every coefficient a
-Fraction, so verdicts are exact and the returned optimum is a vertex of
-the feasible region.
+Solves  max c.x  subject to  A x <= b, x >= 0  exactly, for int or
+Fraction coefficients; the optimum and the vertex come back as Fractions.
 
 Variables are numbered: the n structural ones first, then one slack per
 row, then one artificial per row with a negative right-hand side.  The
@@ -15,6 +14,12 @@ are n nonbasic columns plus one per artificial still basic, so a pivot
 touches a few entries per row instead of one per variable.  The basic
 columns a full tableau would also carry are unit vectors, and its
 reduced costs on them are zero, so they never take part in a choice.
+
+The rows are fraction-free (Edmonds 1967, Bareiss 1968): each is a list
+of ints over its own positive denominator, and a pivot rewrites only the
+rows with a nonzero entry in its column, each divided by its gcd.  The
+ratio test cross-multiplies, where the row denominators cancel.  The
+objective rows come last, the phase-two one carried through phase one.
 
 Pivoting uses Bland's smallest-index rule on variable numbers: enter the
 smallest-numbered nonbasic with a positive reduced cost, leave by the
@@ -31,11 +36,9 @@ Bland's rule rules out cycling at the price of a few extra pivots.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["maximize", "InfeasibleError", "UnboundedError"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class InfeasibleError(Exception):
@@ -47,7 +50,8 @@ class UnboundedError(Exception):
 
 
 def maximize(c, rows, rhs):
-    """Return (optimal value, vertex x) for max c.x, rows.x <= rhs, x >= 0.
+    """Return (optimal value, vertex x) for max c.x, rows.x <= rhs, x >= 0,
+    all Fractions.
 
     Raises InfeasibleError or UnboundedError.  Fully deterministic: the
     same input always yields the same vertex.
@@ -56,120 +60,100 @@ def maximize(c, rows, rhs):
     first_art = n + m
     # Nonbasic columns: the structural variables, then the slack of every
     # row whose artificial starts basic.
-    nonbasic = list(range(n))
     neg = [i for i in range(m) if rhs[i] < 0]
-    nonbasic += [n + i for i in neg]
-    art_of = {i: k for k, i in enumerate(neg)}
-    width = len(nonbasic)
+    nonbasic = [*range(n), *(n + i for i in neg)]
+    basis = [n + i for i in range(m)]
 
-    tableau = []
-    basis = []
-    for i in range(m):
-        row = [_ZERO] * (width + 1)
-        if i in art_of:
-            for j, v in enumerate(rows[i]):
-                if v:
-                    row[j] = -v
-            row[n + art_of[i]] = -_ONE
-            row[-1] = -rhs[i]
-            basis.append(first_art + art_of[i])
-        else:
-            for j, v in enumerate(rows[i]):
-                if v:
-                    row[j] = v
-            row[-1] = rhs[i]
-            basis.append(n + i)
+    # tableau[i] / den[i] is row i; the cost row follows the m constraints
+    tableau, den = [], []
+    for coefs in [*([*row, b] for row, b in zip(rows, rhs)), [*c, 0]]:
+        d = lcm(*(v.denominator for v in coefs))
+        row = [v.numerator * (d // v.denominator) for v in coefs]
+        row[n:n] = [0] * len(neg)
         tableau.append(row)
+        den.append(d)
+    for k, i in enumerate(neg):
+        tableau[i] = [-v for v in tableau[i]]
+        tableau[i][n + k] = -den[i]
+        basis[i] = first_art + k
 
     if neg:
         # Phase one: drive the artificial variables to zero.
-        obj = [_ZERO] * (width + 1)
-        for i in neg:
-            for k, v in enumerate(tableau[i]):
-                if v:
-                    obj[k] += v
-        _pivot_until_optimal(tableau, basis, nonbasic, obj, first_art)
-        if obj[-1] != 0:
+        d = lcm(*(den[i] for i in neg))
+        tableau.append([sum(col) for col in zip(
+            *([v * (d // den[i]) for v in tableau[i]] for i in neg))])
+        den.append(d)
+        _pivot_until_optimal(tableau, den, basis, nonbasic, first_art)
+        if tableau.pop()[-1]:
             raise InfeasibleError("artificial variables cannot be eliminated")
-        _evict_artificials(tableau, basis, nonbasic, first_art)
+        den.pop()
+        _evict_artificials(tableau, den, basis, nonbasic, first_art)
+    _pivot_until_optimal(tableau, den, basis, nonbasic, first_art)
 
-    obj = [_ZERO] * (len(nonbasic) + 1)
-    for k, var in enumerate(nonbasic):
-        if var < n:
-            obj[k] = c[var]
-    for i, bv in enumerate(basis):
-        if bv < n and c[bv]:
-            coef = c[bv]
-            for k, v in enumerate(tableau[i]):
-                if v:
-                    obj[k] -= coef * v
-    _pivot_until_optimal(tableau, basis, nonbasic, obj, first_art)
-
-    x = [_ZERO] * n
+    x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tableau[i][-1]
-    return -obj[-1], x
+            x[bv] = Fraction(tableau[i][-1], den[i])
+    return Fraction(-tableau[-1][-1], den[-1]), x
 
 
-def _pivot_until_optimal(tableau, basis, nonbasic, obj, first_art):
-    """Bland's rule on variable numbers, as in the module docstring."""
+def _pivot_until_optimal(tableau, den, basis, nonbasic, first_art):
+    """Bland's rule as in the module docstring, on the last row's costs."""
     while True:
+        obj = tableau[-1]
         col = -1
         for k, var in enumerate(nonbasic):
             if obj[k] > 0 and (col < 0 or var < nonbasic[col]):
                 col = k
         if col < 0:
             return
-        best = None
         leave = -1
-        for i, row in enumerate(tableau):
-            a = row[col]
+        for i, bv in enumerate(basis):
+            a = tableau[i][col]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = tableau[i][-1]
+                if leave < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and bv < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             raise UnboundedError("improving column has no blocking row")
-        _pivot(tableau, basis, nonbasic, obj, leave, col)
+        _pivot(tableau, den, basis, nonbasic, leave, col)
         if nonbasic[col] >= first_art:
-            _drop_column(tableau, nonbasic, obj, col)
+            _drop_column(tableau, nonbasic, col)
 
 
-def _pivot(tableau, basis, nonbasic, obj, r, col):
+def _pivot(tableau, den, basis, nonbasic, r, col):
     """Exchange basis[r] and nonbasic[col]; column col then holds the
     leaving variable's coefficients."""
     prow = tableau[r]
-    inv = _ONE / prow[col]
-    prow = [v * inv if v else v for v in prow]
-    prow[col] = inv
-    tableau[r] = prow
-    nz = [k for k, v in enumerate(prow) if v and k != col]
+    p = prow[col]
+    prow[col] = den[r]
+    if p < 0:
+        prow, p = [-v for v in prow], -p
+    tableau[r], den[r] = prow, p = _lowest(prow, p)
     for i, row in enumerate(tableau):
-        if i != r and row[col]:
-            _eliminate(row, prow, nz, col)
-    if obj is not None and obj[col]:
-        _eliminate(obj, prow, nz, col)
+        f = row[col]
+        if f and i != r:
+            # (A_i p - f A_r) / (d_i p), with A_i's entry in col read as 0
+            row[col] = 0
+            tableau[i], den[i] = _lowest([v * p - f * w for v, w in zip(row, prow)],
+                                         den[i] * p)
     basis[r], nonbasic[col] = nonbasic[col], basis[r]
 
 
-def _eliminate(row, prow, nz, col):
-    coef = row[col]
-    for k in nz:
-        row[k] -= coef * prow[k]
-    row[col] = -coef * prow[col]
+def _lowest(row, d):
+    """The row over d, divided by the gcd of d and its entries."""
+    g = gcd(d, *row)
+    return ([v // g for v in row], d // g) if g > 1 else (row, d)
 
 
-def _drop_column(tableau, nonbasic, obj, col):
+def _drop_column(tableau, nonbasic, col):
     for row in tableau:
         del row[col]
-    if obj is not None:
-        del obj[col]
     del nonbasic[col]
 
 
-def _evict_artificials(tableau, basis, nonbasic, first_art):
+def _evict_artificials(tableau, den, basis, nonbasic, first_art):
     """Pivot leftover zero-level artificials onto real columns.
 
     Every row carries its own slack, so the real columns have full row
@@ -181,5 +165,5 @@ def _evict_artificials(tableau, basis, nonbasic, first_art):
             row = tableau[i]
             col = min((k for k, v in enumerate(nonbasic) if row[k]),
                       key=nonbasic.__getitem__)
-            _pivot(tableau, basis, nonbasic, None, i, col)
-            _drop_column(tableau, nonbasic, None, col)
+            _pivot(tableau, den, basis, nonbasic, i, col)
+            _drop_column(tableau, nonbasic, col)

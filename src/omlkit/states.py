@@ -5,23 +5,23 @@ and is additive on orthogonal pairs.  The searches below first solve the
 additivity equations symbolically, which shrinks each lattice to a handful
 of free coordinates, then run an exact simplex over those coordinates.
 An affine form is a plain list [const, c0, c1, ...]; the propagation adds
-integers, and Fractions enter with the elimination, the simplex rows and
-the state values, so every result is exact.
+integers, and Fractions enter with the elimination, so every result is
+exact.
 
 Which pairs a state set separates is kept as dominance masks: above[x]
 is the bitmask of the y with m(x) > m(y) in some state, built by sorting
-each state's values once.  The full-set search consults it to skip pairs
-already separated, and check_full reads its verdict and first witness
-pair off it, one mask operation per element.  The same masks give the
-pointwise order of numerical events, which the event side builds once
+each state's scaled values once.  The full-set search consults it to skip
+pairs already separated, and check_full reads its verdict and first
+witness pair off it, one mask operation per element.  The same masks give
+the pointwise order of numerical events, which the event side builds once
 and hands to lattice.lattice_tables for infima and suprema.
 
-The state and event scans run on ints.  check_state multiplies one
-state by the lcm of its denominators; the event checks multiply each
-coordinate of the vectors by the lcm of its denominators (_scaled), which
-keeps their pointwise order, sums and membership, with the scaled 1 in
-place of 1.  State values, event vectors and witness values stay
-Fraction.
+The state search and the scans run on ints (_scale): rationals times the
+lcm of their denominators.  The reduction's forms share one denominator,
+each vertex state is evaluated on them and on its scaled vertex, the
+state checks and the dominance masks scale each state, and the event
+checks each coordinate (_scaled), with the scaled 1 in place of 1.
+State values, event vectors and witness values stay Fraction.
 
 Checks return a laws.Verdict; their counterexample scans compare whole
 rows with laws.first_mismatch, so each failure carries the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import lcm
-from operator import add, gt, sub
+from operator import add, gt, mul, sub
 from typing import TYPE_CHECKING
 
 from . import simplex
@@ -91,11 +91,17 @@ def check_state(oml: FiniteOml, values) -> Verdict:
     return collect(_state_laws(oml, vals), first_only=True)
 
 
+def _scale(values):
+    """(den, ints): ints[i] = values[i] * den, den the lcm of their
+    denominators, which keeps the order, ties, sums and differences."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def _state_laws(oml, vals):
-    # the scans run on the values times the lcm of their denominators
+    # the scans run on the values scaled to ints
     els, n = oml.elements, oml.n
-    den = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (den // v.denominator) for v in vals]
+    den, ints = _scale(vals)
     hit = first_mismatch([()], [[0 <= v <= den for v in ints]], [[True] * n])
     yield "range", hit and Failure("range", {"x": els[hit[0]], "value": str(vals[hit[0]])})
     top = oml.poset.top
@@ -208,8 +214,9 @@ def _state_space(oml: FiniteOml):
     cols = [0] + [k for k in range(1, width) if any(e[k] for e in exprs)]
     exprs = [[Fraction(e[k]) for k in cols] for e in exprs]
 
+    forms = _scaled_forms(exprs)[1]
     for x, y, w in constraints:
-        if any(map(sub, map(add, exprs[x], exprs[y]), exprs[w])):
+        if any(map(sub, map(add, forms[x], forms[y]), forms[w])):
             raise OracleMismatch("additivity reduction lost a constraint")
 
     box = []
@@ -225,6 +232,13 @@ def _state_space(oml: FiniteOml):
             box.append((tuple(-v for v in coefs), const))
     box = dict.fromkeys(box)
     return exprs, [list(r) for r, _ in box], [b for _, b in box]
+
+
+def _scaled_forms(exprs):
+    """(den, forms): the forms times one common denominator den, as ints."""
+    width = len(exprs[0])
+    den, ints = _scale([v for e in exprs for v in e])
+    return den, [ints[i:i + width] for i in range(0, len(ints), width)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +265,7 @@ class StateSearchResult:
 
 
 def _separate(oml, space, xi, yi):
+    """A vertex z of the state space with m(x) > m(y), or Infeasible."""
     if space is not None:
         exprs, rows, rhs = space
         ex, ey = exprs[xi], exprs[yi]
@@ -259,13 +274,7 @@ def _separate(oml, space, xi, yi):
         except simplex.InfeasibleError:
             value = None
         if value is not None and value + ex[0] - ey[0] > 0:
-            values = tuple(sum((c * v for c, v in zip(e[1:], z) if c), e[0])
-                           for e in exprs)
-            verdict = check_state(oml, values)
-            if not verdict.passed:
-                raise OracleMismatch(
-                    f"solver produced a non-state: {verdict.failures[0].law}")
-            return State(values)
+            return z
     return Infeasible(oml.elements[xi], oml.elements[yi])
 
 
@@ -293,18 +302,28 @@ def find_full_state_set(oml: FiniteOml) -> StateSearchResult:
     distinct.  Returns them, or the first pair no state can separate.
     """
     space = _state_space(oml)
+    den, forms = _scaled_forms(space[0]) if space else (1, [])
     n, up = oml.n, oml.poset.up
     states: list[State] = []
     above = [0] * n
     for x in range(n):
-        for y in range(n):
-            if (up[x] | above[x]) >> y & 1:
-                continue
-            got = _separate(oml, space, x, y)
-            if isinstance(got, Infeasible):
-                return StateSearchResult(None, got)
-            states.append(got)
-            _add_dominance(above, got.values)
+        # the y not below x and not yet separated from it, ascending
+        todo = ~(up[x] | above[x]) & (1 << n) - 1
+        while todo:
+            low = todo & -todo
+            z = _separate(oml, space, x, low.bit_length() - 1)
+            if isinstance(z, Infeasible):
+                return StateSearchResult(None, z)
+            # m(e) = forms[e].(1, z) / den, evaluated on z scaled to ints
+            dz, zs = _scale([1, *z])
+            nums = [sum(map(mul, f, zs)) for f in forms]
+            values = tuple(Fraction(v, den * dz) for v in nums)
+            verdict = check_state(oml, values)
+            if not verdict.passed:
+                raise OracleMismatch(f"solver produced a non-state: {verdict.failures[0].law}")
+            states.append(State(values))
+            _add_dominance(above, nums)
+            todo &= ~(above[x] | low)
     return StateSearchResult(tuple(states), None)
 
 
@@ -321,7 +340,7 @@ def check_full(oml: FiniteOml, states) -> Verdict:
         verdict = check_state(oml, vals)
         if not verdict.passed:
             raise InvalidState(pos, verdict.failures[0].law)
-        _add_dominance(above, vals)
+        _add_dominance(above, _scale(vals)[1])
     full = (1 << oml.n) - 1
     # per x, the y where "no state puts x above y" disagrees with x <= y
     wrong = [(~a ^ up) & full & ~(1 << x)
@@ -374,13 +393,10 @@ def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
 
 
 def _scaled(events):
-    """(den, ints): den[k] is the lcm of the denominators in coordinate k,
-    and ints[i][k] = events[i][k] * den[k], an int.  A positive factor per
-    coordinate keeps the pointwise order, sums, differences and equality,
-    so the scans below run on ints with den[k] in place of 1."""
-    den = [lcm(*(v.denominator for v in col)) for col in zip(*events)]
-    return den, [tuple(v.numerator * (d // v.denominator) for v, d in zip(p, den, strict=True))
-                 for p in events]
+    """(den, ints): coordinate k of the vectors scaled by _scale, by den[k];
+    the scans below run on the ints with den[k] in place of 1."""
+    cols = [_scale(col) for col in zip(*events)]
+    return [d for d, _ in cols], list(zip(*(c for _, c in cols))) or [()] * len(events)
 
 
 def _pointwise_up(events) -> list[int]:

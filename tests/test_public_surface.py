@@ -92,6 +92,13 @@ def test_check_oml_imports_only_the_lattice_modules(files):
         "omlkit.lattice", "omlkit.structfile"}
 
 
+@pytest.mark.parametrize("command", ["states-find", "states-check-full"])
+def test_state_commands_import_only_the_state_modules(files, command):
+    assert _imported(command, files["oml"]) == {
+        "omlkit", "omlkit.cli", "omlkit.errors", "omlkit.laws",
+        "omlkit.lattice", "omlkit.simplex", "omlkit.states", "omlkit.structfile"}
+
+
 @pytest.mark.parametrize("command, kind", [
     ("construct", "oml"), ("check-rlse", "rlse"), ("derive", "rlse"),
     ("states-find", "oml"), ("states-check-full", "oml"),

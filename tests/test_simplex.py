@@ -293,3 +293,42 @@ def test_compact_tableau_matches_the_dense_tableau():
         seen["optimal" if isinstance(expected, tuple) else expected] += 1
         seen["phase one"] += any(b < 0 for b in rhs)
     assert min(seen.values()) >= 100, seen
+
+
+def _mixed_program(rng):
+    """Coefficients with denominators from 1 to 97 and numerators up to
+    60 in size, right-hand sides of either sign, and often a box of
+    scaled unit rows, so that the rows reach the simplex with unlike
+    denominators."""
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 6)
+
+    def coef(lo=-60, hi=60):
+        return F(rng.randint(lo, hi), rng.randint(1, 97))
+
+    c = [coef() for _ in range(n)]
+    rows = [[coef() for _ in range(n)] for _ in range(m)]
+    rhs = [coef(-40, 60) for _ in range(m)]
+    if rng.random() < 0.6:
+        for j in range(n):
+            rows.append([coef(1, 60) if j == k else F(0) for k in range(n)])
+            rhs.append(coef(1, 60))
+    return c, rows, rhs
+
+
+def test_compact_tableau_matches_the_dense_tableau_on_mixed_denominators():
+    rng = random.Random(97)
+    seen = {"optimal": 0, InfeasibleError: 0, "phase one": 0}
+    for trial in range(1500):
+        c, rows, rhs = _mixed_program(rng)
+        expected = _outcome(_dense_maximize, c, rows, rhs)
+        got = _outcome(maximize, c, rows, rhs)
+        assert got == expected, (trial, c, rows, rhs)
+        if isinstance(got, tuple):
+            value, x = got
+            assert type(value) is F and all(type(v) is F for v in x), (trial, got)
+            seen["optimal"] += 1
+        elif got is InfeasibleError:
+            seen[got] += 1
+        seen["phase one"] += any(b < 0 for b in rhs)
+    assert min(seen.values()) >= 150, seen

@@ -375,6 +375,68 @@ def test_check_full_witness_matches_a_lexicographic_scan():
                 assert (w["x"], w["y"]) == expected
 
 
+def _fraction_dominance(n, value_lists):
+    """Reference for the dominance masks: sort each state's Fraction
+    values and let every value class dominate the classes below it."""
+    above = [0] * n
+    for values in value_lists:
+        lower = group = 0
+        prev = None
+        for x in sorted(range(n), key=values.__getitem__):
+            if values[x] != prev:
+                lower |= group
+                group = 0
+                prev = values[x]
+            group |= 1 << x
+            above[x] |= lower
+    return above
+
+
+def test_check_full_sorts_scaled_values_like_fractions():
+    # mixtures w*s + (1-w)*t of found states are states with unlike
+    # denominators; w = 1/2 and equal values in s and t make ties
+    for name in ("mo2", "mo3", "product_2p4_mo2"):
+        oml = corpus.builtin(name)
+        found = [s.values for s in find_full_state_set(oml).states]
+        leq, els = oml.poset.leq, oml.elements
+        rng = random.Random(name)
+        mixed = []
+        for _ in range(12):
+            s, t = rng.sample(found, 2)
+            w = rng.choice((F(1, 2), F(rng.randint(1, 96), 97), F(rng.randint(1, 6), 7)))
+            mixed.append(State(tuple(w * a + (1 - w) * b for a, b in zip(s, t))))
+        assert len({v.denominator for s in mixed for v in s.values}) > 2, name
+        for s in mixed:
+            above = [0] * oml.n
+            states._add_dominance(above, states._scale(s.values)[1])
+            assert above == _fraction_dominance(oml.n, [s.values]), (name, s)
+        for _ in range(30):
+            subset = rng.sample(mixed, rng.randint(0, len(mixed)))
+            above = _fraction_dominance(oml.n, [s.values for s in subset])
+            expected = next(((els[x], els[y]) for x in range(oml.n) for y in range(oml.n)
+                             if x != y and (not above[x] >> y & 1) != leq[x][y]), None)
+            report = check_full(oml, subset)
+            assert report.passed == (expected is None), (name, subset)
+            if expected is not None:
+                w = report.failures[0].witness
+                assert (w["x"], w["y"]) == expected
+        # an invalid state at position k raises InvalidState(k, law)
+        for k, law in ((0, "range"), (3, "top-probability-one"), (5, "orthogonal-additivity")):
+            bad = list(mixed[k].values)
+            if law == "range":
+                bad[oml.poset.bottom] = F(-1, 3)
+            elif law == "top-probability-one":
+                bad = [v / 2 for v in bad]
+            else:
+                x = next(x for x, ys in enumerate(oml.orthogonal_rows)
+                         if x != oml.poset.bottom and any(y != oml.poset.bottom for y in ys))
+                bad[x] = bad[x] / 3 if bad[x] else F(1, 89)
+            assert check_state(oml, bad).failures[0].law == law, (name, k)
+            with pytest.raises(InvalidState) as info:
+                check_full(oml, mixed[:k] + [bad] + mixed[k:])
+            assert (info.value.position, info.value.failure) == (k, law), name
+
+
 def _shuffled_product(factors, seed):
     """A product lattice as an oml file listing its elements in a seeded
     random order, labelled e00, e01, ... in that order."""
