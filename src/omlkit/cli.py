@@ -21,8 +21,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import structfile
 from .errors import (
@@ -55,8 +55,7 @@ class _Early(Exception):
     """Ends a subcommand early with the failing report it carries."""
 
 
-@dataclass
-class _Target:
+class _Target(NamedTuple):
     kind: str
     name: str
     poset: object = None
@@ -201,14 +200,14 @@ def _cmd_check_rlse(args):
     entries = _entries(axioms)
     if axioms.passed:
         entries += _entries(check_derived_identities(r))
-        forms = check_r4_orthogonal_form(r)
-        f = forms.orthogonal.first
+        r4, orthogonal = check_r4_orthogonal_form(r)
+        agree = r4.passed == orthogonal.passed
+        f = orthogonal.first
         entries.append(_check(
-            "orthogonal-addition-form", forms.agree and forms.r4.passed,
-            None if forms.agree else "the two R4 readings disagree",
+            "orthogonal-addition-form", agree and r4.passed,
+            None if agree else "the two R4 readings disagree",
             witness=f.witness if f else None))
-    both = check_correspondence(r)
-    a, b = both.verdicts
+    a, b = (v.passed for v in check_correspondence(r))
     entries.append(_check("correspondence-verdicts-agree", a == b,
                           f"ring axioms {a}, lattice side {b}"))
     return _report("check-rlse", target.name, entries)
@@ -340,11 +339,11 @@ def _ring_test_entries(r) -> list:
     axioms = check_rlse(r)
     if not axioms.passed:
         return _entries(axioms)
-    report = is_boolean_ring(r)
+    identity_route, ring_route = is_boolean_ring(r)
     entries = [_check("valid-ring", True)]
-    for label, f in (("identity-route", report.identity_route.first),
-                     ("ring-route", report.ring_route.first),
-                     ("boolean-ring", report.witness)):
+    for label, f in (("identity-route", identity_route.first),
+                     ("ring-route", ring_route.first),
+                     ("boolean-ring", ring_route.first)):
         entries.append(_check(label, f is None, str(f) if f else None,
                               witness=f.witness if f else None))
     return entries
@@ -354,16 +353,15 @@ def _event_test_entries(ev) -> list:
     from . import states
 
     try:
-        report = states.boolean_test(ev)
+        w, _ = states.boolean_test(ev)
     except NotLatticeOrdered as exc:
         return [_check("lattice-ordered", False, str(exc))]
     except NotAnEventAlgebra as exc:
         return _entries(Verdict.of(exc.verdict.first))
-    if report.is_boolean:
+    if w is None:
         return [_check("ring-inequality", True,
                        "p+q-2(p^q) never exceeds 1; addition matches "
                        "the symmetric difference")]
-    w = report.witness
     detail = (f"p+q-2(p^q) reaches {w['value']} at p={w['p']}, q={w['q']} "
               f"in state {w['state']}")
     return [_check("ring-inequality", False, detail, witness=w)]

@@ -11,7 +11,7 @@ lexicographically first witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import product, repeat
 
@@ -35,18 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+# FinitePoset and FiniteOml subclass a namedtuple rather than typing.NamedTuple
+# so that their instances get a __dict__ for the cached views (leq,
+# orthogonal_rows); equality and hashing stay those of the tuple.
+class FinitePoset(namedtuple("FinitePoset", "elements up bottom top")):
     """A validated finite bounded poset.
 
-    up[i] is the bitmask of everything at or above element i; this is the
-    only stored form of the order.
+    elements are the labels, up[i] is the bitmask of everything at or
+    above element i (the only stored form of the order), bottom and top
+    are indices.
     """
-
-    elements: tuple[str, ...]
-    up: tuple[int, ...]
-    bottom: int
-    top: int
 
     @property
     def n(self) -> int:
@@ -65,15 +63,21 @@ class FinitePoset:
         return tuple(tuple(bool(m >> j & 1) for j in range(self.n)) for m in self.up)
 
 
+def _bits(m: int):
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _transpose(rows: list[int]) -> list[int]:
     """Column masks of the square bit matrix with the given row masks."""
     cols = [0] * len(rows)
     for i, m in enumerate(rows):
         bit = 1 << i
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= bit
-            m ^= low
+        for j in _bits(m):
+            cols[j] |= bit
     return cols
 
 
@@ -93,11 +97,7 @@ def _validate_poset(elements, rows) -> tuple[int, int]:
             if rows[i] & (1 << j) and rows[j] & (1 << i):
                 raise CycleError((elements[i], elements[j]))
     for i in range(n):
-        m = rows[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
+        for j in _bits(rows[i]):
             if rows[j] & ~rows[i]:
                 raise ValidationError(
                     f"order not transitive through {elements[i]!r} <= {elements[j]!r}"
@@ -144,11 +144,8 @@ def build_poset(labels, pairs) -> FinitePoset:
         for i in range(n):
             m = rows[i]
             acc = m
-            mm = m
-            while mm:
-                low = mm & -mm
-                acc |= rows[low.bit_length() - 1]
-                mm ^= low
+            for j in _bits(m):
+                acc |= rows[j]
             if acc != m:
                 rows[i] = acc
                 changed = True
@@ -215,18 +212,12 @@ def lattice_tables(labels, up):
     )
 
 
-@dataclass(frozen=True)
-class FiniteOml:
+class FiniteOml(namedtuple("FiniteOml", "poset meet join comp")):
     """A validated finite orthomodular lattice with precomputed tables.
 
     meet/join are n x n index tables, comp is an index vector.  Instances
     are produced by check_oml and compare equal iff all tables agree.
     """
-
-    poset: FinitePoset
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    comp: tuple[int, ...]
 
     @property
     def elements(self) -> tuple[str, ...]:

@@ -10,7 +10,7 @@ lexicographically first counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["LAWS", "Failure", "Verdict", "collect", "first_mismatch", "witness"]
 
@@ -73,8 +73,7 @@ LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """One broken law: its first counterexample and what went wrong there."""
 
     law: str
@@ -89,8 +88,7 @@ class Failure:
         return out
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a batch of laws: checked in order, one Failure per broken law."""
 
     passed: bool

@@ -10,16 +10,18 @@ Every ring law is written once, in _ring_laws, as its variables, the
 detail line of a failure and the rows of both sides: the last variable
 runs along a row, one row per assignment of the others.
 laws.first_mismatch compares the rows whole, so each check reports the
-lexicographically first counterexample, and every check returns a
-laws.Verdict.  Associativity of * is decided in quadratic time, as the
-meet of its own order, before any of its n^3 triples is scanned.
+lexicographically first counterexample.  Every check returns a
+laws.Verdict, or a pair of them where it decides one property two ways
+and the caller compares the two.  Associativity of * is decided in
+quadratic time, as the meet of its own order, before any of its n^3
+triples is scanned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import lattice as _lat
 from .errors import (
@@ -47,14 +49,10 @@ __all__ = [
     "is_boolean_ring",
     "check_r5",
     "check_correspondence",
-    "R4FormsReport",
-    "BooleanRingReport",
-    "CorrespondenceReport",
 ]
 
 
-@dataclass(frozen=True)
-class RlseTables:
+class RlseTables(NamedTuple):
     """Raw event-ring data: labels, two index tables and the two constants.
 
     Tables are row-major and index-valued; nothing is validated at
@@ -106,9 +104,6 @@ class RlseTables:
             return self.elements.index(label)
         except ValueError:
             raise UnknownLabel(label) from None
-
-    def add(self, x: str, y: str) -> str:
-        return self.elements[self.oplus[self.index(x)][self.index(y)]]
 
     def neg(self, i: int) -> int:
         """Index-level x+1."""
@@ -386,27 +381,16 @@ def check_derived_identities(r: RlseTables) -> Verdict:
                         "zero-neutral", "negation-covers", "negation-antitone"))
 
 
-@dataclass(frozen=True)
-class R4FormsReport:
-    """Both readings of R4: the identity and its orthogonal-pair form."""
-
-    r4: Verdict
-    orthogonal: Verdict
-
-    @property
-    def agree(self) -> bool:
-        return self.r4.passed == self.orthogonal.passed
-
-
-def check_r4_orthogonal_form(r: RlseTables) -> R4FormsReport:
+def check_r4_orthogonal_form(r: RlseTables) -> tuple[Verdict, Verdict]:
     """Brute-force R4 and its restriction to orthogonal pairs independently.
 
-    On a valid event ring the two verdicts provably coincide; on corrupted
-    tables the report shows whether they still do.  Orthogonality is taken
-    from the multiplicative order: x orth y iff x <= y+1.
+    Returns (r4, orthogonal).  On a valid event ring the two verdicts
+    provably coincide; on corrupted tables they show whether they still
+    do.  Orthogonality is taken from the multiplicative order: x orth y
+    iff x <= y+1.
     """
     _check_shape(r)
-    return R4FormsReport(_verdict(r, ("R4",)), _verdict(r, ("R4-orthogonal",)))
+    return _verdict(r, ("R4",)), _verdict(r, ("R4-orthogonal",))
 
 
 def check_r5(r: RlseTables) -> Verdict:
@@ -415,26 +399,15 @@ def check_r5(r: RlseTables) -> Verdict:
     return _verdict(r, ("R5",))
 
 
-@dataclass(frozen=True)
-class BooleanRingReport:
-    """Two independent Boolean-ring verdicts that are required to agree."""
-
-    is_boolean_ring: bool
-    identity_route: Verdict   # weak associativity plus identity T
-    ring_route: Verdict       # direct ring axioms
-
-    @property
-    def witness(self) -> Failure | None:
-        return self.ring_route.first or self.identity_route.first
-
-
-def is_boolean_ring(r: RlseTables) -> BooleanRingReport:
+def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     """Decide Boolean-ring-ness twice and cross-check.
 
-    Route one tests weak associativity together with identity T; route two
-    tests the ring axioms directly (x+x=0, x+0=x, associativity of +, and
-    distributivity).  Disagreement raises OracleMismatch since the routes
-    are provably equivalent for valid event rings.
+    Returns (identity_route, ring_route); the ring is Boolean iff
+    ring_route passed.  Route one tests weak associativity together with
+    identity T; route two tests the ring axioms directly (x+x=0, x+0=x,
+    associativity of +, and distributivity).  Disagreement raises
+    OracleMismatch since the routes are provably equivalent for valid
+    event rings.
     """
     require_rlse(r)
     identity_route = _verdict(r, ("weak-associativity", "T"))
@@ -445,22 +418,12 @@ def is_boolean_ring(r: RlseTables) -> BooleanRingReport:
             "Boolean-ring routes disagree: identities say "
             f"{identity_route.passed}, ring axioms say {ring_route.passed}"
         )
-    return BooleanRingReport(ring_route.passed, identity_route, ring_route)
+    return identity_route, ring_route
 
 
 # ---------------------------------------------------------------------------
 # Both sides of the equivalence, cross-checked
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    as_rlse: Verdict
-    as_lattice: Verdict
-
-    @property
-    def verdicts(self) -> tuple[bool, bool]:
-        return self.as_rlse.passed, self.as_lattice.passed
 
 
 def _lattice_side(r: RlseTables) -> Verdict:
@@ -496,11 +459,12 @@ def _lattice_side_laws(r, oml):
         yield law, found and Failure(law, found.witness)
 
 
-def check_correspondence(r: RlseTables) -> CorrespondenceReport:
+def check_correspondence(r: RlseTables) -> tuple[Verdict, Verdict]:
     """Check the ring axioms and the lattice-side conditions independently.
 
-    The two verdicts are provably equivalent for every finite table, so a
-    mismatch raises OracleMismatch instead of returning.
+    Returns (as_rlse, as_lattice).  The two verdicts are provably
+    equivalent for every finite table, so a mismatch raises OracleMismatch
+    instead of returning.
     """
     left = check_rlse(r)
     right = _lattice_side(r)
@@ -509,4 +473,4 @@ def check_correspondence(r: RlseTables) -> CorrespondenceReport:
             f"correspondence verdicts disagree: axioms {left.passed}, "
             f"lattice side {right.passed}"
         )
-    return CorrespondenceReport(left, right)
+    return left, right

@@ -30,12 +30,11 @@ lexicographically first witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import lcm
 from operator import add, gt, mul, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import simplex
 from .errors import (
@@ -58,7 +57,6 @@ __all__ = [
     "Infeasible",
     "StateSearchResult",
     "NumericalEventSet",
-    "BooleanEventReport",
     "check_state",
     "find_full_state_set",
     "check_full",
@@ -72,8 +70,7 @@ __all__ = [
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """One probability assignment, index-aligned with the lattice elements."""
 
     values: tuple[Fraction, ...]
@@ -82,10 +79,15 @@ class State:
         return self.values[oml.index(label)]
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    """The values as Fractions; those that already are stay as they are."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+
+
 def check_state(oml: FiniteOml, values) -> Verdict:
     """Verify range, top value and orthogonal additivity, exhaustively,
     up to the first failure."""
-    vals = tuple(Fraction(v) for v in values)
+    vals = _fractions(values)
     if len(vals) != oml.n:
         raise DimensionMismatch(oml.n, len(vals))
     return collect(_state_laws(oml, vals), first_only=True)
@@ -246,16 +248,14 @@ def _scaled_forms(exprs):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """No state puts x above y; carries the pair that cannot be separated."""
 
     x: str
     y: str
 
 
-@dataclass(frozen=True)
-class StateSearchResult:
+class StateSearchResult(NamedTuple):
     states: tuple[State, ...] | None
     failure: Infeasible | None
 
@@ -336,7 +336,7 @@ def check_full(oml: FiniteOml, states) -> Verdict:
     """
     above = [0] * oml.n
     for pos, s in enumerate(states):
-        vals = s.values if isinstance(s, State) else tuple(Fraction(v) for v in s)
+        vals = s.values if isinstance(s, State) else _fractions(s)
         verdict = check_state(oml, vals)
         if not verdict.passed:
             raise InvalidState(pos, verdict.failures[0].law)
@@ -359,8 +359,7 @@ def check_full(oml: FiniteOml, states) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericalEventSet:
+class NumericalEventSet(NamedTuple):
     """Each lattice element as the vector of its values across the states."""
 
     elements: tuple[str, ...]
@@ -378,12 +377,11 @@ class NumericalEventSet:
 def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
     """Tabulate x -> (m1(x), m2(x), ...); requires an order-determining
     state set, otherwise the map would not be injective."""
+    states = tuple(s if isinstance(s, State) else State(_fractions(s)) for s in states)
     verdict = check_full(oml, states)
     if not verdict.passed:
         w = verdict.failures[0].witness
         raise NotFull((w["x"], w["y"]))
-    states = tuple(s if isinstance(s, State) else State(tuple(Fraction(v) for v in s))
-                   for s in states)
     events = tuple(
         tuple(s.values[x] for s in states) for x in range(oml.n)
     )
@@ -476,26 +474,19 @@ def hat_plus(p, q, meet):
     return tuple(a + b - 2 * c for a, b, c in zip(p, q, meet))
 
 
-@dataclass(frozen=True)
-class BooleanEventReport:
-    """Outcome of the ring test on a numerical event algebra."""
-
-    is_boolean: bool
-    witness: dict | None = None
-    plus_table: tuple[tuple[int, ...], ...] | None = None
-    sym_diff_table: tuple[tuple[int, ...], ...] | None = None
-
-
-def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
+def boolean_test(ev: NumericalEventSet):
     """Boolean exactly when p + q - 2(p^q) stays pointwise at most 1.
 
-    The set must be lattice-ordered (every pair has an infimum and a
-    supremum within the set, under the pointwise order); otherwise
-    NotLatticeOrdered is raised.  On success the induced addition table is
-    returned and cross-checked against (p^q')v(p'^q) computed with the
-    set's own lattice operations.  A mismatch raises NotAnEventAlgebra
-    when the vectors fail a probability-algebra axiom, and OracleMismatch
-    only when they satisfy them all.
+    Returns (witness, plus): witness is None when the set is Boolean and
+    otherwise names the first p, q and the state where the value exceeds
+    1; plus is the induced addition table when the set is Boolean, None
+    otherwise.  The set must be lattice-ordered (every pair has an infimum
+    and a supremum within the set, under the pointwise order); otherwise
+    NotLatticeOrdered is raised.  The addition table is cross-checked
+    against (p^q')v(p'^q) computed with the set's own lattice operations.
+    A mismatch raises NotAnEventAlgebra when the vectors fail a
+    probability-algebra axiom, and OracleMismatch only when they satisfy
+    them all.
     """
     labels = ev.elements
     den, events = _scaled(ev.events)
@@ -522,10 +513,10 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
                              ([*map(gt, h, den)] for h in hats), repeat([False] * len(den)))
         if hit is not None:
             j, pos = hit[:2]
-            return BooleanEventReport(False, {
+            return {
                 "p": labels[i], "q": labels[j],
                 "state": pos, "value": str(Fraction(hats[j - i][pos], den[pos])),
-            })
+            }, None
         for j, h in enumerate(hats, start=i):
             plus[i][j] = plus[j][i] = member.get(h)
 
@@ -542,9 +533,7 @@ def boolean_test(ev: NumericalEventSet) -> BooleanEventReport:
             "ring addition disagrees with the symmetric difference "
             f"at ({labels[hit[0]]}, {labels[hit[1]]})"
         )
-    return BooleanEventReport(True, None,
-                              tuple(tuple(r) for r in plus),
-                              tuple(tuple(r) for r in sym))
+    return None, tuple(tuple(r) for r in plus)
 
 
 def check_representation(r: RlseTables, ev: NumericalEventSet, f) -> Verdict:

@@ -27,8 +27,8 @@ are written in Fraction notation (1/2, 3, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, UnknownLabel, ValidationError
 from .lattice import FiniteOml, FinitePoset, _transpose, build_poset
@@ -53,8 +53,7 @@ _SECTIONS = {
 }
 
 
-@dataclass
-class StructureFile:
+class StructureFile(NamedTuple):
     """Parsed but not yet validated file contents."""
 
     kind: str
@@ -96,8 +95,8 @@ def parse_structure(text: str) -> StructureFile:
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}", lineno, head.index(kind) + 1)
 
-    sf = StructureFile(kind)
     known = _SECTIONS[kind]
+    zero = one = None
     seen = set()
     section = None
     rows: dict[str, list] = {name: [] for name in known}
@@ -117,9 +116,9 @@ def parse_structure(text: str) -> StructureFile:
                 if len(tokens) != 2:
                     raise ParseError(f"{first} takes exactly one label", lineno, 1)
                 if first == "ZERO":
-                    sf.zero = tokens[1]
+                    zero = tokens[1]
                 else:
-                    sf.one = tokens[1]
+                    one = tokens[1]
                 section = None
             else:
                 section = first
@@ -140,21 +139,19 @@ def parse_structure(text: str) -> StructureFile:
             out.append((tokens[0], tokens[1]))
         return tuple(out)
 
-    sf.elements = tuple(t for _, _, tokens in rows.get("ELEMENTS", ())
-                        for t in tokens)
-    if not sf.elements:
+    elements = tuple(t for _, _, tokens in rows.get("ELEMENTS", ())
+                     for t in tokens)
+    if not elements:
         raise ParseError("missing ELEMENTS section", lineno, 1)
-    if len(set(sf.elements)) != len(sf.elements):
+    if len(set(elements)) != len(elements):
         raise ParseError("duplicate element label", lineno, 1)
-    n = len(sf.elements)
+    n = len(elements)
 
     if kind == "oml":
-        sf.covers = pairs("COVERS")
-        sf.leq = pairs("LEQ")
-        sf.complement = pairs("COMPLEMENT")
-        if not sf.covers and not sf.leq:
+        covers, leq, complement = pairs("COVERS"), pairs("LEQ"), pairs("COMPLEMENT")
+        if not covers and not leq:
             raise ParseError("an oml file needs a COVERS or LEQ section", lineno, 1)
-        if not sf.complement:
+        if not complement:
             raise ParseError("missing COMPLEMENT section", lineno, 1)
         states = []
         for ln, body, tokens in rows["STATES"]:
@@ -162,8 +159,10 @@ def parse_structure(text: str) -> StructureFile:
                 raise ParseError(f"a state row needs {n} values, got {len(tokens)}",
                                  ln, 1)
             states.append(tuple(_fraction(t, ln, body.index(t) + 1) for t in tokens))
-        sf.states = tuple(states)
-    elif kind == "rlse":
+        return StructureFile(kind, elements, covers, leq, complement,
+                             states=tuple(states))
+    if kind == "rlse":
+        tables = []
         for name in ("OPLUS", "TIMES"):
             table = []
             for ln, body, tokens in rows[name]:
@@ -173,31 +172,26 @@ def parse_structure(text: str) -> StructureFile:
                 table.append(tuple(tokens))
             if len(table) != n:
                 raise ParseError(f"{name} needs {n} rows, got {len(table)}", lineno, 1)
-            if name == "OPLUS":
-                sf.oplus = tuple(table)
-            else:
-                sf.times = tuple(table)
-        if sf.zero is None:
-            sf.zero = sf.elements[0]
-        if sf.one is None:
-            sf.one = sf.elements[-1]
-    else:
-        out = []
-        width = None
-        for ln, body, tokens in rows["EVENTS"]:
-            if len(tokens) < 2:
-                raise ParseError("an EVENTS row needs a label and values", ln, 1)
-            if width is None:
-                width = len(tokens) - 1
-            elif len(tokens) - 1 != width:
-                raise ParseError(f"an EVENTS row needs {width} values", ln, 1)
-            vals = tuple(_fraction(t, ln, body.index(t) + 1) for t in tokens[1:])
-            out.append((tokens[0], vals))
-        if len(out) != n:
-            raise ParseError(f"EVENTS needs one row per element, got {len(out)}",
-                             lineno, 1)
-        sf.events = tuple(out)
-    return sf
+            tables.append(tuple(table))
+        return StructureFile(kind, elements,
+                             zero=elements[0] if zero is None else zero,
+                             one=elements[-1] if one is None else one,
+                             oplus=tables[0], times=tables[1])
+    out = []
+    width = None
+    for ln, body, tokens in rows["EVENTS"]:
+        if len(tokens) < 2:
+            raise ParseError("an EVENTS row needs a label and values", ln, 1)
+        if width is None:
+            width = len(tokens) - 1
+        elif len(tokens) - 1 != width:
+            raise ParseError(f"an EVENTS row needs {width} values", ln, 1)
+        vals = tuple(_fraction(t, ln, body.index(t) + 1) for t in tokens[1:])
+        out.append((tokens[0], vals))
+    if len(out) != n:
+        raise ParseError(f"EVENTS needs one row per element, got {len(out)}",
+                         lineno, 1)
+    return StructureFile(kind, elements, events=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -273,35 +267,27 @@ def _cover_pairs(poset: FinitePoset):
 
 
 def from_oml(oml: FiniteOml, states=()) -> StructureFile:
-    sf = StructureFile("oml")
-    sf.elements = oml.elements
-    sf.covers = tuple(_cover_pairs(oml.poset))
-    sf.complement = tuple(
-        (lab, oml.elements[oml.comp[i]]) for i, lab in enumerate(oml.elements)
-    )
+    els = oml.elements
+    state_rows = ()
     if states:
         # only a lattice with states needs the states module
         from .states import State
 
-        sf.states = tuple(s.values if isinstance(s, State) else tuple(s) for s in states)
-    return sf
+        state_rows = tuple(s.values if isinstance(s, State) else tuple(s) for s in states)
+    return StructureFile("oml", els, tuple(_cover_pairs(oml.poset)),
+                         complement=tuple((lab, els[c]) for lab, c in zip(els, oml.comp)),
+                         states=state_rows)
 
 
 def from_rlse(r: RlseTables) -> StructureFile:
-    sf = StructureFile("rlse")
-    sf.elements = r.elements
-    sf.zero = r.elements[r.zero]
-    sf.one = r.elements[r.one]
-    sf.oplus = tuple(tuple(r.elements[v] for v in row) for row in r.oplus)
-    sf.times = tuple(tuple(r.elements[v] for v in row) for row in r.times)
-    return sf
+    els = r.elements
+    return StructureFile("rlse", els, zero=els[r.zero], one=els[r.one],
+                         oplus=tuple(tuple(els[v] for v in row) for row in r.oplus),
+                         times=tuple(tuple(els[v] for v in row) for row in r.times))
 
 
 def from_events(ev: NumericalEventSet) -> StructureFile:
-    sf = StructureFile("events")
-    sf.elements = ev.elements
-    sf.events = tuple(zip(ev.elements, ev.events))
-    return sf
+    return StructureFile("events", ev.elements, events=tuple(zip(ev.elements, ev.events)))
 
 
 def serialize_structure(sf: StructureFile) -> str:

@@ -16,8 +16,8 @@ sets; a full run over the corpus stays well under a minute.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import corpus, states, terms
 from .corpus import FILTER_CORPUS
@@ -44,8 +44,7 @@ _MUTATION_SEED = 1729
 _MUTATION_COUNT = 12
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool
@@ -123,8 +122,7 @@ def criterion_2() -> CriterionResult:
     else:
         for cls, ref in zip(result.survivors, (terms.T1, terms.T2)):
             for oml in omls:
-                if terms.term_function(cls.terms[0], oml).table != \
-                        terms.term_function(ref, oml).table:
+                if terms.term_function(cls.terms[0], oml) != terms.term_function(ref, oml):
                     problems.append(
                         f"class {sorted(cls.index_sets[0])} differs from "
                         f"{terms.format_term(ref)} on {FILTER_CORPUS[omls.index(oml)]}")
@@ -180,7 +178,7 @@ def criterion_3() -> CriterionResult:
                 problems.append(f"derived lattice of {name}+{plus} differs")
     for label, r in _corpus_rings():
         try:
-            a, b = check_correspondence(r).verdicts
+            a, b = (v.passed for v in check_correspondence(r))
         except OracleMismatch as exc:
             problems.append(f"correspondence on {label}: {exc}")
             continue
@@ -190,7 +188,7 @@ def criterion_3() -> CriterionResult:
     rejected = 0
     for pos, r in enumerate(mutants):
         try:
-            verdict = check_correspondence(r).verdicts[0]
+            verdict = check_correspondence(r)[0].passed
         except OracleMismatch as exc:
             problems.append(f"mutant {pos}: {exc}")
             continue
@@ -212,10 +210,9 @@ def criterion_4() -> CriterionResult:
     ex = corpus.builtin("paper-example-2set")
     if not check_rlse(ex).passed:
         problems.append("the 2-set example fails the ring axioms")
-    report = is_boolean_ring(ex)
-    if report.is_boolean_ring:
+    w = is_boolean_ring(ex)[1].first
+    if w is None:
         problems.append("the 2-set example passed the Boolean-ring test")
-    w = report.witness
     if w is None or w.law != "plus-self-inverse" or w.witness != {"x": "{1}"}:
         problems.append(f"unexpected witness {w}")
     one = ex.elements[ex.oplus[ex.index("{1}")][ex.index("{1}")]]
@@ -238,9 +235,9 @@ def criterion_5() -> CriterionResult:
         report = check_derived_identities(r)
         if not report.passed:
             problems.append(f"{label}: {report.failures[0]}")
-        forms = check_r4_orthogonal_form(r)
-        if not (forms.agree and forms.r4.passed):
-            problems.append(f"{label}: R4 forms {forms.r4.passed}/{forms.orthogonal.passed}")
+        r4, orthogonal = check_r4_orthogonal_form(r)
+        if not (r4.passed and orthogonal.passed):
+            problems.append(f"{label}: R4 forms {r4.passed}/{orthogonal.passed}")
     return _result(5, "derived identities", problems,
                    "all five identities and both R4 forms hold on 21 rings")
 
@@ -301,18 +298,15 @@ def criterion_8() -> CriterionResult:
         if ev is None:
             problems.append(f"no event set for {name}")
             continue
-        report = states.boolean_test(ev)
+        witness, plus = states.boolean_test(ev)
         expect = name in boolean
-        if report.is_boolean != expect:
-            problems.append(f"{name}: ring test {report.is_boolean}, "
+        if (witness is None) != expect:
+            problems.append(f"{name}: ring test {witness is None}, "
                             f"distributive {expect}")
             continue
-        if expect:
-            t1_table = terms.term_function(terms.T1, oml).table
-            if report.plus_table != t1_table:
-                problems.append(f"{name}: addition table differs from t1")
-    mo2 = states.boolean_test(_events("mo2"))
-    w = mo2.witness
+        if expect and plus != terms.term_function(terms.T1, oml):
+            problems.append(f"{name}: addition table differs from t1")
+    w = states.boolean_test(_events("mo2"))[0]
     if w is None or (w["p"], w["q"], w["value"]) != ("a", "b", "2"):
         problems.append(f"unexpected mo2 witness {w}")
     return _result(8, "event-ring inequality", problems,
@@ -327,12 +321,12 @@ def criterion_9() -> CriterionResult:
     boolean = set(_boolean_members())
     for name in corpus.OML_NAMES:
         oml = corpus.builtin(name)
-        report = terms.chain_check(oml)
-        if not report.chain_holds:
-            problems.append(f"chain fails on {name} at {report.witness}")
-        if not report.hat_equals_t2:
+        chain, hat_eq, witness = terms.chain_check(oml)
+        if not chain:
+            problems.append(f"chain fails on {name} at {witness}")
+        if not hat_eq:
             problems.append(f"middle term differs from t2 on {name}")
-        if report.t1_equals_t2 != (name in boolean):
+        if (witness is None) != (name in boolean):
             problems.append(f"t1 = t2 wrong on {name}")
     mo2 = corpus.builtin("mo2")
     lo = terms.eval_term(terms.T1, mo2, "a", "b")

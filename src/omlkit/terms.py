@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EmptyCorpus, OracleMismatch
 from .lattice import FiniteOml, is_distributive
@@ -24,7 +25,6 @@ __all__ = [
     "Comp",
     "Meet",
     "Join",
-    "TermFunction",
     "format_term",
     "eval_term",
     "term_function",
@@ -39,7 +39,6 @@ __all__ = [
     "FilterResult",
     "SurvivorClass",
     "Elimination",
-    "ChainReport",
 ]
 
 
@@ -156,16 +155,9 @@ def _eval_table(t: Term, oml: FiniteOml):
     )
 
 
-@dataclass(frozen=True)
-class TermFunction:
-    """A term's value table on one lattice."""
-
-    oml: FiniteOml
-    table: tuple[tuple[int, ...], ...]
-
-
-def term_function(t: Term, oml: FiniteOml) -> TermFunction:
-    return TermFunction(oml, _eval_table(t, oml))
+def term_function(t: Term, oml: FiniteOml) -> tuple[tuple[int, ...], ...]:
+    """A term's n x n value table on one lattice."""
+    return _eval_table(t, oml)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +223,7 @@ def enumerate_canonical_terms() -> tuple[Term, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     """Why one canonical term was rejected, with its first counterexample."""
 
     term_index: int
@@ -242,8 +233,7 @@ class Elimination:
     witness: dict
 
 
-@dataclass(frozen=True)
-class SurvivorClass:
+class SurvivorClass(NamedTuple):
     """Terms that pass all three conditions and share all value tables."""
 
     term_indices: tuple[int, ...]
@@ -252,8 +242,7 @@ class SurvivorClass:
     tables: tuple[tuple[tuple[int, ...], ...], ...]  # one per corpus member
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(NamedTuple):
     survivors: tuple[SurvivorClass, ...]
     eliminated: tuple[Elimination, ...]
 
@@ -322,21 +311,15 @@ def filter_symmetric_difference_terms(corpus) -> FilterResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """How the three classical addition terms relate on one lattice."""
-
-    chain_holds: bool          # t1 <= that <= t2 pointwise
-    hat_equals_t2: bool
-    t1_equals_t2: bool
-    distributive: bool
-    witness: dict | None       # first pair where t1 and t2 differ
-
-
-def chain_check(oml: FiniteOml) -> ChainReport:
+def chain_check(oml: FiniteOml):
     """Verify t1 <= that = t2 pointwise and that t1 = t2 exactly on
-    distributive lattices; the biconditional is cross-checked against a
-    brute-force distributivity test and any disagreement raises."""
+    distributive lattices.
+
+    Returns (chain_holds, hat_equals_t2, witness): whether t1 <= that <= t2
+    pointwise, whether that = t2, and the first pair where t1 and t2
+    differ, None when they are equal.  The biconditional is cross-checked
+    against a brute-force distributivity test and any disagreement raises.
+    """
     n = oml.n
     up = oml.poset.up
     a = _eval_table(T1, oml)
@@ -355,5 +338,4 @@ def chain_check(oml: FiniteOml) -> ChainReport:
             "t1 = t2 must hold exactly on distributive lattices; "
             f"equality {t1_eq}, distributivity {distributive}"
         )
-    return ChainReport(chain, hat_eq, t1_eq, distributive,
-                       hit and witness(("x", "y", "t1", "t2"), oml.elements, hit))
+    return chain, hat_eq, hit and witness(("x", "y", "t1", "t2"), oml.elements, hit)

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -134,6 +133,7 @@ def test_orthogonality():
     # orthogonal_rows[x] lists the y >= x (in index order) below x'
     assert max(a, a_) in mo2.orthogonal_rows[min(a, a_)]
     assert max(a, b) not in mo2.orthogonal_rows[min(a, b)]
+    assert mo2.orthogonal_rows is mo2.orthogonal_rows  # built once per lattice
 
 
 def test_direct_product_shape():
@@ -166,9 +166,10 @@ def test_direct_product_order_is_componentwise(names):
 @pytest.mark.parametrize("name", corpus.OML_NAMES)
 def test_leq_is_a_view_of_the_up_masks(name):
     poset = corpus.builtin(name).poset
-    assert [f.name for f in fields(poset)] == ["elements", "up", "bottom", "top"]
+    assert poset._fields == ("elements", "up", "bottom", "top")
     assert all(poset.leq[i][j] == bool(poset.up[i] >> j & 1)
                for i in range(poset.n) for j in range(poset.n))
+    assert poset.leq is poset.leq  # built once per poset
 
 
 def test_product_distributivity_mixes():

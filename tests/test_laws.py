@@ -26,15 +26,12 @@ def _cell_mutants(r, count, rng):
 def _ring_verdicts(r):
     axioms = rlse.check_rlse(r)
     yield axioms
-    forms = rlse.check_r4_orthogonal_form(r)
-    yield from (forms.r4, forms.orthogonal)
-    both = rlse.check_correspondence(r)
-    yield from (both.as_rlse, both.as_lattice)
+    yield from rlse.check_r4_orthogonal_form(r)
+    yield from rlse.check_correspondence(r)
     if axioms.passed:
         yield rlse.check_derived_identities(r)
         yield rlse.check_r5(r)
-        report = rlse.is_boolean_ring(r)
-        yield from (report.identity_route, report.ring_route)
+        yield from rlse.is_boolean_ring(r)
 
 
 def _state_verdicts(oml, ring):

@@ -124,11 +124,11 @@ def test_orthogonal_pair_mutation_breaks_both_r4_forms():
     rows[i][j] = rows[j][i] = i
     bad = RlseTables(r.elements, tuple(tuple(row) for row in rows),
                      r.times, r.zero, r.one)
-    forms = check_r4_orthogonal_form(bad)
-    assert not forms.r4.passed
-    assert not forms.orthogonal.passed
-    assert forms.agree
-    a, b = check_correspondence(bad).verdicts
+    r4, orthogonal = check_r4_orthogonal_form(bad)
+    assert not r4.passed
+    assert not orthogonal.passed
+    assert r4.passed == orthogonal.passed
+    a, b = (v.passed for v in check_correspondence(bad))
     assert (a, b) == (False, False)
 
 
@@ -205,19 +205,19 @@ def test_r4_forms_agree_on_corpus():
         for plus in ("t1", "t2"):
             rings.append(rlse_from_oml(corpus.builtin(name), plus))
     for r in rings:
-        forms = check_r4_orthogonal_form(r)
-        assert forms.r4.passed and forms.orthogonal.passed
+        r4, orthogonal = check_r4_orthogonal_form(r)
+        assert r4.passed and orthogonal.passed
 
 
 def test_weak_assoc_and_t_fail_exactly_on_the_modified_diagonal():
-    route = is_boolean_ring(_paper()).identity_route
+    route, _ = is_boolean_ring(_paper())
     assert not route.passed
     assert route.failure_for("weak-associativity").witness == {"x": "{1}", "y": "{1}"}
     assert route.failure_for("T") is not None
 
 
 def test_weak_assoc_and_t_hold_on_boolean_construction():
-    route = is_boolean_ring(rlse_from_oml(corpus.builtin("boolean_3"), "t1")).identity_route
+    route, _ = is_boolean_ring(rlse_from_oml(corpus.builtin("boolean_3"), "t1"))
     assert route.passed
     assert route.checked == ("weak-associativity", "T")
 
@@ -232,16 +232,15 @@ def test_r5_pins_down_the_addition():
 
 
 def test_boolean_ring_verdicts():
-    assert not is_boolean_ring(_paper()).is_boolean_ring
+    assert not is_boolean_ring(_paper())[1].passed
     for name in corpus.OML_NAMES:
         r = rlse_from_oml(corpus.builtin(name), "t1")
         expected = is_distributive(corpus.builtin(name))[0]
-        assert is_boolean_ring(r).is_boolean_ring is expected, name
+        assert is_boolean_ring(r)[1].passed is expected, name
 
 
 def test_boolean_ring_witness_is_the_modified_diagonal():
-    report = is_boolean_ring(_paper())
-    w = report.witness
+    w = is_boolean_ring(_paper())[1].first
     assert w.law == "plus-self-inverse"
     assert w.witness == {"x": "{1}"}
     assert "{1}+{1} = {1,2}" in str(w)
@@ -250,7 +249,7 @@ def test_boolean_ring_witness_is_the_modified_diagonal():
 def test_correspondence_verdicts_on_valid_rings():
     for name in ("boolean_2", "mo2"):
         r = rlse_from_oml(corpus.builtin(name), "t1")
-        assert check_correspondence(r).verdicts == (True, True)
+        assert [v.passed for v in check_correspondence(r)] == [True, True]
 
 
 def test_correspondence_verdicts_agree_on_seeded_mutations():
@@ -266,7 +265,7 @@ def test_correspondence_verdicts_agree_on_seeded_mutations():
         old = getattr(base, table)[i][j]
         new = rng.choice([v for v in range(base.n) if v != old])
         mutant = _swap_cell(base, table, i, j, new)
-        rejected += not check_correspondence(mutant).verdicts[0]
+        rejected += not check_correspondence(mutant)[0].passed
     # a lone cell change may land on another valid ring (the addition is
     # free at non-orthogonal pairs), but most mutants must be rejected
     assert rejected >= 15
@@ -274,9 +273,9 @@ def test_correspondence_verdicts_agree_on_seeded_mutations():
 
 def test_lattice_side_reports_where_a_mutant_fails():
     bad = _swap_cell(_paper(), "times", 0, 1, 1)  # {}*{1} := {1}
-    report = check_correspondence(bad)
-    assert report.verdicts == (False, False)
-    assert report.as_lattice.failures[0].law is not None
+    as_rlse, as_lattice = check_correspondence(bad)
+    assert (as_rlse.passed, as_lattice.passed) == (False, False)
+    assert as_lattice.failures[0].law is not None
 
 
 def test_axiom_report_failure_lookup():

@@ -19,7 +19,6 @@ from omlkit.errors import (
     ValidationError,
 )
 from omlkit.states import (
-    BooleanEventReport,
     Infeasible,
     NumericalEventSet,
     State,
@@ -33,6 +32,7 @@ from omlkit.states import (
     hat_plus,
 )
 from omlkit.rlse import derived_lattice, rlse_from_oml
+from omlkit.terms import T1, term_function
 
 
 MO2_STATES = (
@@ -260,20 +260,21 @@ def test_boolean_test_on_boolean_members():
     for name in ("boolean_2", "boolean_3", "mo1"):
         oml = corpus.builtin(name)
         result = find_full_state_set(oml)
-        report = boolean_test(events_from_states(oml, result.states))
-        assert report.is_boolean, name
-        assert report.plus_table == report.sym_diff_table
+        witness, plus = boolean_test(events_from_states(oml, result.states))
+        assert witness is None, name
+        # the symmetric difference (x^y')v(x'^y) is the term t1
+        assert plus == term_function(T1, oml)
 
 
 def test_boolean_test_fails_on_mo2_with_value_2():
     mo2 = corpus.builtin("mo2")
-    report = boolean_test(events_from_states(mo2, MO2_STATES))
-    assert not report.is_boolean
-    assert report.witness["p"] == "a"
-    assert report.witness["q"] == "b"
-    assert report.witness["value"] == "2"
+    witness, plus = boolean_test(events_from_states(mo2, MO2_STATES))
+    assert witness is not None and plus is None
+    assert witness["p"] == "a"
+    assert witness["q"] == "b"
+    assert witness["value"] == "2"
     # the witness state really weighs both atoms with 1
-    pos = report.witness["state"]
+    pos = witness["state"]
     assert MO2_STATES[pos].value_of(mo2, "a") == 1
     assert MO2_STATES[pos].value_of(mo2, "b") == 1
 
@@ -349,9 +350,9 @@ def test_product_pipeline_is_exact_and_fast():
     assert result.ok
     ev = events_from_states(prod, result.states)
     assert check_s_probability_algebra(ev).passed
-    report = boolean_test(ev)
-    assert not report.is_boolean
-    assert report.witness["value"] == "2"
+    witness, _ = boolean_test(ev)
+    assert witness is not None
+    assert witness["value"] == "2"
 
 
 def test_check_full_witness_matches_a_lexicographic_scan():
@@ -902,10 +903,8 @@ def _oracle_boolean_test(ev):
         for j in range(i, m):
             for pos, v in enumerate(hat_plus(events[i], events[j], events[meet[i][j]])):
                 if v > 1:
-                    return BooleanEventReport(False, {
-                        "p": labels[i], "q": labels[j], "state": pos, "value": str(v)})
+                    return {"p": labels[i], "q": labels[j], "state": pos, "value": str(v)}, None
     plus = [[0] * m for _ in range(m)]
-    sym = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             hi = member.get(hat_plus(events[i], events[j], events[meet[i][j]]))
@@ -916,8 +915,7 @@ def _oracle_boolean_test(ev):
                 raise OracleMismatch("ring addition disagrees with the symmetric "
                                      f"difference at ({labels[i]}, {labels[j]})")
             plus[i][j] = hi
-            sym[i][j] = s
-    return BooleanEventReport(True, None, tuple(map(tuple, plus)), tuple(map(tuple, sym)))
+    return None, tuple(map(tuple, plus))
 
 
 def _random_event_sets(count, seed):
@@ -999,10 +997,16 @@ def _wide_event_sets(count, seed):
 
 
 def _outcome(fn, ev):
+    """(witness, plus) as fn returns it, or (exception type, message)."""
     try:
         return fn(ev)
     except (NotLatticeOrdered, ValidationError, NotAnEventAlgebra, OracleMismatch) as exc:
         return type(exc), str(exc)
+
+
+def _kind(got):
+    """The exception type of an outcome, or whether the set is Boolean."""
+    return got[0] if isinstance(got[0], type) else got[0] is None
 
 
 def test_boolean_test_matches_its_two_pass_form():
@@ -1010,7 +1014,7 @@ def test_boolean_test_matches_its_two_pass_form():
     for ev in _random_event_sets(2000, 31):
         got = _outcome(boolean_test, ev)
         assert got == _outcome(_oracle_boolean_test, ev), ev
-        seen.add(got[0] if isinstance(got, tuple) else got.is_boolean)
+        seen.add(_kind(got))
     assert seen >= {True, False, NotLatticeOrdered, ValidationError, NotAnEventAlgebra}
 
 
@@ -1029,9 +1033,8 @@ def test_event_checks_match_their_earlier_form_on_wider_denominators():
         verdict = check_s_probability_algebra(ev)
         assert [(f.law, f.witness, f.detail) for f in verdict.failures] \
             == _oracle_algebra(ev), ev
-        seen.add(got[0] if isinstance(got, tuple) else got.is_boolean)
-        fractional += isinstance(got, BooleanEventReport) and not got.is_boolean \
-            and "/" in got.witness["value"]
+        seen.add(_kind(got))
+        fractional += isinstance(got[0], dict) and "/" in got[0]["value"]
         lcm60 += any(math.lcm(*(v.denominator for v in col)) == 60 for col in zip(*ev.events))
     assert seen >= {True, False, NotLatticeOrdered, ValidationError, NotAnEventAlgebra}
     assert fractional >= 100 and lcm60 >= 100

@@ -6,6 +6,7 @@ import pytest
 
 from omlkit import corpus, terms
 from omlkit.errors import EmptyCorpus
+from omlkit.lattice import is_distributive
 from omlkit.terms import (
     T1,
     T2,
@@ -54,7 +55,7 @@ def test_t1_is_set_symmetric_difference_on_boolean_3():
 
 def test_term_function_table_is_symmetric_for_t1():
     mo2 = corpus.builtin("mo2")
-    table = term_function(T1, mo2).table
+    table = term_function(T1, mo2)
     for i in range(mo2.n):
         for j in range(mo2.n):
             assert table[i][j] == table[j][i]
@@ -119,7 +120,7 @@ def test_filter_survivor_tables_match_the_named_terms():
     result = filter_symmetric_difference_terms(omls)
     for cls, ref in zip(result.survivors, (T1, T2)):
         for pos, oml in enumerate(omls):
-            assert cls.tables[pos] == term_function(ref, oml).table
+            assert cls.tables[pos] == term_function(ref, oml)
 
 
 def _reference_condition(table, oml):
@@ -144,7 +145,7 @@ def test_filter_conditions_match_the_reference_on_every_term():
     for name in corpus.OML_NAMES:
         oml = corpus.builtin(name)
         for t in enumerate_canonical_terms():
-            table = term_function(t, oml).table
+            table = term_function(t, oml)
             assert terms._table_condition(table, oml) == _reference_condition(table, oml), (
                 name, format_term(t))
 
@@ -157,7 +158,7 @@ def test_filter_conditions_match_the_reference_on_mutants():
     failed = dict.fromkeys(("symmetry", "complement-at-one", "orthogonal-join"), 0)
     for _ in range(1500):
         oml = rng.choice(omls)
-        rows = [list(row) for row in term_function(rng.choice((T1, T2)), oml).table]
+        rows = [list(row) for row in term_function(rng.choice((T1, T2)), oml)]
         for _ in range(rng.randint(1, 3)):
             x, y, v = rng.randrange(oml.n), rng.randrange(oml.n), rng.randrange(oml.n)
             rows[x][y] = v
@@ -177,18 +178,19 @@ def test_filter_rejects_empty_corpus():
 
 
 def test_chain_on_mo2():
-    report = chain_check(corpus.builtin("mo2"))
-    assert report.chain_holds
-    assert report.hat_equals_t2
-    assert not report.t1_equals_t2
-    assert not report.distributive
-    assert report.witness == {"x": "a", "y": "b", "t1": "0", "t2": "1"}
+    mo2 = corpus.builtin("mo2")
+    chain, hat_equals_t2, witness = chain_check(mo2)
+    assert chain
+    assert hat_equals_t2
+    assert witness is not None  # t1 != t2
+    assert not is_distributive(mo2)[0]
+    assert witness == {"x": "a", "y": "b", "t1": "0", "t2": "1"}
 
 
 def test_chain_on_boolean_3():
-    report = chain_check(corpus.builtin("boolean_3"))
-    assert report.chain_holds
-    assert report.hat_equals_t2
-    assert report.t1_equals_t2
-    assert report.distributive
-    assert report.witness is None
+    b3 = corpus.builtin("boolean_3")
+    chain, hat_equals_t2, witness = chain_check(b3)
+    assert chain
+    assert hat_equals_t2
+    assert witness is None  # t1 = t2
+    assert is_distributive(b3)[0]
