@@ -1,4 +1,5 @@
-"""Golden CLI output: stdout and exit status of every failing path, pinned.
+"""Golden CLI output: stdout and exit status of every failing path, and of
+the Boolean tests that pass, pinned.
 
 Each case runs one command three ways (plain text, text with witnesses,
 and JSON with witnesses) and compares the transcript byte for byte with
@@ -20,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from omlkit import cli, corpus, structfile
-from omlkit.rlse import RlseTables
+from omlkit.lattice import direct_product
+from omlkit.rlse import RlseTables, rlse_from_oml
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -39,6 +41,22 @@ def _ring_mutant(table, *cells):
     else:
         r = RlseTables(r.elements, r.oplus, frozen, r.zero, r.one)
     return structfile.serialize_structure(structfile.from_rlse(r))
+
+
+def _ring_file(oml, plus):
+    return structfile.serialize_structure(structfile.from_rlse(rlse_from_oml(oml, plus)))
+
+
+#: Rings built on lattices: the t1 and t2 rings of boolean_3 are Boolean;
+#: the t1 rings of mo3 (eight elements, like a Boolean ring) and of
+#: mo2 x boolean_2 fail the ring route at a witness.
+LATTICE_RINGS = {
+    "boolean_3_t1": (lambda: corpus.builtin("boolean_3"), "t1"),
+    "boolean_3_t2": (lambda: corpus.builtin("boolean_3"), "t2"),
+    "mo3_t1": (lambda: corpus.builtin("mo3"), "t1"),
+    "mo2xb2_t1": (lambda: direct_product(corpus.builtin("mo2"), corpus.builtin("boolean_2")),
+                  "t1"),
+}
 
 
 #: Mutants of the shipped 2-set ring, as (table, (row, column, value)...),
@@ -101,6 +119,12 @@ EVENT_FILES = {
     # reaches 4/3 in the first
     "mo2_thirds": [("0", "0 0 0"), ("a", "2/3 1/2 1/3"), ("a'", "1/3 1/2 2/3"),
                    ("b", "2/3 1/3 1/2"), ("b'", "1/3 2/3 1/2"), ("1", "1 1 1")],
+    # boolean_3 over three states that weigh the atoms a, b, c as
+    # (3/4, 1/8, 1/8), (1/5, 3/5, 1/5) and (1/6, 1/6, 2/3): Boolean
+    "boolean_3_fractional": [
+        ("0", "0 0 0"), ("a", "3/4 1/5 1/6"), ("b", "1/8 3/5 1/6"), ("c", "1/8 1/5 2/3"),
+        ("ab", "7/8 4/5 1/3"), ("ac", "7/8 2/5 5/6"), ("bc", "1/4 4/5 5/6"),
+        ("1", "1 1 1")],
 }
 
 
@@ -176,6 +200,10 @@ def _cases():
         for command in ("check-rlse", "derive", "boolean-test"):
             cases[f"{command.replace('-', '_')}_mutant_{name}"] = (
                 [command, f"@mutant_{name}.txt"], files)
+    for name, (oml, plus) in LATTICE_RINGS.items():
+        fname = f"ring_{name}.txt"
+        cases[f"boolean_test_ring_{name}"] = (
+            ["boolean-test", f"@{fname}"], {fname: _ring_file(oml(), plus)})
     for name, edits in CUSTOM_PLUS.items():
         fname = f"custom_{name}.txt"
         cases[f"construct_custom_{name}"] = (
