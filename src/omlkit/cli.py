@@ -200,7 +200,7 @@ def _cmd_check_rlse(args):
     entries = _entries(axioms)
     if axioms.passed:
         entries += _entries(check_derived_identities(r))
-        r4, orthogonal = check_r4_orthogonal_form(r)
+        r4, orthogonal = check_r4_orthogonal_form(r, axioms)
         agree = r4.passed == orthogonal.passed
         f = orthogonal.first
         entries.append(_check(

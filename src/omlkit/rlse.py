@@ -13,14 +13,16 @@ laws.first_mismatch compares the rows whole, so each check reports the
 lexicographically first counterexample.  Every check returns a
 laws.Verdict, or a pair of them where it decides one property two ways
 and the caller compares the two.  Associativity of * is decided in
-quadratic time, as the meet of its own order, before any of its n^3
-triples is scanned.
+quadratic time, as the meet of its own order, and a Boolean ring's
+associativity of + and distributivity through its atom map, before any
+of their n^3 triples is scanned.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import xor
 from typing import NamedTuple
 
 from . import lattice as _lat
@@ -82,10 +84,11 @@ class RlseTables(NamedTuple):
             for r in rows:
                 if len(r) != len(elements):
                     raise MalformedTable(f"{name} table row has {len(r)} entries")
-                for v in r:
-                    if v not in pos:
-                        raise MalformedTable(f"{name} table entry {v!r} is not an element")
-                out.append(tuple(pos[v] for v in r))
+                try:
+                    out.append(tuple(map(pos.__getitem__, r)))
+                except KeyError as exc:  # the first entry that is no element
+                    raise MalformedTable(
+                        f"{name} table entry {exc.args[0]!r} is not an element") from None
             return tuple(out)
 
         if zero not in pos:
@@ -213,19 +216,23 @@ def _semilattice(T) -> bool:
     """
     if list(zip(*T)) != list(map(tuple, T)) or any(tx[x] != x for x, tx in enumerate(T)):
         return False
-    down = [sum(1 << x for x, v in enumerate(ty) if v == x) for ty in T]
+    down = _lat._down(T)
     return all(dx & dy == down[v] for dx, tx in zip(down, T) for dy, v in zip(down, tx))
 
 
-def _failures(r: RlseTables, laws, comp=()):
+def _failures(r: RlseTables, laws, comp=(), boolean=False):
     """(law, first counterexample or None) for the named ring laws, lazily.
 
     times-associative passes without a scan when _semilattice decides it;
-    its rows are scanned only to find the witness of a failure.
+    its rows are scanned only to find the witness of a failure.  boolean
+    says that the atom map (lattice._is_boolean) has shown r isomorphic to
+    a ring of subsets, where plus-associative and distributive pass
+    without a scan.
     """
     rows, els = _ring_laws(r, comp), r.elements
     for law in laws:
-        if law == "times-associative" and _semilattice(r.times):
+        if (law == "times-associative" and _semilattice(r.times)
+                or boolean and law in ("plus-associative", "distributive")):
             yield law, None
             continue
         names, detail, lhs, rhs = rows[law]
@@ -381,16 +388,20 @@ def check_derived_identities(r: RlseTables) -> Verdict:
                         "zero-neutral", "negation-covers", "negation-antitone"))
 
 
-def check_r4_orthogonal_form(r: RlseTables) -> tuple[Verdict, Verdict]:
+def check_r4_orthogonal_form(r: RlseTables, axioms=None) -> tuple[Verdict, Verdict]:
     """Brute-force R4 and its restriction to orthogonal pairs independently.
 
     Returns (r4, orthogonal).  On a valid event ring the two verdicts
     provably coincide; on corrupted tables they show whether they still
     do.  Orthogonality is taken from the multiplicative order: x orth y
-    iff x <= y+1.
+    iff x <= y+1.  R4 is read off axioms, check_rlse(r), which records it
+    whichever axioms fail; a caller that holds that verdict passes it.
     """
-    _check_shape(r)
-    return _verdict(r, ("R4",)), _verdict(r, ("R4-orthogonal",))
+    if axioms is None:
+        axioms = check_rlse(r)
+    f = axioms.failure_for("R4")
+    r4 = Verdict(True, ("R4",)) if f is None else Verdict.of(f)
+    return r4, _verdict(r, ("R4-orthogonal",))
 
 
 def check_r5(r: RlseTables) -> Verdict:
@@ -405,14 +416,23 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     Returns (identity_route, ring_route); the ring is Boolean iff
     ring_route passed.  Route one tests weak associativity together with
     identity T; route two tests the ring axioms directly (x+x=0, x+0=x,
-    associativity of +, and distributivity).  Disagreement raises
-    OracleMismatch since the routes are provably equivalent for valid
-    event rings.
+    associativity of +, and distributivity).  The last two are decided by
+    the atom map, which takes * to & and + to ^ in a Boolean ring
+    (lattice._is_boolean), and scanned only when it finds the ring not
+    Boolean, for their first witness; a scan that then finds none raises
+    OracleMismatch.  So does a disagreement of the two routes,
+    which are provably equivalent for valid event rings.
     """
     require_rlse(r)
     identity_route = _verdict(r, ("weak-associativity", "T"))
-    ring_route = _verdict(r, ("plus-self-inverse", "zero-neutral",
-                              "plus-associative", "distributive"))
+    boolean = _lat._is_boolean(r.times, r.oplus, xor)
+    ring_route = collect(_failures(r, ("plus-self-inverse", "zero-neutral",
+                                       "plus-associative", "distributive"), boolean=boolean))
+    if ring_route.passed != boolean:
+        raise OracleMismatch(
+            f"Boolean-ring test disagrees with the atom map: ring axioms say "
+            f"{ring_route.passed}, atom map says {boolean}"
+        )
     if identity_route.passed != ring_route.passed:
         raise OracleMismatch(
             "Boolean-ring routes disagree: identities say "

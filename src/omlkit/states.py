@@ -20,7 +20,8 @@ The state search and the scans run on ints (_scale): rationals times the
 lcm of their denominators.  The reduction's forms share one denominator,
 each vertex state is evaluated on them and on its scaled vertex, the
 state checks and the dominance masks scale each state, and the event
-checks each coordinate (_scaled), with the scaled 1 in place of 1.
+checks each coordinate (_scaled), with the scaled 1 in place of 1; the
+Boolean test packs each scaled event vector into one int (_packing).
 State values, event vectors and witness values stay Fraction.
 
 Checks return a laws.Verdict; their counterexample scans compare whole
@@ -469,6 +470,29 @@ def _algebra_laws(ev, den, events, le):
         "orthogonal-pair-sum", witness("pq", labels, hit), hit[2])
 
 
+def _packing(den, events):
+    """(packed, over, top): the scaled vectors as one int each, coordinate
+    k in a field of w bits, w = max(den[k], spread).bit_length() + 2 with
+    spread the largest minus the smallest value of the coordinate.
+
+    Packing is linear, so p+q-2(p^q) packs to the same three int
+    operations on the packed vectors.  Its value is at least 0 and at most
+    twice the spread in each coordinate, so no field borrows from or
+    carries into its neighbour, and after adding over a field has its top
+    bit (in top) set exactly when its value exceeds den[k].  Two packed
+    vectors are equal only when the vectors are, for those sums and for a
+    complement-closed set's members.
+    """
+    shifts, over, top, offset = [], 0, 0, 0
+    for d, col in zip(den, zip(*events)):
+        w = max(d, max(col) - min(col)).bit_length() + 2
+        shifts.append(offset)
+        over += (1 << w - 1) - 1 - d << offset
+        top |= 1 << offset + w - 1
+        offset += w
+    return [sum(map(int.__lshift__, vec, shifts)) for vec in events], over, top
+
+
 def hat_plus(p, q, meet):
     """The candidate ring addition p + q - 2(p^q), pointwise."""
     return tuple(a + b - 2 * c for a, b, c in zip(p, q, meet))
@@ -505,20 +529,26 @@ def boolean_test(ev: NumericalEventSet):
 
     # p+q-2(p^q) is symmetric in p and q: one pass over the pairs p <= q
     # both looks for a value above 1 (den, scaled) and fills the addition
-    # table
+    # table, on the packed vectors (_packing); a row with a value above 1
+    # is computed again on the vectors, for its witness
+    packed, over, top = _packing(den, events)
+    index = {v: i for i, v in enumerate(packed)}
     plus = [[0] * m for _ in range(m)]
-    for i, (p, mi) in enumerate(zip(events, meet)):
-        hats = [hat_plus(p, events[j], events[mi[j]]) for j in range(i, m)]
-        hit = first_mismatch([(j,) for j in range(i, m)],
-                             ([*map(gt, h, den)] for h in hats), repeat([False] * len(den)))
-        if hit is not None:
+    for i, (p, mi) in enumerate(zip(packed, meet)):
+        hats = [p + q - 2 * packed[v] for q, v in zip(packed[i:], mi[i:])]
+        if any(map(top.__and__, map(over.__add__, hats))):
+            hats = [hat_plus(events[i], events[j], events[mi[j]]) for j in range(i, m)]
+            hit = first_mismatch([(j,) for j in range(i, m)],
+                                 ([*map(gt, h, den)] for h in hats), repeat([False] * len(den)))
+            if hit is None:
+                raise OracleMismatch("packed event vectors exceed 1 where the vectors do not")
             j, pos = hit[:2]
             return {
                 "p": labels[i], "q": labels[j],
                 "state": pos, "value": str(Fraction(hats[j - i][pos], den[pos])),
             }, None
         for j, h in enumerate(hats, start=i):
-            plus[i][j] = plus[j][i] = member.get(h)
+            plus[i][j] = plus[j][i] = index.get(h)
 
     sym = [[join[mi[cj]][meet[ci][j]] for j, cj in enumerate(compl)]
            for mi, ci in zip(meet, compl)]

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from operator import or_, xor
 
 import pytest
 
-from omlkit import corpus, rlse
+from omlkit import corpus, lattice, rlse
 from omlkit.errors import (
     CustomPlusInvalid,
     MalformedTable,
@@ -58,6 +59,19 @@ def test_from_labels_rejects_unknown_table_entry():
     with pytest.raises(MalformedTable):
         RlseTables.from_labels(("a", "b"), (("a", "q"), ("b", "a")),
                                (("a", "a"), ("a", "b")), "a", "b")
+
+
+def test_from_labels_names_the_first_bad_entry():
+    cases = [
+        ((("a", "b"), ("q", "r")), (("a", "a"), ("a", "b")), "oplus table entry 'q'"),
+        ((("a", "b"), ("b", "a")), (("a", "a"), ("a", 3, "x")), "times table row has 3"),
+        ((("a", "b"), ("b", "a")), (("a", "a"), (3, "x")), "times table entry 3 is"),
+        ((("a", "b"), ("b", "a")), (("z", "y"), ("a", "b")), "times table entry 'z'"),
+        ((("a", "b"),), (("a", "a"), ("a", "b")), "oplus table has 1 rows"),
+    ]
+    for oplus, times, message in cases:
+        with pytest.raises(MalformedTable, match=message):
+            RlseTables.from_labels(("a", "b"), oplus, times, "a", "b")
 
 
 def test_from_labels_rejects_unknown_constant():
@@ -447,3 +461,170 @@ def test_associativity_decider_on_symmetric_two_cell_mutants():
         assert rlse._verdict(r, ("times-commutative", "times-idempotent")).passed
         reached += not _assert_associativity_matches_brute_force(r)
     assert reached >= 100, reached
+
+
+# ---------------------------------------------------------------------------
+# The atom map against the cubic scans
+# ---------------------------------------------------------------------------
+
+#: What the atom map decides on a commutative, idempotent table: * is
+#: associative and (R, +, *) is a Boolean ring
+BOOLEAN_RING_LAWS = ("times-associative", "plus-self-inverse", "zero-neutral",
+                     "plus-associative", "distributive")
+
+
+def _assert_atom_map_matches_the_scans(r):
+    boolean = lattice._is_boolean(r.times, r.oplus, xor)
+    assert boolean == rlse._verdict(r, BOOLEAN_RING_LAWS).passed, r
+    return boolean
+
+
+def _distributive_scan(oml):
+    meet, join = oml.meet, oml.join
+    return all([mx[v] for v in join[y]] == [join[mx[y]][v] for v in mx]
+               for mx in meet for y in range(oml.n))
+
+
+def _shuffled(oml, seed):
+    """oml with its elements listed in a seeded random order."""
+    els = list(oml.elements)
+    random.Random(seed).shuffle(els)
+    pairs = [(a, b) for a, ua in zip(oml.elements, oml.poset.up)
+             for y, b in enumerate(oml.elements) if ua >> y & 1]
+    comp = {lab: oml.elements[c] for lab, c in zip(oml.elements, oml.comp)}
+    return lattice.check_oml(lattice.build_poset(els, pairs), comp)[1]
+
+
+def _product(*names):
+    oml = corpus.builtin(names[0])
+    for name in names[1:]:
+        oml = lattice.direct_product(oml, corpus.builtin(name))
+    return oml
+
+
+def test_atom_map_matches_the_scans_on_builtins_and_shuffled_products():
+    lattices = [corpus.builtin(name) for name in corpus.OML_NAMES]
+    # 32 and 64 elements, Boolean or not; mo3 x 2^2 and mo1 x mo3 have a
+    # power of two elements without being Boolean
+    for seed, names in enumerate((("boolean_2", "boolean_3"), ("boolean_3", "boolean_3"),
+                                  ("mo3", "boolean_2"), ("mo1", "mo3"), ("mo2", "boolean_2"))):
+        lattices += [_product(*names), _shuffled(_product(*names), seed)]
+    seen = set()
+    for oml in lattices:
+        distributive = _distributive_scan(oml)
+        assert lattice.is_distributive(oml)[0] is distributive
+        boolean = lattice._is_boolean(oml.meet, oml.join, or_)
+        assert boolean is distributive
+        for plus in ("t1", "t2"):
+            ring = _assert_atom_map_matches_the_scans(rlse_from_oml(oml, plus))
+            assert ring is boolean or plus == "t2" and not boolean
+        seen.add((oml.n & oml.n - 1 == 0, boolean))
+    assert not _assert_atom_map_matches_the_scans(_paper())
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_atom_map_on_symmetric_two_cell_mutants_of_boolean_rings():
+    rng = random.Random(4545)
+    bases = [rlse_from_oml(corpus.builtin(name), "t1")
+             for name in ("boolean_2", "mo1", "boolean_3", "boolean_4")]
+    outcomes = dict.fromkeys(itertools.product(("oplus", "times"), (True, False)), 0)
+    for _ in range(1200):
+        r, table = rng.choice(bases), rng.choice(("oplus", "times"))
+        x, y = rng.sample(range(r.n), 2)
+        v = rng.randrange(r.n)
+        r = _swap_cell(_swap_cell(r, table, x, y, v), table, y, x, v)
+        outcomes[table, _assert_atom_map_matches_the_scans(r)] += 1
+    # a mutant stays Boolean only where it rewrote a cell with its own value
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_atom_map_matches_the_scans_on_every_small_commutative_idempotent_table():
+    # each table as *, with + the same table and, where the indices are
+    # closed under ^, their bitwise xor
+    boolean = 0
+    for n in range(1, 5):
+        elements = tuple(map(str, range(n)))
+        xor = tuple(tuple(x ^ y for y in range(n)) for x in range(n))
+        for times in _commutative_idempotent_tables(n):
+            for oplus in dict.fromkeys((times, xor) if n in (1, 2, 4) else (times,)):
+                r = RlseTables(elements, oplus, times, 0, n - 1)
+                boolean += _assert_atom_map_matches_the_scans(r)
+    # the Boolean rings on 1, 2 and 4 labelled elements with bottom 0 and
+    # + the xor of indices: one each on 1 and 2, and on 4 one per choice
+    # of the top among the three other indices
+    assert boolean == 1 + 1 + 3
+
+
+def test_atom_map_must_be_one_to_one():
+    # a and b lie below each other and are the two atoms, c and d lie
+    # below nothing else; x -> {atoms below x} sends a, b to {a, b} and
+    # c, d to {}, and carries * to & and + to ^, yet + is not associative:
+    # (a+a)+d = c, a+(a+d) = d
+    a, b, c, d = range(4)
+    times = ((a, b, d, c), (a, b, d, c), (c, c, c, c), (d, d, d, d))
+    oplus = ((c, d, a, b), (d, c, b, a), (a, b, c, c), (b, a, c, c))
+    r = RlseTables(tuple("abcd"), oplus, times, c, a)
+    assert not _assert_atom_map_matches_the_scans(r)
+    assert rlse._verdict(r, ("plus-associative",)).first.witness == {"x": "a", "y": "a", "z": "d"}
+
+
+def _counting_rows(monkeypatch, module):
+    """The rows the scans of module draw, recorded in a list."""
+    drawn = []
+    real = module.first_mismatch
+
+    def counting(prefixes, lhs, rhs):
+        def rows():
+            for row in lhs:
+                drawn.append(row)
+                yield row
+        return real(prefixes, rows(), rhs)
+
+    monkeypatch.setattr(module, "first_mismatch", counting)
+    return drawn
+
+
+def test_a_boolean_ring_draws_no_triple_rows(monkeypatch):
+    drawn = _counting_rows(monkeypatch, rlse)
+    r = rlse_from_oml(corpus.builtin("boolean_5"), "t1")
+    check_rlse(r)
+    drawn.clear()
+    assert is_boolean_ring(r)[1].passed
+    # n rows each for weak-associativity and T, one each for
+    # plus-self-inverse and zero-neutral; a triple scan draws n^2
+    assert len(drawn) == 2 * r.n + 2, len(drawn)
+    not_boolean = rlse_from_oml(_product("mo3", "boolean_2"), "t1")
+    check_rlse(not_boolean)
+    drawn.clear()
+    assert not is_boolean_ring(not_boolean)[1].passed
+    assert len(drawn) > 2 * r.n + 2
+
+
+def test_a_boolean_lattice_draws_no_distributivity_rows(monkeypatch):
+    drawn = _counting_rows(monkeypatch, lattice)
+    assert lattice.is_distributive(corpus.builtin("boolean_5"))[0]
+    assert drawn == []
+    assert not lattice.is_distributive(corpus.builtin("mo3"))[0]
+    assert drawn
+
+
+def test_atom_map_disagreeing_with_the_scans_raises(monkeypatch):
+    boolean = rlse_from_oml(corpus.builtin("boolean_3"), "t1")
+    mo3 = rlse_from_oml(corpus.builtin("mo3"), "t1")
+    monkeypatch.setattr(lattice, "_is_boolean", lambda *tables: False)
+    with pytest.raises(OracleMismatch, match="atom map"):
+        is_boolean_ring(boolean)
+    with pytest.raises(OracleMismatch, match="atom map"):
+        lattice.is_distributive(corpus.builtin("boolean_3"))
+    # said Boolean, the ring of mo3 (eight elements) skips the triples and
+    # passes the ring route, which the identity route then contradicts
+    monkeypatch.setattr(lattice, "_is_boolean", lambda *tables: True)
+    with pytest.raises(OracleMismatch, match="routes disagree"):
+        is_boolean_ring(mo3)
+
+
+def test_r4_form_reads_r4_off_the_axiom_verdict():
+    for r in _mutants(400, 4646):
+        expected = rlse._verdict(r, ("R4",)), rlse._verdict(r, ("R4-orthogonal",))
+        assert check_r4_orthogonal_form(r) == expected, r
+        assert check_r4_orthogonal_form(r, check_rlse(r)) == expected, r

@@ -5,6 +5,7 @@ import math
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from operator import gt, sub
 
 import pytest
 
@@ -1038,3 +1039,74 @@ def test_event_checks_match_their_earlier_form_on_wider_denominators():
         lcm60 += any(math.lcm(*(v.denominator for v in col)) == 60 for col in zip(*ev.events))
     assert seen >= {True, False, NotLatticeOrdered, ValidationError, NotAnEventAlgebra}
     assert fractional >= 100 and lcm60 >= 100
+
+
+def _fine_event_sets(count, seed):
+    """Event sets whose columns mix found states with weights of
+    denominators up to 10^6: a full state set with one to three such
+    mixtures added (Boolean exactly on the Boolean lattices), then kept,
+    one value moved by 1/10^6, or a vector and its complement added with
+    values in [-1, 2]."""
+    rng = random.Random(seed)
+    found = [find_full_state_set(corpus.builtin(name)).states
+             for name in ("boolean_2", "boolean_3", "mo1", "mo2", "mo3")]
+    out = []
+    while len(out) < count:
+        fs = rng.choice(found)
+        cols = [s.values for s in fs]
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(2, 10 ** 6)
+            w = F(rng.randint(1, d - 1), d)
+            a, b = rng.choice(fs).values, rng.choice(fs).values
+            cols.append(tuple(w * x + (1 - w) * y for x, y in zip(a, b)))
+        vecs, k, how = list(zip(*cols)), len(cols), rng.randrange(3)
+        if how == 1:
+            pos = rng.randrange(len(vecs))
+            v = list(vecs[pos])
+            v[rng.randrange(k)] += rng.choice((1, -1)) * F(1, 10 ** 6)
+            vecs[pos] = tuple(v)
+        elif how == 2:
+            v = tuple(F(rng.randint(-10 ** 6, 2 * 10 ** 6), 10 ** 6) for _ in range(k))
+            vecs += [v, tuple(1 - a for a in v)]
+        vecs = list(dict.fromkeys(vecs))
+        rng.shuffle(vecs)
+        labels = tuple(f"e{i}" for i in range(len(vecs)))
+        states_ = tuple(State(tuple(v[c] for v in vecs)) for c in range(k))
+        out.append(NumericalEventSet(labels, states_, tuple(vecs)))
+    return out
+
+
+def test_packed_scan_matches_the_two_pass_form_on_fine_denominators():
+    seen, wide = set(), 0
+    for ev in _fine_event_sets(400, 51):
+        got = _outcome(boolean_test, ev)
+        assert got == _outcome(_oracle_boolean_test, ev), ev
+        seen.add(_kind(got))
+        wide += max(states._scaled(ev.events)[0]) > 10 ** 5
+    assert seen >= {True, False, NotLatticeOrdered, ValidationError}
+    assert wide >= 300
+
+
+def test_packed_fields_flag_exactly_the_values_above_one():
+    # values of p+q-2(p^q), from 0 up to twice a column's spread, and den
+    # and den+1, on columns of scaled values with their complements, some
+    # outside [0, den]
+    rng = random.Random(52)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        den = [rng.choice((1, 2, 12, rng.randint(1, 10 ** 6))) for _ in range(k)]
+        lo = [rng.choice((0, -rng.randint(0, 2 * d))) for d in den]
+        vecs = [tuple(rng.randint(a, d - a) for a, d in zip(lo, den)) for _ in range(4)]
+        events = list(dict.fromkeys(vecs + [tuple(map(sub, den, v)) for v in vecs]))
+        packed, over, top = states._packing(den, events)
+        index = {v: i for i, v in enumerate(packed)}
+        spread = [max(c) - min(c) for c in zip(*events)]
+        for _ in range(20):
+            h = tuple(rng.choice((0, d, d + 1, 2 * s, rng.randint(0, 2 * s)))
+                      for d, s in zip(den, spread))
+            ph = sum(v << sum(max(d, s).bit_length() + 2 for d, s in zip(den[:i], spread))
+                     for i, v in enumerate(h))
+            assert bool(ph + over & top) == any(map(gt, h, den)), (den, events, h)
+            if not ph + over & top:
+                assert index.get(ph) == next(
+                    (i for i, e in enumerate(events) if e == h), None), (den, events, h)
