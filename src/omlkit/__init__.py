@@ -33,7 +33,7 @@ _SOURCES = {
     "rlse": ("RlseTables", "check_correspondence", "check_derived_identities",
              "check_r4_orthogonal_form", "check_r5", "check_rlse",
              "derived_lattice", "is_boolean_ring", "rlse_from_oml"),
-    "states": ("State", "boolean_test", "check_full", "check_representation",
+    "states": ("boolean_test", "check_full", "check_representation",
                "check_s_probability_algebra", "check_state",
                "events_from_states", "find_full_state_set"),
     "structfile": ("parse_structure", "serialize_structure"),

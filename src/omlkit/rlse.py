@@ -388,18 +388,16 @@ def check_derived_identities(r: RlseTables) -> Verdict:
                         "zero-neutral", "negation-covers", "negation-antitone"))
 
 
-def check_r4_orthogonal_form(r: RlseTables, axioms=None) -> tuple[Verdict, Verdict]:
+def check_r4_orthogonal_form(r: RlseTables) -> tuple[Verdict, Verdict]:
     """Brute-force R4 and its restriction to orthogonal pairs independently.
 
     Returns (r4, orthogonal).  On a valid event ring the two verdicts
     provably coincide; on corrupted tables they show whether they still
     do.  Orthogonality is taken from the multiplicative order: x orth y
-    iff x <= y+1.  R4 is read off axioms, check_rlse(r), which records it
-    whichever axioms fail; a caller that holds that verdict passes it.
+    iff x <= y+1.  R4 is read off check_rlse(r), which records it
+    whichever axioms fail and caches its verdict.
     """
-    if axioms is None:
-        axioms = check_rlse(r)
-    f = axioms.failure_for("R4")
+    f = check_rlse(r).failure_for("R4")
     r4 = Verdict(True, ("R4",)) if f is None else Verdict.of(f)
     return r4, _verdict(r, ("R4-orthogonal",))
 

@@ -1,9 +1,10 @@
 """States on orthomodular lattices and numerical event algebras.
 
 A state assigns a rational in [0,1] to every element, gives 1 to the top,
-and is additive on orthogonal pairs.  The searches below first solve the
-additivity equations symbolically, which shrinks each lattice to a handful
-of free coordinates, then run an exact simplex over those coordinates.
+and is additive on orthogonal pairs: a tuple of Fractions, one per
+element.  The searches below first solve the additivity equations
+symbolically, which shrinks each lattice to a handful of free
+coordinates, then run an exact simplex over those coordinates.
 An affine form is a plain list [const, c0, c1, ...]; the propagation adds
 integers, and Fractions enter with the elimination, so every result is
 exact.
@@ -17,11 +18,12 @@ the pointwise order of numerical events, which the event side builds once
 and hands to lattice.lattice_tables for infima and suprema.
 
 The state search and the scans run on ints (_scale): rationals times the
-lcm of their denominators.  The reduction's forms share one denominator,
-each vertex state is evaluated on them and on its scaled vertex, the
-state checks and the dominance masks scale each state, and the event
-checks each coordinate (_scaled), with the scaled 1 in place of 1; the
-Boolean test packs each scaled event vector into one int (_packing).
+lcm of their denominators.  The reduction's forms and box share one
+denominator and the simplex runs on them, each vertex state is evaluated
+on the forms and on its scaled vertex, the state checks and the
+dominance masks scale each state, and the event checks each coordinate
+(_scaled), with the scaled 1 in place of 1; the Boolean test packs each
+scaled event vector into one int (_packing).
 State values, event vectors and witness values stay Fraction.
 
 Checks return a laws.Verdict; their counterexample scans compare whole
@@ -45,6 +47,7 @@ from .errors import (
     NotFull,
     NotLatticeOrdered,
     OracleMismatch,
+    UnknownLabel,
     ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
@@ -54,7 +57,6 @@ if TYPE_CHECKING:
     from .rlse import RlseTables
 
 __all__ = [
-    "State",
     "Infeasible",
     "StateSearchResult",
     "NumericalEventSet",
@@ -67,18 +69,6 @@ __all__ = [
     "boolean_test",
     "check_representation",
 ]
-
-_ONE = Fraction(1)
-
-
-class State(NamedTuple):
-    """One probability assignment, index-aligned with the lattice elements."""
-
-    values: tuple[Fraction, ...]
-
-    def value_of(self, oml: FiniteOml, label: str) -> Fraction:
-        return self.values[oml.index(label)]
-
 
 def _fractions(values) -> tuple[Fraction, ...]:
     """The values as Fractions; those that already are stay as they are."""
@@ -139,10 +129,11 @@ def _comb(a, b, f=1):
 def _state_space(oml: FiniteOml):
     """The solution set of the additivity system, in few free coordinates.
 
-    Returns None when there are no states at all, otherwise (exprs, rows,
-    rhs): exprs[e] gives m(e) as a form [const, c0, ..., c(d-1)] over the
-    d free coordinates, and rows.x <= rhs are the deduplicated box
-    inequalities 0 <= m(e) <= 1 over them, ready for the simplex.
+    Returns None when there are no states at all, otherwise (den, forms,
+    rows, rhs), all ints: forms[e] / den gives m(e) as a form [const, c0,
+    ..., c(d-1)] over the d free coordinates, and rows.x <= rhs are the
+    deduplicated box inequalities 0 <= m(e) <= 1 over them times den,
+    ready for the simplex.
 
     Known values spread along m(x) + m(y) = m(x v y) for orthogonal x, y;
     when they stall, the smallest unknown element becomes the next
@@ -205,7 +196,7 @@ def _state_space(oml: FiniteOml):
             if row[0]:
                 return None
             continue
-        inv = _ONE / row[k]
+        inv = Fraction(1, row[k])
         p = [v * inv for v in row]
         for j, q in pivots.items():
             if q[k]:
@@ -215,33 +206,25 @@ def _state_space(oml: FiniteOml):
         exprs = [_comb(e, p, -e[k]) if e[k] else e for e in exprs]
 
     cols = [0] + [k for k in range(1, width) if any(e[k] for e in exprs)]
-    exprs = [[Fraction(e[k]) for k in cols] for e in exprs]
-
-    forms = _scaled_forms(exprs)[1]
+    den, ints = _scale([e[k] for e in exprs for k in cols])
+    forms = [ints[i:i + len(cols)] for i in range(0, len(ints), len(cols))]
     for x, y, w in constraints:
         if any(map(sub, map(add, forms[x], forms[y]), forms[w])):
             raise OracleMismatch("additivity reduction lost a constraint")
 
     box = []
-    for e in exprs:
-        const, coefs = e[0], tuple(e[1:])
+    for f in forms:
+        const, coefs = f[0], tuple(f[1:])
         if not any(coefs):
-            if not 0 <= const <= 1:
+            if not 0 <= const <= den:
                 return None
             continue
-        box.append((coefs, _ONE - const))
+        box.append((coefs, den - const))
         # 0 <= m(e), except for a bare coordinate (implicit there)
-        if const or [v for v in coefs if v] != [1]:
+        if const or [v for v in coefs if v] != [den]:
             box.append((tuple(-v for v in coefs), const))
     box = dict.fromkeys(box)
-    return exprs, [list(r) for r, _ in box], [b for _, b in box]
-
-
-def _scaled_forms(exprs):
-    """(den, forms): the forms times one common denominator den, as ints."""
-    width = len(exprs[0])
-    den, ints = _scale([v for e in exprs for v in e])
-    return den, [ints[i:i + width] for i in range(0, len(ints), width)]
+    return den, forms, [list(r) for r, _ in box], [b for _, b in box]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +240,7 @@ class Infeasible(NamedTuple):
 
 
 class StateSearchResult(NamedTuple):
-    states: tuple[State, ...] | None
+    states: tuple[tuple[Fraction, ...], ...] | None
     failure: Infeasible | None
 
     @property
@@ -266,15 +249,16 @@ class StateSearchResult(NamedTuple):
 
 
 def _separate(oml, space, xi, yi):
-    """A vertex z of the state space with m(x) > m(y), or Infeasible."""
+    """A vertex z of the state space with m(x) > m(y), or Infeasible.  The
+    LP is scaled by den, which scales its value and keeps its vertex."""
     if space is not None:
-        exprs, rows, rhs = space
-        ex, ey = exprs[xi], exprs[yi]
+        _, forms, rows, rhs = space
+        fx, fy = forms[xi], forms[yi]
         try:
-            value, z = simplex.maximize(list(map(sub, ex[1:], ey[1:])), rows, rhs)
+            value, z = simplex.maximize(list(map(sub, fx[1:], fy[1:])), rows, rhs)
         except simplex.InfeasibleError:
             value = None
-        if value is not None and value + ex[0] - ey[0] > 0:
+        if value is not None and value + fx[0] - fy[0] > 0:
             return z
     return Infeasible(oml.elements[xi], oml.elements[yi])
 
@@ -303,9 +287,9 @@ def find_full_state_set(oml: FiniteOml) -> StateSearchResult:
     distinct.  Returns them, or the first pair no state can separate.
     """
     space = _state_space(oml)
-    den, forms = _scaled_forms(space[0]) if space else (1, [])
+    den, forms = space[:2] if space else (1, [])
     n, up = oml.n, oml.poset.up
-    states: list[State] = []
+    states = []
     above = [0] * n
     for x in range(n):
         # the y not below x and not yet separated from it, ascending
@@ -322,7 +306,7 @@ def find_full_state_set(oml: FiniteOml) -> StateSearchResult:
             verdict = check_state(oml, values)
             if not verdict.passed:
                 raise OracleMismatch(f"solver produced a non-state: {verdict.failures[0].law}")
-            states.append(State(values))
+            states.append(values)
             _add_dominance(above, nums)
             todo &= ~(above[x] | low)
     return StateSearchResult(tuple(states), None)
@@ -337,7 +321,7 @@ def check_full(oml: FiniteOml, states) -> Verdict:
     """
     above = [0] * oml.n
     for pos, s in enumerate(states):
-        vals = s.values if isinstance(s, State) else _fractions(s)
+        vals = _fractions(s)
         verdict = check_state(oml, vals)
         if not verdict.passed:
             raise InvalidState(pos, verdict.failures[0].law)
@@ -364,31 +348,27 @@ class NumericalEventSet(NamedTuple):
     """Each lattice element as the vector of its values across the states."""
 
     elements: tuple[str, ...]
-    states: tuple[State, ...]
     events: tuple[tuple[Fraction, ...], ...]
 
     def event_of(self, label: str) -> tuple[Fraction, ...]:
-        return self.events[self.elements.index(label)]
-
-    @property
-    def width(self) -> int:
-        return len(self.states)
+        try:
+            return self.events[self.elements.index(label)]
+        except ValueError:
+            raise UnknownLabel(label) from None
 
 
 def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
     """Tabulate x -> (m1(x), m2(x), ...); requires an order-determining
     state set, otherwise the map would not be injective."""
-    states = tuple(s if isinstance(s, State) else State(_fractions(s)) for s in states)
+    states = tuple(map(_fractions, states))
     verdict = check_full(oml, states)
     if not verdict.passed:
         w = verdict.failures[0].witness
         raise NotFull((w["x"], w["y"]))
-    events = tuple(
-        tuple(s.values[x] for s in states) for x in range(oml.n)
-    )
+    events = tuple(tuple(s[x] for s in states) for x in range(oml.n))
     if len(set(events)) != len(events):
         raise OracleMismatch("full state set produced duplicate event vectors")
-    return NumericalEventSet(oml.elements, states, events)
+    return NumericalEventSet(oml.elements, events)
 
 
 def _scaled(events):

@@ -225,8 +225,8 @@ def to_rlse(sf: StructureFile) -> RlseTables:
 
 
 def to_events(sf: StructureFile) -> NumericalEventSet:
-    """Rebuild the event set; states are the columns of the value matrix."""
-    from .states import NumericalEventSet, State
+    """Rebuild the event set: each element's row of values is its vector."""
+    from .states import NumericalEventSet
 
     if sf.kind != "events":
         raise ValidationError(f"expected an events file, got {sf.kind}")
@@ -242,9 +242,7 @@ def to_events(sf: StructureFile) -> NumericalEventSet:
             raise ValidationError(f"elements {seen[vec]} and {lab} have the same "
                                   "event vector")
         seen[vec] = lab
-    width = len(vectors[0]) if vectors else 0
-    cols = tuple(State(tuple(vec[j] for vec in vectors)) for j in range(width))
-    return NumericalEventSet(sf.elements, cols, vectors)
+    return NumericalEventSet(sf.elements, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +266,9 @@ def _cover_pairs(poset: FinitePoset):
 
 def from_oml(oml: FiniteOml, states=()) -> StructureFile:
     els = oml.elements
-    state_rows = ()
-    if states:
-        # only a lattice with states needs the states module
-        from .states import State
-
-        state_rows = tuple(s.values if isinstance(s, State) else tuple(s) for s in states)
     return StructureFile("oml", els, tuple(_cover_pairs(oml.poset)),
                          complement=tuple((lab, els[c]) for lab, c in zip(els, oml.comp)),
-                         states=state_rows)
+                         states=tuple(map(tuple, states)))
 
 
 def from_rlse(r: RlseTables) -> StructureFile:

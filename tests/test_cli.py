@@ -355,9 +355,9 @@ def test_boolean_test_on_an_events_file(tmp_path):
     sf = structfile.parse_structure(found)
     poset, comp = structfile.to_oml_input(sf)
     from omlkit.lattice import check_oml
-    from omlkit.states import State, events_from_states
+    from omlkit.states import events_from_states
     _, oml = check_oml(poset, comp)
-    ev = events_from_states(oml, [State(v) for v in sf.states])
+    ev = events_from_states(oml, sf.states)
     path = tmp_path / "events.txt"
     path.write_text(structfile.serialize_structure(structfile.from_events(ev)))
     code, out, _ = run_cli("boolean-test", str(path))
@@ -518,12 +518,12 @@ def test_events_files_never_raise_on_random_rationals(tmp_path):
     for k in range(300):
         oml, found = rng.choice(bases)
         # columns: the found states, or mixtures of two of them in sevenths
-        cols = [s.values for s in found]
+        cols = list(found)
         if rng.random() < 0.5:
             cols = []
             for s, t in zip(found, rng.sample(found, len(found))):
                 w = Fraction(rng.randint(0, 7), 7)
-                cols.append(tuple(w * a + (1 - w) * b for a, b in zip(s.values, t.values)))
+                cols.append(tuple(w * a + (1 - w) * b for a, b in zip(s, t)))
         rows = _mutate_rows(rng, [[str(v) for v in vec] for vec in zip(*cols)])
         labels = [f"e{i}" for i in range(oml.n)]
         lines = ["KIND events", "ELEMENTS", " ".join(labels), "EVENTS"]
@@ -545,7 +545,7 @@ def test_state_files_never_raise_on_random_rationals(tmp_path):
     codes = set()
     for k in range(300):
         oml, found = rng.choice(bases)
-        rows = _mutate_rows(rng, [[str(v) for v in s.values] for s in found])
+        rows = _mutate_rows(rng, [[str(v) for v in s] for s in found])
         text = structfile.serialize_structure(structfile.from_oml(oml))
         text += "STATES\n" + "\n".join(" ".join(r) for r in rows) + "\n"
         path = tmp_path / f"states{k}.txt"

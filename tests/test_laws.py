@@ -39,7 +39,7 @@ def _state_verdicts(oml, ring):
     yield states.check_full(oml, found)
     yield states.check_full(oml, found[:1])
     for s in found:
-        yield states.check_state(oml, s.values)
+        yield states.check_state(oml, s)
     zero = [F(0)] * oml.n
     yield states.check_state(oml, [F(2)] * oml.n)  # range
     yield states.check_state(oml, zero)            # top-probability-one
@@ -52,8 +52,8 @@ def _state_verdicts(oml, ring):
     yield states.check_representation(ring, ev, f)
     f[oml.elements[1]], f[oml.elements[-1]] = f[oml.elements[-1]], f[oml.elements[1]]
     yield states.check_representation(ring, ev, f)
-    yield states.check_representation(ring, ev, {"x": (F(0),) * ev.width})
-    thin = states.NumericalEventSet(ev.elements[1:], ev.states, ev.events[1:])
+    yield states.check_representation(ring, ev, {"x": (F(0),) * len(found)})
+    thin = states.NumericalEventSet(ev.elements[1:], ev.events[1:])
     yield states.check_s_probability_algebra(thin)
 
 

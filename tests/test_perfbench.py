@@ -56,10 +56,10 @@ def test_state_searches_call_check_state_through_the_module(monkeypatch):
     mo2 = corpus.builtin("mo2")
     found = states.find_full_state_set(mo2).states
     assert len(found) == 4
-    assert calls == [s.values for s in found]
+    assert calls == list(found)
     calls.clear()
     assert states.check_full(mo2, found).passed
-    assert calls == [s.values for s in found]
+    assert calls == list(found)
 
 
 def test_check_rlse_draws_a_linear_number_of_rows(monkeypatch):
@@ -107,21 +107,34 @@ def test_manifest_matches_the_lattices_it_describes(workload, tmp_path):
         assert comp == entry["complement"]
 
 
-def test_the_traced_launcher_runs_a_lazily_imported_command(tmp_path):
-    # launch.py wraps the functions of all nine traced modules, which a
-    # check-oml run would not import by itself
+def _traced_run(tmp_path, *command):
+    """(stdout, trace) of one command run by launch.py, which must pass."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
     trace = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "launch.py"), str(trace), "check-oml", "boolean_2"],
+        [sys.executable, str(PERFBENCH / "launch.py"), str(trace), *command],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert "PASS" in proc.stdout
-    stats = json.loads(trace.read_text())["stats"]
+    return proc.stdout, json.loads(trace.read_text())
+
+
+def test_the_traced_launcher_runs_a_lazily_imported_command(tmp_path):
+    # launch.py wraps the functions of all nine traced modules, which a
+    # check-oml run would not import by itself
+    out, trace = _traced_run(tmp_path, "check-oml", "boolean_2")
+    assert "PASS" in out
+    stats = trace["stats"]
     # one check builds the builtin, one is the command's own
     assert stats["corpus.builtin"][0] == 1
     assert stats["lattice.check_oml"][0] == 2
     assert {f"{module}.{name}" for module, names in _traced().items()
             for name in names} <= stats.keys()
+
+
+def test_the_traced_launcher_counts_the_states_a_search_finds(tmp_path):
+    # the hook on find_full_state_set reads result.states
+    _, trace = _traced_run(tmp_path, "states-find", "mo2")
+    assert trace["counters"]["states.states_found"] == 4
+    assert trace["stats"]["states.find_full_state_set"][0] == 1

@@ -627,4 +627,3 @@ def test_r4_form_reads_r4_off_the_axiom_verdict():
     for r in _mutants(400, 4646):
         expected = rlse._verdict(r, ("R4",)), rlse._verdict(r, ("R4-orthogonal",))
         assert check_r4_orthogonal_form(r) == expected, r
-        assert check_r4_orthogonal_form(r, check_rlse(r)) == expected, r

@@ -1,9 +1,10 @@
 """Exact simplex: hand cases, a classic cycling instance, and a
 brute-force vertex oracle on small random programs."""
 
+import math
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -329,6 +330,41 @@ def test_compact_tableau_matches_the_dense_tableau_on_mixed_denominators():
             assert type(value) is F and all(type(v) is F for v in x), (trial, got)
             seen["optimal"] += 1
         elif got is InfeasibleError:
+            seen[got] += 1
+        seen["phase one"] += any(b < 0 for b in rhs)
+    assert min(seen.values()) >= 150, seen
+
+
+def _times(k, program, kind=int):
+    """The program with c, every row and the right-hand side times k."""
+    c, rows, rhs = program
+    return ([kind(k * v) for v in c], [[kind(k * v) for v in r] for r in rows],
+            [kind(k * v) for v in rhs])
+
+
+def test_int_and_scaled_programs_reach_the_same_vertex():
+    # the state search hands the simplex its rows, bounds and objective as
+    # ints, all times one common denominator: that changes neither the
+    # vertex nor the pivots that lead to it, and scales the value
+    rng = random.Random(1616)
+    seen = {"optimal": 0, InfeasibleError: 0, UnboundedError: 0, "phase one": 0}
+    for trial in range(1500):
+        program = (_general_program, _order_program, _mixed_program)[trial % 3](rng)
+        c, rows, rhs = program
+        den = math.lcm(*(v.denominator for v in chain(c, rhs, *rows)))
+        got = _outcome(maximize, *_times(den, program))
+        assert _outcome(maximize, *_times(den, program, F)) == got, (trial, program)
+        original = _outcome(maximize, *program)
+        k = rng.choice((2, 3, 7, 60, 997))
+        scaled = _outcome(maximize, *_times(k * den, program))
+        if isinstance(got, tuple):
+            value, x = got
+            assert type(value) is F and all(type(v) is F for v in x), (trial, got)
+            assert original == (value / den, x), (trial, program)
+            assert scaled == (k * value, x), (trial, k, program)
+            seen["optimal"] += 1
+        else:
+            assert original == scaled == got, (trial, program)
             seen[got] += 1
         seen["phase one"] += any(b < 0 for b in rhs)
     assert min(seen.values()) >= 150, seen

@@ -17,12 +17,12 @@ from omlkit.errors import (
     NotFull,
     NotLatticeOrdered,
     OracleMismatch,
+    UnknownLabel,
     ValidationError,
 )
 from omlkit.states import (
     Infeasible,
     NumericalEventSet,
-    State,
     boolean_test,
     check_full,
     check_representation,
@@ -37,16 +37,16 @@ from omlkit.terms import T1, term_function
 
 
 MO2_STATES = (
-    State((F(0), F(1), F(0), F(0), F(1), F(1))),
-    State((F(0), F(1), F(0), F(1), F(0), F(1))),
-    State((F(0), F(0), F(1), F(0), F(1), F(1))),
-    State((F(0), F(0), F(1), F(1), F(0), F(1))),
+    (F(0), F(1), F(0), F(0), F(1), F(1)),
+    (F(0), F(1), F(0), F(1), F(0), F(1)),
+    (F(0), F(0), F(1), F(0), F(1), F(1)),
+    (F(0), F(0), F(1), F(1), F(0), F(1)),
 )
 
 
 def test_check_state_accepts_a_vertex_state():
     mo2 = corpus.builtin("mo2")
-    assert check_state(mo2, MO2_STATES[0].values).passed
+    assert check_state(mo2, MO2_STATES[0]).passed
 
 
 def test_check_state_accepts_interior_values():
@@ -92,7 +92,7 @@ def _mixture(rng, found):
     a fifth and the rest: a state whose values mix the two denominators."""
     w1, w2 = F(rng.randint(0, 12), 12), F(rng.randint(0, 5), 5)
     w2 = min(w2, 1 - w1)
-    parts = [rng.choice(found).values for _ in range(3)]
+    parts = [rng.choice(found) for _ in range(3)]
     return tuple(w1 * a + w2 * b + (1 - w1 - w2) * c for a, b, c in zip(*parts))
 
 
@@ -114,7 +114,7 @@ def _check_state_against_a_scan(name, values, start):
     rng = random.Random(name)
     seen = set()
     for _ in range(200):
-        vals = list(rng.choice(found).values if start == "found"
+        vals = list(rng.choice(found) if start == "found"
                     else _mixture(rng, found))
         for _ in range(rng.randint(0, 2)):
             vals[rng.randrange(oml.n)] = rng.choice(values)
@@ -142,8 +142,9 @@ def _check_state_against_a_scan(name, values, start):
 def test_separating_state_on_mo2():
     mo2 = corpus.builtin("mo2")
     found = find_full_state_set(mo2).states
-    s = next(s for s in found if s.value_of(mo2, "a") > s.value_of(mo2, "b"))
-    assert check_state(mo2, s.values).passed
+    a, b = mo2.index("a"), mo2.index("b")
+    s = next(s for s in found if s[a] > s[b])
+    assert check_state(mo2, s).passed
 
 
 def test_separation_can_fail():
@@ -181,7 +182,7 @@ def test_check_full_detects_a_missing_direction():
 
 def test_check_full_rejects_invalid_states():
     mo2 = corpus.builtin("mo2")
-    bad = State((F(0), F(1), F(1), F(0), F(1), F(1)))
+    bad = (F(0), F(1), F(1), F(0), F(1), F(1))
     with pytest.raises(InvalidState) as info:
         check_full(mo2, (MO2_STATES[0], bad))
     assert info.value.position == 1
@@ -190,13 +191,20 @@ def test_check_full_rejects_invalid_states():
 def test_events_from_states():
     mo2 = corpus.builtin("mo2")
     ev = events_from_states(mo2, MO2_STATES)
-    assert ev.width == 4
+    assert {len(v) for v in ev.events} == {4}
     assert ev.event_of("0") == (F(0),) * 4
     assert ev.event_of("1") == (F(1),) * 4
     assert ev.event_of("a") == (F(1), F(1), F(0), F(0))
     assert ev.event_of("b") == (F(0), F(1), F(0), F(1))
     # vectors are pairwise distinct on a full set
     assert len(set(ev.events)) == mo2.n
+
+
+def test_event_of_an_unknown_label_raises_unknown_label():
+    ev = events_from_states(corpus.builtin("mo2"), MO2_STATES)
+    with pytest.raises(UnknownLabel) as info:
+        ev.event_of("c")
+    assert info.value.label == "c"
 
 
 def test_events_require_fullness():
@@ -210,16 +218,16 @@ def test_event_axioms_on_mo2():
     report = check_s_probability_algebra(events_from_states(mo2, MO2_STATES))
     assert report.passed
     assert report.failures == ()
-    # the 2x2 Boolean events, built without states: the constant vectors
-    # have as many coordinates as the vectors, not as the (empty) states
-    ev = NumericalEventSet(("z", "p", "q", "u"), (),
+    # the 2x2 Boolean events, built by hand: the constant vectors have as
+    # many coordinates as the vectors
+    ev = NumericalEventSet(("z", "p", "q", "u"),
                            ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))))
     report = check_s_probability_algebra(ev)
     assert report.passed, report.failures
 
 
 def test_event_axioms_missing_bound():
-    ev = NumericalEventSet(("p", "q"), (), ((F(1), F(0)), (F(0), F(1))))
+    ev = NumericalEventSet(("p", "q"), ((F(1), F(0)), (F(0), F(1))))
     report = check_s_probability_algebra(ev)
     assert not report.passed
     assert report.failures[0].law == "contains-bounds"
@@ -228,7 +236,6 @@ def test_event_axioms_missing_bound():
 def test_event_axioms_missing_complement():
     ev = NumericalEventSet(
         ("z", "p", "u"),
-        (),
         ((F(0), F(0)), (F(1), F(0)), (F(1), F(1))),
     )
     report = check_s_probability_algebra(ev)
@@ -240,7 +247,6 @@ def test_event_axioms_missing_orthogonal_sum():
     # p and q are orthogonal but p+q is absent
     ev = NumericalEventSet(
         ("z", "p", "q", "p'", "q'", "u"),
-        (),
         ((F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 4)),
          (F(3, 4), F(1)), (F(1), F(3, 4)), (F(1), F(1))),
     )
@@ -276,14 +282,13 @@ def test_boolean_test_fails_on_mo2_with_value_2():
     assert witness["value"] == "2"
     # the witness state really weighs both atoms with 1
     pos = witness["state"]
-    assert MO2_STATES[pos].value_of(mo2, "a") == 1
-    assert MO2_STATES[pos].value_of(mo2, "b") == 1
+    assert MO2_STATES[pos][mo2.index("a")] == 1
+    assert MO2_STATES[pos][mo2.index("b")] == 1
 
 
 def test_boolean_test_requires_lattice_order():
     ev = NumericalEventSet(
         ("p", "p'"),
-        (),
         ((F(1), F(0)), (F(0), F(1))),
     )
     with pytest.raises(NotLatticeOrdered):
@@ -293,7 +298,6 @@ def test_boolean_test_requires_lattice_order():
 def test_boolean_test_requires_complements():
     ev = NumericalEventSet(
         ("z", "p", "u"),
-        (),
         ((F(0), F(0)), (F(1), F(0)), (F(1), F(1))),
     )
     with pytest.raises(ValidationError):
@@ -367,7 +371,7 @@ def test_check_full_witness_matches_a_lexicographic_scan():
             expected = next(
                 ((oml.elements[x], oml.elements[y])
                  for x in range(oml.n) for y in range(oml.n)
-                 if x != y and all(s.values[x] <= s.values[y] for s in subset)
+                 if x != y and all(s[x] <= s[y] for s in subset)
                  != leq[x][y]),
                 None)
             report = check_full(oml, subset)
@@ -399,22 +403,22 @@ def test_check_full_sorts_scaled_values_like_fractions():
     # denominators; w = 1/2 and equal values in s and t make ties
     for name in ("mo2", "mo3", "product_2p4_mo2"):
         oml = corpus.builtin(name)
-        found = [s.values for s in find_full_state_set(oml).states]
+        found = find_full_state_set(oml).states
         leq, els = oml.poset.leq, oml.elements
         rng = random.Random(name)
         mixed = []
         for _ in range(12):
             s, t = rng.sample(found, 2)
             w = rng.choice((F(1, 2), F(rng.randint(1, 96), 97), F(rng.randint(1, 6), 7)))
-            mixed.append(State(tuple(w * a + (1 - w) * b for a, b in zip(s, t))))
-        assert len({v.denominator for s in mixed for v in s.values}) > 2, name
+            mixed.append(tuple(w * a + (1 - w) * b for a, b in zip(s, t)))
+        assert len({v.denominator for s in mixed for v in s}) > 2, name
         for s in mixed:
             above = [0] * oml.n
-            states._add_dominance(above, states._scale(s.values)[1])
-            assert above == _fraction_dominance(oml.n, [s.values]), (name, s)
+            states._add_dominance(above, states._scale(s)[1])
+            assert above == _fraction_dominance(oml.n, [s]), (name, s)
         for _ in range(30):
             subset = rng.sample(mixed, rng.randint(0, len(mixed)))
-            above = _fraction_dominance(oml.n, [s.values for s in subset])
+            above = _fraction_dominance(oml.n, subset)
             expected = next(((els[x], els[y]) for x in range(oml.n) for y in range(oml.n)
                              if x != y and (not above[x] >> y & 1) != leq[x][y]), None)
             report = check_full(oml, subset)
@@ -424,7 +428,7 @@ def test_check_full_sorts_scaled_values_like_fractions():
                 assert (w["x"], w["y"]) == expected
         # an invalid state at position k raises InvalidState(k, law)
         for k, law in ((0, "range"), (3, "top-probability-one"), (5, "orthogonal-additivity")):
-            bad = list(mixed[k].values)
+            bad = list(mixed[k])
             if law == "range":
                 bad[oml.poset.bottom] = F(-1, 3)
             elif law == "top-probability-one":
@@ -798,19 +802,19 @@ def test_state_space_matches_its_earlier_form():
         ref = _RefStateSpace(oml)
         space = states._state_space(oml)
         assert not ref.empty and space is not None, key
-        exprs, rows, rhs = space
-        assert exprs == [[e.const] + [e.terms.get(j, F(0)) for j in range(ref.dim)]
-                         for e in ref.exprs], key
-        assert (rows, rhs) == (ref.bound_rows, ref.bound_rhs), key
-        # the simplex must see Fractions: an int right-hand side would
-        # make its ratio test float division
-        assert all(type(v) is F for r in rows for v in r), key
-        assert all(type(v) is F for e in exprs for v in e), key
-        assert all(type(v) is F for v in rhs), key
+        den, forms, rows, rhs = space
+        exprs = [[e.const] + [e.terms.get(j, F(0)) for j in range(ref.dim)]
+                 for e in ref.exprs]
+        # the reference times den, the least common denominator of its forms
+        assert den == math.lcm(*(v.denominator for e in exprs for v in e)), key
+        assert forms == [[v * den for v in e] for e in exprs], key
+        assert rows == [[v * den for v in r] for r in ref.bound_rows], key
+        assert rhs == [v * den for v in ref.bound_rhs], key
+        assert all(type(v) is int for vs in (*forms, *rows, rhs) for v in vs), key
         result = find_full_state_set(oml)
         assert result.ok, key
-        assert [s.values for s in result.states] == _reference_full_state_set(oml), key
-        assert all(type(v) is F for s in result.states for v in s.values), key
+        assert list(result.states) == _reference_full_state_set(oml), key
+        assert all(type(v) is F for s in result.states for v in s), key
         count += 1
     assert count == len(corpus.OML_NAMES) + 12
 
@@ -960,8 +964,7 @@ def _random_event_sets(count, seed):
         vecs = list(dict.fromkeys(vecs))
         rng.shuffle(vecs)
         labels = tuple(f"e{i}" for i in range(len(vecs)))
-        cols = tuple(State(tuple(v[c] for v in vecs)) for c in range(len(vecs[0])))
-        out.append(NumericalEventSet(labels, cols, tuple(vecs)))
+        out.append(NumericalEventSet(labels, tuple(vecs)))
     return out
 
 
@@ -992,8 +995,7 @@ def _wide_event_sets(count, seed):
         vecs = list(dict.fromkeys(vecs))
         rng.shuffle(vecs)
         labels = tuple(f"e{i}" for i in range(len(vecs)))
-        states_ = tuple(State(tuple(v[c] for v in vecs)) for c in range(k))
-        out.append(NumericalEventSet(labels, states_, tuple(vecs)))
+        out.append(NumericalEventSet(labels, tuple(vecs)))
     return out
 
 
@@ -1053,11 +1055,11 @@ def _fine_event_sets(count, seed):
     out = []
     while len(out) < count:
         fs = rng.choice(found)
-        cols = [s.values for s in fs]
+        cols = list(fs)
         for _ in range(rng.randint(1, 3)):
             d = rng.randint(2, 10 ** 6)
             w = F(rng.randint(1, d - 1), d)
-            a, b = rng.choice(fs).values, rng.choice(fs).values
+            a, b = rng.choice(fs), rng.choice(fs)
             cols.append(tuple(w * x + (1 - w) * y for x, y in zip(a, b)))
         vecs, k, how = list(zip(*cols)), len(cols), rng.randrange(3)
         if how == 1:
@@ -1071,8 +1073,7 @@ def _fine_event_sets(count, seed):
         vecs = list(dict.fromkeys(vecs))
         rng.shuffle(vecs)
         labels = tuple(f"e{i}" for i in range(len(vecs)))
-        states_ = tuple(State(tuple(v[c] for v in vecs)) for c in range(k))
-        out.append(NumericalEventSet(labels, states_, tuple(vecs)))
+        out.append(NumericalEventSet(labels, tuple(vecs)))
     return out
 
 

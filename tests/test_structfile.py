@@ -49,7 +49,7 @@ def test_states_round_trip():
     mo2 = corpus.builtin("mo2")
     found = states.find_full_state_set(mo2).states
     sf = parse_structure(serialize_structure(from_oml(mo2, found)))
-    assert sf.states == tuple(s.values for s in found)
+    assert sf.states == found
 
 
 def test_shipped_paper_example_matches_builtin():
