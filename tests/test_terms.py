@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from omlkit import corpus, terms
+from omlkit import corpus, lattice, terms
 from omlkit.errors import EmptyCorpus
 from omlkit.lattice import is_distributive
 from omlkit.terms import (
@@ -194,3 +194,40 @@ def test_chain_on_boolean_3():
     assert hat_equals_t2
     assert witness is None  # t1 = t2
     assert is_distributive(b3)[0]
+
+
+def _reference_value(t, oml, x, y):
+    """A term's value at one index pair, by plain recursion on the node."""
+    if isinstance(t, terms.Var):
+        return x if t.name == "x" else y
+    if isinstance(t, terms.Const):
+        return oml.poset.top if t.value else oml.poset.bottom
+    if isinstance(t, terms.Comp):
+        return oml.comp[_reference_value(t.arg, oml, x, y)]
+    table = oml.meet if isinstance(t, terms.Meet) else oml.join
+    return table[_reference_value(t.left, oml, x, y)][_reference_value(t.right, oml, x, y)]
+
+
+def _shuffled_product(seed):
+    """mo2 x boolean_2 with its elements listed in a seeded random order."""
+    oml = lattice.direct_product(corpus.builtin("mo2"), corpus.builtin("boolean_2"))
+    els = list(oml.elements)
+    random.Random(seed).shuffle(els)
+    pairs = [(a, b) for a, ua in zip(oml.elements, oml.poset.up)
+             for y, b in enumerate(oml.elements) if ua >> y & 1]
+    comp = {lab: oml.elements[c] for lab, c in zip(oml.elements, oml.comp)}
+    return lattice.check_oml(lattice.build_poset(els, pairs), comp)[1]
+
+
+def test_term_tables_match_a_per_pair_reference():
+    omls = (corpus.builtin("mo2"), corpus.builtin("boolean_3"), _shuffled_product(31))
+    for oml in omls:
+        els = oml.elements
+        for t in enumerate_canonical_terms() + (T1, THAT, T2):
+            table = term_function(t, oml)
+            assert table == tuple(
+                tuple(_reference_value(t, oml, x, y) for y in range(oml.n))
+                for x in range(oml.n)), (els, format_term(t))
+            for x in range(oml.n):
+                for y in range(oml.n):
+                    assert eval_term(t, oml, els[x], els[y]) == els[table[x][y]]
