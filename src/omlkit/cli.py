@@ -65,12 +65,20 @@ class _Target(NamedTuple):
     states: tuple = ()
 
 
+def _read(path: Path) -> str:
+    """A file's text; one that is not UTF-8 is unusable input."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_target(arg: str) -> _Target:
     path = Path(arg)
     text = None
     name = arg
     if path.is_file():
-        text = path.read_text()
+        text = _read(path)
         name = path.name
     else:
         from . import corpus
@@ -88,7 +96,7 @@ def _load_target(arg: str) -> _Target:
         if base:
             for cand in (Path(base) / arg, Path(base) / (arg + ".txt")):
                 if cand.is_file():
-                    text = cand.read_text()
+                    text = _read(cand)
                     break
     if text is None:
         raise _Usage(f"no such file or builtin structure: {arg}")
@@ -229,7 +237,7 @@ def _cmd_derive(args):
 def _custom_plus(path: str, elements) -> list:
     """The addition table of an rlse file, re-indexed into the order of
     the lattice elements; the file may list them in any order."""
-    sf = structfile.parse_structure(Path(path).read_text())
+    sf = structfile.parse_structure(_read(Path(path)))
     if sf.kind != "rlse":
         raise _Usage("custom addition must come from an rlse file")
     if set(sf.elements) != set(elements):
@@ -510,10 +518,13 @@ def main(argv=None) -> int:
         return 2
     if not args.witnesses:
         _strip_witnesses(report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
+    text = json.dumps(report, indent=2, sort_keys=True) if args.json else _render_text(report)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left early; send what is left, and the flush at exit, nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return 0 if report["passed"] else 1
 
 

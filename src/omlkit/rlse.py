@@ -75,28 +75,12 @@ class RlseTables(NamedTuple):
         pos = {lab: i for i, lab in enumerate(elements)}
         if len(pos) != len(elements):
             raise MalformedTable("duplicate element labels")
-
-        def convert(rows, name):
-            rows = [list(r) for r in rows]
-            if len(rows) != len(elements):
-                raise MalformedTable(f"{name} table has {len(rows)} rows, wants {len(elements)}")
-            out = []
-            for r in rows:
-                if len(r) != len(elements):
-                    raise MalformedTable(f"{name} table row has {len(r)} entries")
-                try:
-                    out.append(tuple(map(pos.__getitem__, r)))
-                except KeyError as exc:  # the first entry that is no element
-                    raise MalformedTable(
-                        f"{name} table entry {exc.args[0]!r} is not an element") from None
-            return tuple(out)
-
         if zero not in pos:
             raise UnknownLabel(zero)
         if one not in pos:
             raise UnknownLabel(one)
-        return cls(elements, convert(oplus_rows, "oplus"), convert(times_rows, "times"),
-                   pos[zero], pos[one])
+        return cls(elements, _indices(oplus_rows, pos, "oplus"),
+                   _indices(times_rows, pos, "times"), pos[zero], pos[one])
 
     @property
     def n(self) -> int:
@@ -111,6 +95,25 @@ class RlseTables(NamedTuple):
     def neg(self, i: int) -> int:
         """Index-level x+1."""
         return self.oplus[i][self.one]
+
+
+def _indices(rows, pos: dict, name: str) -> tuple[tuple[int, ...], ...]:
+    """A square label table as an index table, through pos (label ->
+    index); the first row or entry that does not fit raises."""
+    n = len(pos)
+    rows = [list(r) for r in rows]
+    if len(rows) != n:
+        raise MalformedTable(f"{name} table has {len(rows)} rows, wants {n}")
+    out = []
+    for r in rows:
+        if len(r) != n:
+            raise MalformedTable(f"{name} table row has {len(r)} entries")
+        try:
+            out.append(tuple(map(pos.__getitem__, r)))
+        except KeyError as exc:  # the first entry that is no element
+            raise MalformedTable(
+                f"{name} table entry {exc.args[0]!r} is not an element") from None
+    return tuple(out)
 
 
 def _check_shape(r: RlseTables) -> None:
@@ -305,6 +308,23 @@ def _order_poset(r: RlseTables) -> _lat.FinitePoset:
     return _lat._poset_from_masks(list(r.elements), rows)
 
 
+def _derived(r: RlseTables) -> tuple[Verdict, _lat.FiniteOml | None]:
+    """(verdict, lattice) of the order * defines, with complement x+1.
+
+    Times-order, then bounds, then check_oml: the lattice is None when
+    one fails, and the verdict names it.
+    """
+    els = r.elements
+    try:
+        poset = _order_poset(r)
+    except (ValidationError, CycleError, NoBoundsError) as exc:  # not even a bounded poset
+        return Verdict.of(Failure("times-order", {"reason": str(exc)})), None
+    if poset.bottom != r.zero or poset.top != r.one:
+        return Verdict.of(Failure("bounds", {
+            "bottom": els[poset.bottom], "top": els[poset.top]})), None
+    return _lat.check_oml(poset, {els[i]: els[r.neg(i)] for i in range(r.n)})
+
+
 def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
     """The orthomodular lattice of a valid event ring.
 
@@ -313,15 +333,9 @@ def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
     would mean the correspondence itself is broken.
     """
     require_rlse(r)
-    poset = _order_poset(r)
-    comp = {r.elements[i]: r.elements[r.neg(i)] for i in range(r.n)}
-    verdict, oml = _lat.check_oml(poset, comp)
+    verdict, oml = _derived(r)
     if oml is None:
-        raise OracleMismatch(
-            f"derived lattice of a valid event ring failed {verdict.failures[0].law}"
-        )
-    if poset.bottom != r.zero or poset.top != r.one:
-        raise OracleMismatch("derived lattice bounds disagree with ring constants")
+        raise OracleMismatch(f"derived lattice of a valid event ring failed {verdict.first.law}")
     return oml
 
 
@@ -347,15 +361,7 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
             for x in range(n)
         )
     else:
-        pos = {lab: i for i, lab in enumerate(oml.elements)}
-        rows = [list(row) for row in plus]
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise MalformedTable("custom addition table is not n x n")
-        for row in rows:
-            for v in row:
-                if v not in pos:
-                    raise MalformedTable(f"custom table entry {v!r} is not an element")
-        oplus = tuple(tuple(pos[v] for v in row) for row in rows)
+        oplus = _indices(plus, {lab: i for i, lab in enumerate(oml.elements)}, "custom")
 
     r = RlseTables(oml.elements, oplus, oml.meet, oml.poset.bottom, oml.poset.top)
 
@@ -448,16 +454,7 @@ def _lattice_side(r: RlseTables) -> Verdict:
     """'The derived structure is an OML whose meet is *, whose join is the
     De Morgan dual of *, with + commutative, x+1 = x' and x+y = x v y on
     orthogonal pairs', checked up to the first failure."""
-    els = r.elements
-    try:
-        poset = _order_poset(r)
-    except (ValidationError, CycleError, NoBoundsError) as exc:  # not even a bounded poset
-        return Verdict.of(Failure("times-order", {"reason": str(exc)}))
-    if poset.bottom != r.zero or poset.top != r.one:
-        return Verdict.of(Failure("bounds", {
-            "bottom": els[poset.bottom], "top": els[poset.top]}))
-    comp = {els[i]: els[r.neg(i)] for i in range(r.n)}
-    verdict, oml = _lat.check_oml(poset, comp)
+    verdict, oml = _derived(r)
     if oml is None:
         return verdict
     return collect(_lattice_side_laws(r, oml), first_only=True)

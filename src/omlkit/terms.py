@@ -96,18 +96,15 @@ def format_term(t: Term) -> str:
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Comp):
-        inner = format_term(t.arg)
-        if isinstance(t.arg, (Meet, Join)):
-            inner = f"({inner})"
-        return inner + "'"
+        return _operand(t.arg) + "'"
     op = " ^ " if isinstance(t, Meet) else " v "
-    sides = []
-    for side in (t.left, t.right):
-        s = format_term(side)
-        if isinstance(side, (Meet, Join)):
-            s = f"({s})"
-        sides.append(s)
-    return op.join(sides)
+    return _operand(t.left) + op + _operand(t.right)
+
+
+def _operand(t: Term) -> str:
+    """A subterm's text, in parentheses when it is binary."""
+    s = format_term(t)
+    return f"({s})" if isinstance(t, (Meet, Join)) else s
 
 
 # ---------------------------------------------------------------------------
@@ -115,49 +112,30 @@ def format_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval_idx(t: Term, oml: FiniteOml, xi: int, yi: int) -> int:
+def _values(t: Term, oml: FiniteOml, xs: list, ys: list) -> list:
+    """t's values at the index pairs (xs[k], ys[k]), one recursion per node."""
     if isinstance(t, Var):
-        return xi if t.name == "x" else yi
+        return xs if t.name == "x" else ys
     if isinstance(t, Const):
-        return oml.poset.bottom if t.value == 0 else oml.poset.top
+        return [oml.poset.bottom if t.value == 0 else oml.poset.top] * len(xs)
     if isinstance(t, Comp):
-        return oml.comp[_eval_idx(t.arg, oml, xi, yi)]
-    a = _eval_idx(t.left, oml, xi, yi)
-    b = _eval_idx(t.right, oml, xi, yi)
-    table = oml.meet if isinstance(t, Meet) else oml.join
-    return table[a][b]
+        comp = oml.comp
+        return [comp[v] for v in _values(t.arg, oml, xs, ys)]
+    op = oml.meet if isinstance(t, Meet) else oml.join
+    return [op[a][b] for a, b in zip(_values(t.left, oml, xs, ys),
+                                     _values(t.right, oml, xs, ys))]
 
 
 def eval_term(t: Term, oml: FiniteOml, x: str, y: str) -> str:
     """Evaluate at a pair of element labels."""
-    return oml.elements[_eval_idx(t, oml, oml.index(x), oml.index(y))]
-
-
-def _eval_table(t: Term, oml: FiniteOml):
-    """Full n x n value table of a term, computed bottom-up."""
-    n = oml.n
-    if isinstance(t, Var):
-        if t.name == "x":
-            return tuple(tuple(i for _ in range(n)) for i in range(n))
-        return tuple(tuple(range(n)) for _ in range(n))
-    if isinstance(t, Const):
-        v = oml.poset.bottom if t.value == 0 else oml.poset.top
-        return tuple(tuple(v for _ in range(n)) for _ in range(n))
-    if isinstance(t, Comp):
-        sub = _eval_table(t.arg, oml)
-        comp = oml.comp
-        return tuple(tuple(comp[v] for v in row) for row in sub)
-    left = _eval_table(t.left, oml)
-    right = _eval_table(t.right, oml)
-    op = oml.meet if isinstance(t, Meet) else oml.join
-    return tuple(
-        tuple(op[a][b] for a, b in zip(lr, rr)) for lr, rr in zip(left, right)
-    )
+    return oml.elements[_values(t, oml, [oml.index(x)], [oml.index(y)])[0]]
 
 
 def term_function(t: Term, oml: FiniteOml) -> tuple[tuple[int, ...], ...]:
-    """A term's n x n value table on one lattice."""
-    return _eval_table(t, oml)
+    """A term's n x n value table on one lattice: row x holds t(x, y)."""
+    n = oml.n
+    flat = _values(t, oml, [x for x in range(n) for _ in range(n)], list(range(n)) * n)
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +259,7 @@ def filter_symmetric_difference_terms(corpus) -> FilterResult:
         tables = []
         verdict = None
         for ci, oml in enumerate(corpus):
-            table = _eval_table(t, oml)
+            table = term_function(t, oml)
             failure = _table_condition(table, oml)
             if failure is not None:
                 verdict = Elimination(ti, index_sets[ti], failure[0], ci, failure[1])
@@ -322,9 +300,7 @@ def chain_check(oml: FiniteOml):
     """
     n = oml.n
     up = oml.poset.up
-    a = _eval_table(T1, oml)
-    b = _eval_table(THAT, oml)
-    c = _eval_table(T2, oml)
+    a, b, c = (term_function(t, oml) for t in (T1, THAT, T2))
     chain = all(
         up[a[x][y]] >> b[x][y] & 1 and up[b[x][y]] >> c[x][y] & 1
         for x in range(n) for y in range(n)

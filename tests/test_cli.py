@@ -411,16 +411,65 @@ def test_verify_all_passes():
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_module_entry_point():
-    # the child finds the package where this process imported it from
+def _child_env():
+    """The environment of a CLI child process, which finds the package
+    where this process imported it from."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "omlkit.cli", "check-oml", "boolean_2"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("states-find", "mo2"), 0),
+    (("states-find", "product_2p4_mo2", "--json"), 0),
+    (("check-oml", "o6"), 1),
+])
+def test_a_closed_stdout_keeps_the_exit_status(argv, status):
+    # the read end closes before the child has started, so its report
+    # meets a broken pipe
+    proc = subprocess.Popen([sys.executable, "-m", "omlkit.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == status
+    assert err == b""
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfeK\x00I\x00N\x00D\x00")
+    return path
+
+
+def _assert_unusable(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_a_target_that_is_not_utf8_is_unusable_input(tmp_path):
+    _assert_unusable(*run_cli("check-oml", str(_not_utf8(tmp_path / "bad.txt"))))
+
+
+def test_a_corpus_dir_file_that_is_not_utf8_is_unusable_input(tmp_path, monkeypatch):
+    _not_utf8(tmp_path / "bad.txt")
+    monkeypatch.setenv("OMLKIT_CORPUS_DIR", str(tmp_path))
+    _assert_unusable(*run_cli("check-oml", "bad"))
+
+
+def test_a_custom_plus_that_is_not_utf8_is_unusable_input(tmp_path):
+    custom = _not_utf8(tmp_path / "plus.txt")
+    _assert_unusable(*run_cli("construct", "boolean_2", "--plus", f"custom={custom}"))
 
 
 def _ring_file(path, n, oplus, times, zero, one):

@@ -196,6 +196,21 @@ def test_custom_plus_rejects_unknown_labels():
         rlse_from_oml(oml, (("x",) * 4,) * 4)
 
 
+def test_custom_plus_names_the_first_entry_or_row_that_does_not_fit():
+    oml = corpus.builtin("boolean_2")
+    good = ("{}", "{1}", "{2}", "{1,2}")
+    cases = [
+        ((good, good, ("{1}", "x", "y", "{}"), good), "custom table entry 'x' is not an element"),
+        ((good,) * 3, "custom table has 3 rows, wants 4"),
+        ((good,) * 5, "custom table has 5 rows, wants 4"),
+        ((good, good[:3], good, good), "custom table row has 3 entries"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(MalformedTable) as info:
+            rlse_from_oml(oml, rows)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", corpus.OML_NAMES)
 def test_derived_identities_hold(name):
     for plus in ("t1", "t2"):
