@@ -3,11 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
-from omlkit import corpus
+from omlkit import corpus, lattice, rlse
 from omlkit.errors import CycleError, NoBoundsError, UnknownLabel, ValidationError
 from omlkit.lattice import (
     build_poset,
@@ -16,6 +16,8 @@ from omlkit.lattice import (
     is_distributive,
     lattice_tables,
 )
+from omlkit.laws import Failure
+from omlkit.structfile import _cover_pairs
 
 DIAMOND = (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 
@@ -266,3 +268,242 @@ def test_lattice_tables_agree_with_the_bound_scan():
         assert got == _scanned_tables(labels, up), up
         kinds[got[2] and got[2][0]] += 1
     assert kinds["meet"] >= 10 and kinds["join"] >= 10, kinds
+
+
+# ---------------------------------------------------------------------------
+# References for the closure, the validation, the covers and the ring order
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_validate(elements, rows):
+    """_validate_poset as it was: antisymmetry tested on every pair i < j."""
+    n = len(elements)
+    full = (1 << n) - 1
+    for i in range(n):
+        if not rows[i] & (1 << i):
+            raise ValidationError(f"order not reflexive at {elements[i]!r}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i] & (1 << j) and rows[j] & (1 << i):
+                raise CycleError((elements[i], elements[j]))
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1 and rows[j] & ~rows[i]:
+                raise ValidationError(
+                    f"order not transitive through {elements[i]!r} <= {elements[j]!r}")
+    bottoms = [i for i in range(n) if rows[i] == full]
+    tops = [j for j in range(n) if all(m >> j & 1 for m in rows)]
+    if len(bottoms) != 1:
+        raise NoBoundsError(f"poset has {len(bottoms)} minimum elements, wants 1")
+    if len(tops) != 1:
+        raise NoBoundsError(f"poset has {len(tops)} maximum elements, wants 1")
+    if bottoms[0] == tops[0]:
+        raise NoBoundsError("bottom equals top; the two-element chain is the smallest structure")
+    return bottoms[0], tops[0]
+
+
+def _fixpoint_build(labels, pairs):
+    """build_poset as it was: each row grown by the rows it sees until no
+    row changes, validated pairwise, the bottom moved to index 0.
+    Returns (elements, up, top)."""
+    labels = list(labels)
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate element labels")
+    pos = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    rows = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if a not in pos:
+            raise UnknownLabel(a)
+        if b not in pos:
+            raise UnknownLabel(b)
+        rows[pos[a]] |= 1 << pos[b]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = rows[i]
+            for j in range(n):
+                if rows[i] >> j & 1:
+                    acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    bottom, top = _pairwise_validate(labels, rows)
+    order = [bottom, *range(bottom), *range(bottom + 1, n)]
+    return tuple(labels[i] for i in order), tuple(_permuted(rows, order)), order.index(top)
+
+
+def _scanned_covers(poset):
+    """_cover_pairs as it was: every pair x != y tested for a cover."""
+    up, els, n = poset.up, poset.elements, poset.n
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return [(els[x], els[y]) for x in range(n) for y in range(n)
+            if x != y and up[x] & down[y] == 1 << x | 1 << y]
+
+
+def _looped_order_masks(r):
+    """rlse._order_poset's masks as they were: bit j of row i set when
+    i*j = i, one cell at a time."""
+    rows = []
+    for i in range(r.n):
+        m = 0
+        for j in range(r.n):
+            if r.times[i][j] == i:
+                m |= 1 << j
+        rows.append(m)
+    return rows
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (ValidationError, CycleError, NoBoundsError, UnknownLabel) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kind(outcome):
+    """'ok', or the error's type and the word of its message naming the check."""
+    tag, msg = outcome
+    if tag == "ok":
+        return tag
+    words = ("reflexive", "transitive", "minimum", "maximum", "equals", "duplicate")
+    return tag + "".join(f":{w}" for w in words if w in msg.split())
+
+
+def _random_relation(rng):
+    """Labels and order pairs: a bounded poset's covers or order pairs, a
+    random subset of them, a few random extra pairs (cycles, new minima or
+    maxima) or an unknown or repeated label."""
+    up = _random_bounded_poset(rng) if rng.random() < 0.8 else [
+        1 << i for i in range(rng.randint(1, 4))]
+    n = len(up)
+    labels = [f"e{i}" for i in rng.sample(range(n + 3), n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(n)
+             if up[i] >> j & 1 and (i != j or rng.random() < 0.2)]
+    if rng.random() < 0.5:
+        pairs = [p for p in pairs if rng.random() < 0.8]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        pairs.append((rng.choice(labels), rng.choice(labels)))
+    rng.shuffle(pairs)
+    roll = rng.random()
+    if roll < 0.02:
+        labels.append(rng.choice(labels))
+    elif roll < 0.04 and pairs:
+        pairs[0] = (pairs[0][0], "stray")
+    return labels, pairs
+
+
+def _random_masks(rng):
+    """A random bounded poset's up-masks with up to three bits flipped:
+    missing reflexive bits, cycles, non-transitive rows, extra bounds."""
+    n = rng.randint(1, 3)
+    up = _random_bounded_poset(rng) if rng.random() < 0.9 else [
+        rng.getrandbits(n) for _ in range(n)]
+    n = len(up)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        up[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return [f"e{i}" for i in range(n)], up
+
+
+def _posets():
+    """The builtin posets and seeded shuffles of four products."""
+    rng = random.Random(2203)
+    posets = [corpus.builtin(name).poset for name in corpus.OML_NAMES]
+    for names in (("mo2", "boolean_3"), ("mo3", "boolean_2"), ("boolean_2", "mo1", "mo2"),
+                  ("boolean_4", "mo2")):
+        oml = corpus.builtin(names[0])
+        for name in names[1:]:
+            oml = direct_product(oml, corpus.builtin(name))
+        posets.append(oml.poset)
+        for _ in range(2):
+            els = rng.sample(oml.elements, oml.n)
+            pairs = [(a, b) for a, row in zip(oml.elements, oml.poset.leq)
+                     for b in compress(oml.elements, row)]
+            rng.shuffle(pairs)
+            posets.append(build_poset(els, pairs))
+    return posets
+
+
+def test_validate_poset_agrees_with_the_pairwise_scan():
+    rng = random.Random(3301)
+    cases = [_random_masks(rng) for _ in range(2000)]
+    cases += [(p.elements, list(p.up)) for p in _posets()]
+    kinds = Counter()
+    for labels, rows in cases:
+        got = _outcome(lattice._validate_poset, labels, rows)
+        assert got == _outcome(_pairwise_validate, labels, rows), (labels, rows)
+        kinds[_kind(got)] += 1
+    assert set(kinds) == {
+        "ok", "CycleError", "ValidationError:reflexive", "ValidationError:transitive",
+        "NoBoundsError:minimum", "NoBoundsError:maximum", "NoBoundsError:equals"}, kinds
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_build_poset_agrees_with_the_fixpoint_closure():
+    rng = random.Random(3307)
+    cases = [_random_relation(rng) for _ in range(2000)]
+    for p in _posets():
+        pairs = [(a, b) for a, row in zip(p.elements, p.leq) for b in compress(p.elements, row)]
+        cases.append((p.elements, pairs))
+    kinds = Counter()
+    for labels, pairs in cases:
+        got = _outcome(build_poset, labels, pairs)
+        expected = _outcome(_fixpoint_build, labels, pairs)
+        if got[0] == "ok":
+            p = got[1]
+            got = "ok", (p.elements, p.up, p.top)
+            assert p.bottom == 0
+            assert _cover_pairs(p) == _scanned_covers(p), (labels, pairs)
+        assert got == expected, (labels, pairs)
+        kinds[_kind(got)] += 1
+    assert set(kinds) == {
+        "ok", "CycleError", "ValidationError:duplicate", "UnknownLabel",
+        "NoBoundsError:minimum", "NoBoundsError:maximum", "NoBoundsError:equals"}, kinds
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_cover_pairs_agree_with_the_pair_scan():
+    for p in _posets():
+        assert _cover_pairs(p) == _scanned_covers(p), p.elements
+
+
+def _mutant_rings(count, seed):
+    """Rings of builtins and of the paper example with one to three cells
+    of * changed, some of them symmetrically."""
+    rng = random.Random(seed)
+    bases = [corpus.builtin("paper-example-2set")] + [
+        rlse.rlse_from_oml(corpus.builtin(name), plus)
+        for name in ("boolean_2", "mo2", "boolean_3", "mo3") for plus in ("t1", "t2")]
+    out = []
+    for _ in range(count):
+        r = rng.choice(bases)
+        times = [list(row) for row in r.times]
+        for _ in range(rng.randint(1, 3)):
+            i, j, v = rng.randrange(r.n), rng.randrange(r.n), rng.randrange(r.n)
+            times[i][j] = v
+            if rng.random() < 0.5:
+                times[j][i] = v
+        out.append(r._replace(times=tuple(map(tuple, times))))
+    return bases + out
+
+
+def test_ring_order_agrees_with_the_cell_loop():
+    kinds = Counter()
+    for r in _mutant_rings(1500, 3313):
+        rows = _looped_order_masks(r)
+        reference = _outcome(_pairwise_validate, r.elements, rows)
+        got = _outcome(rlse._order_poset, r)
+        if got[0] == "ok":
+            assert reference[0] == "ok" and got[1].up == tuple(rows), r
+        else:
+            assert got == reference, r
+        lattice_side = rlse.check_correspondence(r)[1]
+        if reference[0] == "ok":
+            assert lattice_side.passed or lattice_side.first.law != "times-order", r
+        else:
+            assert lattice_side.first == Failure("times-order", {"reason": reference[1]}), r
+        kinds[_kind(reference)] += 1
+    assert set(kinds) == {"ok", "CycleError", "ValidationError:reflexive", "ValidationError:transitive",
+                          "NoBoundsError:minimum", "NoBoundsError:maximum"}, kinds
+    assert min(kinds.values()) >= 10, kinds
