@@ -52,13 +52,7 @@ def _set_label(mask: int) -> str:
 def _boolean(n: int) -> FiniteOml:
     size = 1 << n
     labels = [_set_label(m) for m in range(size)]
-    rows = []
-    for i in range(size):
-        m = 0
-        for j in range(size):
-            if i | j == j:
-                m |= 1 << j
-        rows.append(m)
+    rows = [_lat._mask(i | j == j for j in range(size)) for i in range(size)]
     poset = _lat._poset_from_masks(labels, rows)
     comp = {labels[i]: labels[(size - 1) ^ i] for i in range(size)}
     _, oml = check_oml(poset, comp)

@@ -4,6 +4,9 @@ Elements are kept as dense indices 0..n-1 with a label per index; the bottom
 element sits at index 0 after loading.  The order is held as bitmasks, one
 per element, and meet and join as index tables computed from them
 (lattice_tables, which also serves the pointwise order of event vectors).
+build_poset closes the given pairs with Warshall's algorithm, one pass
+over the elements, and the validation reads antisymmetry and the top
+from one transpose of the masks.
 check_oml returns a Verdict over the lattice laws of laws.LAWS; each law is
 scanned row by row with laws.first_mismatch, so a failure carries the
 lexicographically first witness.
@@ -82,6 +85,11 @@ def _transpose(rows: list[int]) -> list[int]:
     return cols
 
 
+def _mask(flags) -> int:
+    """The bitmask with bit i set where flags[i] is true."""
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
 def _validate_poset(elements, rows) -> tuple[int, int]:
     """Check reflexivity, antisymmetry, transitivity, unique bounds.
 
@@ -93,10 +101,12 @@ def _validate_poset(elements, rows) -> tuple[int, int]:
     for i in range(n):
         if not rows[i] & (1 << i):
             raise ValidationError(f"order not reflexive at {elements[i]!r}")
+    cols = _transpose(rows)
     for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i] & (1 << j) and rows[j] & (1 << i):
-                raise CycleError((elements[i], elements[j]))
+        # the j both above and below i; the lowest above i names the cycle
+        both = (rows[i] & cols[i]) >> i + 1
+        if both:
+            raise CycleError((elements[i], elements[i + (both & -both).bit_length()]))
     for i in range(n):
         for j in _bits(rows[i]):
             if rows[j] & ~rows[i]:
@@ -104,7 +114,7 @@ def _validate_poset(elements, rows) -> tuple[int, int]:
                     f"order not transitive through {elements[i]!r} <= {elements[j]!r}"
                 )
     bottoms = [i for i in range(n) if rows[i] == full]
-    tops = [j for j, col in enumerate(_transpose(rows)) if col == full]
+    tops = [j for j, col in enumerate(cols) if col == full]
     if len(bottoms) != 1:
         raise NoBoundsError(f"poset has {len(bottoms)} minimum elements, wants 1")
     if len(tops) != 1:
@@ -115,6 +125,8 @@ def _validate_poset(elements, rows) -> tuple[int, int]:
 
 
 def _poset_from_masks(elements, rows) -> FinitePoset:
+    if len(set(elements)) != len(elements):
+        raise ValidationError("duplicate element labels")
     bottom, top = _validate_poset(elements, rows)
     return FinitePoset(tuple(elements), tuple(rows), bottom, top)
 
@@ -138,19 +150,11 @@ def build_poset(labels, pairs) -> FinitePoset:
         if b not in pos:
             raise UnknownLabel(b)
         rows[pos[a]] |= 1 << pos[b]
-    # Transitive closure: grow each row by the rows it can see, to a fixpoint.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = rows[i]
-            acc = m
-            for j in _bits(m):
-                acc |= rows[j]
-            if acc != m:
-                rows[i] = acc
-                changed = True
-
+    # Warshall's transitive closure: once the rows holding bit k have
+    # taken in row k, every path through 0..k is closed.
+    for k in range(n):
+        bit, rk = 1 << k, rows[k]
+        rows = [m | rk if m & bit else m for m in rows]
     bottom, top = _validate_poset(labels, rows)
 
     def moved(m):

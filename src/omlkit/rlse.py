@@ -296,15 +296,7 @@ def require_rlse(r: RlseTables) -> None:
 
 def _order_poset(r: RlseTables) -> _lat.FinitePoset:
     """Poset of the multiplicative order x <= y iff x*y = x."""
-    n = r.n
-    rows = []
-    for i in range(n):
-        ti = r.times[i]
-        m = 0
-        for j in range(n):
-            if ti[j] == i:
-                m |= 1 << j
-        rows.append(m)
+    rows = [_lat._mask(v == i for v in ti) for i, ti in enumerate(r.times)]
     return _lat._poset_from_masks(list(r.elements), rows)
 
 

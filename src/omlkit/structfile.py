@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, UnknownLabel, ValidationError
-from .lattice import FiniteOml, FinitePoset, _transpose, build_poset
+from .lattice import FiniteOml, FinitePoset, _bits, _transpose, build_poset
 
 __all__ = [
     "StructureFile",
@@ -260,8 +260,8 @@ def _cover_pairs(poset: FinitePoset):
     up, els = poset.up, poset.elements
     down = _transpose(up)
     # x < y is a cover when nothing but x and y lies between them
-    return [(els[x], els[y]) for x in range(poset.n) for y in range(poset.n)
-            if x != y and up[x] & down[y] == 1 << x | 1 << y]
+    return [(els[x], els[y]) for x, ux in enumerate(up) for y in _bits(ux & ~(1 << x))
+            if down[y] & ux == 1 << x | 1 << y]
 
 
 def from_oml(oml: FiniteOml, states=()) -> StructureFile:

@@ -150,6 +150,14 @@ def test_direct_product_shape():
     assert prod.elements[prod.comp[i]] == "({2},a')"
 
 
+def test_direct_product_rejects_colliding_labels():
+    # ("p", "q,r") and ("p,q", "r") are both labelled (p,q,r)
+    a, b = (check_oml(build_poset([lo, hi], [(lo, hi)]), {lo: hi, hi: lo})[1]
+            for lo, hi in (("p", "p,q"), ("q,r", "r")))
+    with pytest.raises(ValidationError, match="^duplicate element labels$"):
+        direct_product(a, b)
+
+
 @pytest.mark.parametrize("names", [("mo2", "boolean_2"), ("boolean_2", "mo1", "mo2"),
                                    ("boolean_3", "mo3")])
 def test_direct_product_order_is_componentwise(names):
