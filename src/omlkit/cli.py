@@ -12,13 +12,12 @@ file under $OMLKIT_CORPUS_DIR.
 
 Only the lattice and file modules are imported up front; each subcommand
 imports the rest of what it runs, so a process compiles no module it
-does not use.
+does not use: json loads only under --json, fractions only with states.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -518,7 +517,11 @@ def main(argv=None) -> int:
         return 2
     if not args.witnesses:
         _strip_witnesses(report)
-    text = json.dumps(report, indent=2, sort_keys=True) if args.json else _render_text(report)
+    if args.json:
+        import json
+        text = json.dumps(report, indent=2, sort_keys=True)
+    else:
+        text = _render_text(report)
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -2,11 +2,12 @@
 
 Elements are kept as dense indices 0..n-1 with a label per index; the bottom
 element sits at index 0 after loading.  The order is held as bitmasks, one
-per element, and meet and join as index tables computed from them
-(lattice_tables, which also serves the pointwise order of event vectors).
-build_poset closes the given pairs with Warshall's algorithm, one pass
-over the elements, and the validation reads antisymmetry and the top
-from one transpose of the masks.
+per element, and meet and join as index tables computed from them, one
+lookup of the intersection of two masks per bound (lattice_tables, which
+also serves the pointwise order of event vectors).  build_poset closes
+the given pairs with Warshall's algorithm, one pass over the elements,
+and the validation reads antisymmetry and the top from one transpose of
+the masks.
 check_oml returns a Verdict over the lattice laws of laws.LAWS; each law is
 scanned row by row with laws.first_mismatch, so a failure carries the
 lexicographically first witness.
@@ -172,6 +173,18 @@ def build_poset(labels, pairs) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
+def _bounds(masks) -> list[list[int | None]]:
+    """Per x, for each y >= x, the index of the mask masks[x] & masks[y], or None."""
+    at = {m: i for i, m in enumerate(masks)}
+    return [list(map(at.get, map(m.__and__, masks[x:]))) for x, m in enumerate(masks)]
+
+
+def _mirrored(rows) -> tuple[tuple[int, ...], ...]:
+    """The symmetric table whose row x holds rows[x] from column x on."""
+    cols = list(zip(*([None] * x + row for x, row in enumerate(rows))))
+    return tuple(col[:x] + tuple(row) for x, (col, row) in enumerate(zip(cols, rows)))
+
+
 def lattice_tables(labels, up):
     """Compute meet and join tables from the order, or report a failure.
 
@@ -181,40 +194,18 @@ def lattice_tables(labels, up):
     (x_label, y_label))) naming the first pair without an infimum
     ("meet") or supremum ("join").
 
-    The masks are renumbered by rank, the size of the down-set, which
-    extends the order linearly.  A greatest element of a set then holds
-    its highest bit and a least element its lowest, so each bound takes
-    one containment test.  up must be a partial order (no two elements
-    with the same mask).
+    The meet of x and y is the element whose down-set is down(x) &
+    down(y), and the join the one whose up-set is up(x) & up(y)
+    (Birkhoff, Lattice Theory, ch. I), so each bound is one lookup of a
+    mask (_bounds).  up must be a partial order, so no two elements have
+    the same mask.
     """
-    n = len(up)
-    down = _transpose(up)
-    order = sorted(range(n), key=lambda i: down[i].bit_count())
-    # dn[i] and un[i]: the down- and up-set of element i, bit r for rank r
-    dn = _transpose([up[i] for i in order])
-    un = _transpose([down[i] for i in order])
-    rdown = [dn[i] for i in order]
-    rup = [un[i] for i in order]
-    meet: list[list[int]] = [[0] * n for _ in range(n)]
-    join: list[list[int]] = [[0] * n for _ in range(n)]
-    for x in range(n):
-        dx, ux = dn[x], un[x]
-        for y in range(x, n):
-            s = dx & dn[y]
-            r = s.bit_length() - 1
-            if not s or rdown[r] & s != s:
-                return None, None, ("meet", (labels[x], labels[y]))
-            meet[x][y] = meet[y][x] = order[r]
-            s = ux & un[y]
-            r = (s & -s).bit_length() - 1
-            if not s or rup[r] & s != s:
-                return None, None, ("join", (labels[x], labels[y]))
-            join[x][y] = join[y][x] = order[r]
-    return (
-        tuple(tuple(r) for r in meet),
-        tuple(tuple(r) for r in join),
-        None,
-    )
+    meet, join = _bounds(_transpose(up)), _bounds(up)
+    for x, (mx, jx) in enumerate(zip(meet, join)):
+        if None in mx or None in jx:
+            k = min(row.index(None) for row in (mx, jx) if None in row)
+            return None, None, ("meet" if mx[k] is None else "join", (labels[x], labels[x + k]))
+    return _mirrored(meet), _mirrored(join), None
 
 
 class FiniteOml(namedtuple("FiniteOml", "poset meet join comp")):

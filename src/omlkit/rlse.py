@@ -118,6 +118,8 @@ def _indices(rows, pos: dict, name: str) -> tuple[tuple[int, ...], ...]:
 
 def _check_shape(r: RlseTables) -> None:
     n = r.n
+    if len(set(r.elements)) != n:
+        raise MalformedTable("duplicate element labels")
     for name, table in (("oplus", r.oplus), ("times", r.times)):
         if len(table) != n:
             raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
@@ -212,15 +214,15 @@ def _semilattice(T) -> bool:
 
     Such a table is the meet of its own order x <= y iff x*y = x (Birkhoff,
     Lattice Theory, ch. II).  With down[y] the mask of the x below y, a
-    commutative idempotent table is associative exactly when
-    down[x] & down[y] == down[x*y] for every pair: the pairs with x <= y
-    make the order transitive, and then x*y is the greatest lower bound of
-    x and y.  That is n^2 mask tests in place of n^3 products.
+    commutative idempotent table, whose down-sets are distinct, is
+    associative exactly when down[x] & down[y] is down[x*y] for every pair
+    (lattice._bounds reads the pairs with y at or after x): that makes the
+    order transitive and x*y the greatest lower bound of x and y.  That is
+    n^2 mask operations in place of n^3 products.
     """
     if list(zip(*T)) != list(map(tuple, T)) or any(tx[x] != x for x, tx in enumerate(T)):
         return False
-    down = _lat._down(T)
-    return all(dx & dy == down[v] for dx, tx in zip(down, T) for dy, v in zip(down, tx))
+    return _lat._bounds(_lat._down(T)) == [list(tx[x:]) for x, tx in enumerate(T)]
 
 
 def _failures(r: RlseTables, laws, comp=(), boolean=False):
@@ -410,10 +412,10 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     """Decide Boolean-ring-ness twice and cross-check.
 
     Returns (identity_route, ring_route); the ring is Boolean iff
-    ring_route passed.  Route one tests weak associativity together with
-    identity T; route two tests the ring axioms directly (x+x=0, x+0=x,
-    associativity of +, and distributivity).  The last two are decided by
-    the atom map, which takes * to & and + to ^ in a Boolean ring
+    ring_route passed.  Route one tests weak associativity and identity T;
+    route two tests the ring axioms (x+x=0, x+0=x, associativity of +, and
+    distributivity) up to the first that fails.  The last two are decided
+    by the atom map, which takes * to & and + to ^ in a Boolean ring
     (lattice._is_boolean), and scanned only when it finds the ring not
     Boolean, for their first witness; a scan that then finds none raises
     OracleMismatch.  So does a disagreement of the two routes,
@@ -422,8 +424,8 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     require_rlse(r)
     identity_route = _verdict(r, ("weak-associativity", "T"))
     boolean = _lat._is_boolean(r.times, r.oplus, xor)
-    ring_route = collect(_failures(r, ("plus-self-inverse", "zero-neutral",
-                                       "plus-associative", "distributive"), boolean=boolean))
+    ring_route = collect(_failures(r, ("plus-self-inverse", "zero-neutral", "plus-associative",
+                                       "distributive"), boolean=boolean), first_only=True)
     if ring_route.passed != boolean:
         raise OracleMismatch(
             f"Boolean-ring test disagrees with the atom map: ring axioms say "

@@ -484,10 +484,10 @@ def boolean_test(ev: NumericalEventSet):
     Returns (witness, plus): witness is None when the set is Boolean and
     otherwise names the first p, q and the state where the value exceeds
     1; plus is the induced addition table when the set is Boolean, None
-    otherwise.  The set must be lattice-ordered (every pair has an infimum
-    and a supremum within the set, under the pointwise order); otherwise
-    NotLatticeOrdered is raised.  The addition table is cross-checked
-    against (p^q')v(p'^q) computed with the set's own lattice operations.
+    otherwise.  The vectors must be distinct (else ValidationError) and
+    lattice-ordered: every pair has an infimum and a supremum in the set
+    under the pointwise order (else NotLatticeOrdered).  The addition
+    table is cross-checked against (p^q')v(p'^q) in the set's own lattice.
     A mismatch raises NotAnEventAlgebra when the vectors fail a
     probability-algebra axiom, and OracleMismatch only when they satisfy
     them all.
@@ -496,6 +496,8 @@ def boolean_test(ev: NumericalEventSet):
     den, events = _scaled(ev.events)
     m = len(events)
     member = {vec: i for i, vec in enumerate(events)}
+    if len(member) != m:
+        raise ValidationError("event vectors are not distinct")
 
     up = _pointwise_up(events)
     meet, join, bad = lattice_tables(labels, up)

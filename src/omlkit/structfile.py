@@ -27,7 +27,6 @@ are written in Fraction notation (1/2, 3, 0).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, UnknownLabel, ValidationError
@@ -69,7 +68,7 @@ class StructureFile(NamedTuple):
     events: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
 
 
-def _fraction(token: str, lineno: int, col: int) -> Fraction:
+def _fraction(Fraction, token: str, lineno: int, col: int) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -130,6 +129,8 @@ def parse_structure(text: str) -> StructureFile:
             raise ParseError(f"content before any section: {first!r}", lineno,
                              body.index(first) + 1)
         rows[section].append((lineno, body, tokens))
+    if rows.get("STATES") or rows.get("EVENTS"):  # only these hold rationals
+        from fractions import Fraction
 
     def pairs(name):
         out = []
@@ -158,7 +159,7 @@ def parse_structure(text: str) -> StructureFile:
             if len(tokens) != n:
                 raise ParseError(f"a state row needs {n} values, got {len(tokens)}",
                                  ln, 1)
-            states.append(tuple(_fraction(t, ln, body.index(t) + 1) for t in tokens))
+            states.append(tuple(_fraction(Fraction, t, ln, body.index(t) + 1) for t in tokens))
         return StructureFile(kind, elements, covers, leq, complement,
                              states=tuple(states))
     if kind == "rlse":
@@ -186,7 +187,7 @@ def parse_structure(text: str) -> StructureFile:
             width = len(tokens) - 1
         elif len(tokens) - 1 != width:
             raise ParseError(f"an EVENTS row needs {width} values", ln, 1)
-        vals = tuple(_fraction(t, ln, body.index(t) + 1) for t in tokens[1:])
+        vals = tuple(_fraction(Fraction, t, ln, body.index(t) + 1) for t in tokens[1:])
         out.append((tokens[0], vals))
     if len(out) != n:
         raise ParseError(f"EVENTS needs one row per element, got {len(out)}",

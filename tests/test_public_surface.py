@@ -1,7 +1,7 @@
 """The public surface: every name a module lists in __all__ exists, the
 package resolves its names on first use, and each subcommand imports only
 the modules it runs; the lattice, ring and state commands never import
-dataclasses."""
+dataclasses, and json and fractions load only where they are used."""
 
 import importlib
 import json
@@ -56,27 +56,29 @@ def test_the_package_resolves_every_listed_name():
     assert namespace["states"].boolean_test is omlkit.boolean_test
 
 
-#: Runs the CLI and then prints, as the only line of stdout, which omlkit
-#: modules the process imported, and "dataclasses" if it imported that.
+#: Runs the CLI and then prints, as the only line of stdout, every module
+#: the process imported; json is imported only after the list is taken.
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from omlkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("omlkit", "dataclasses"))))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 sys.exit(code)
 """
 
 
-def _imported(*argv):
+def _imported(*argv, roots=("omlkit", "dataclasses")):
+    """The modules a CLI run imported whose top-level package is in roots."""
     src = str(Path(omlkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode in (0, 1), proc.stderr
-    return set(json.loads(proc.stdout))
+    return {m for m in json.loads(proc.stdout) if m.split(".")[0] in roots}
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +121,13 @@ def test_subcommands_leave_the_suite_and_terms_unloaded(files, command, kind):
 
 def test_verify_all_still_loads_the_suite():
     assert {"omlkit.suite", "omlkit.terms", "omlkit.states"} <= _imported("verify-all")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("check-oml", str(DATA / "o6.txt")), set()),
+    (("check-rlse", str(DATA / "paper-example-2set.txt")), set()),
+    (("check-oml", "--json", str(DATA / "o6.txt")), {"json"}),
+    (("states-find", "mo2"), {"fractions"}),
+])
+def test_json_and_fractions_load_only_where_used(argv, loaded):
+    assert _imported(*argv, roots=("json", "fractions")) & {"json", "fractions"} == loaded

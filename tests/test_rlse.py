@@ -74,6 +74,16 @@ def test_from_labels_names_the_first_bad_entry():
             RlseTables.from_labels(("a", "b"), oplus, times, "a", "b")
 
 
+def test_checks_reject_a_hand_built_ring_with_a_repeated_label():
+    # mo2's t1 ring is valid on its index tables; with a' relabelled a its
+    # derived poset has two elements named a
+    r = rlse_from_oml(corpus.builtin("mo2"), "t1")
+    r = r._replace(elements=("0", "a", "a", "b", "b'", "1"))
+    for check in (check_rlse, check_correspondence, derived_lattice):
+        with pytest.raises(MalformedTable, match="duplicate element labels"):
+            check(r)
+
+
 def test_from_labels_rejects_unknown_constant():
     with pytest.raises(UnknownLabel):
         RlseTables.from_labels(("a", "b"), (("a", "b"), ("b", "a")),
@@ -266,6 +276,15 @@ def test_boolean_ring_verdicts():
         r = rlse_from_oml(corpus.builtin(name), "t1")
         expected = is_distributive(corpus.builtin(name))[0]
         assert is_boolean_ring(r)[1].passed is expected, name
+
+
+def test_ring_route_stops_at_its_first_failure():
+    # the t1 ring of mo3 x 2^2 breaks plus-associative and distributive;
+    # the ring route reports the first and scans no law after it
+    _, route = is_boolean_ring(rlse_from_oml(_product("mo3", "boolean_2"), "t1"))
+    assert route.checked == ("plus-self-inverse", "zero-neutral", "plus-associative")
+    assert len(route.failures) == 1
+    assert route.first.witness == {"x": "(a,{})", "y": "(a,{})", "z": "(b,{})"}
 
 
 def test_boolean_ring_witness_is_the_modified_diagonal():

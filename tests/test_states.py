@@ -304,6 +304,16 @@ def test_boolean_test_requires_complements():
         boolean_test(ev)
 
 
+def test_boolean_test_requires_distinct_vectors():
+    # each of a and b is the other's complement; the two events are one
+    ev = NumericalEventSet(
+        ("0", "a", "b", "1"),
+        ((F(0),), (F(1, 2),), (F(1, 2),), (F(1),)),
+    )
+    with pytest.raises(ValidationError, match="not distinct"):
+        boolean_test(ev)
+
+
 def test_representation_of_a_boolean_ring():
     b2 = corpus.builtin("boolean_2")
     ring = rlse_from_oml(b2, "t1")
