@@ -557,6 +557,62 @@ def test_atom_map_matches_the_scans_on_builtins_and_shuffled_products():
     assert seen == {(True, True), (True, False), (False, False)}
 
 
+def _first_triple(oml):
+    """The labels of the lexicographically first (x, y, z) with
+    x^(y v z) != (x^y) v (x^z), or None: a plain cubic scan."""
+    meet, join = oml.meet, oml.join
+    for x, y, z in itertools.product(range(oml.n), repeat=3):
+        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+            return tuple(oml.elements[i] for i in (x, y, z))
+    return None
+
+
+def test_distributivity_witness_matches_a_first_triple_scan():
+    lattices = [corpus.builtin(name) for name in corpus.OML_NAMES]
+    for seed, names in enumerate((("boolean_2", "boolean_3"), ("boolean_3", "boolean_3"),
+                                  ("mo3", "boolean_2"), ("mo1", "mo3"), ("mo2", "boolean_2"))):
+        lattices += [_product(*names), _shuffled(_product(*names), seed)]
+    # 192 elements: the 32 of the form (0, S) come first and distribute
+    # over every pair, so the first witness lies past them
+    lattices.append(_product("mo2", "boolean_5"))
+    distributive = 0
+    for oml in lattices:
+        expected = _first_triple(oml)
+        assert is_distributive(oml) == (expected is None, expected), oml.elements
+        distributive += expected is None
+    assert (distributive, len(lattices) - distributive) == (10, 11)
+
+
+#: The ring route of is_boolean_ring, in its order
+RING_ROUTE_LAWS = ("plus-self-inverse", "zero-neutral", "plus-associative", "distributive")
+
+
+def test_boolean_ring_routes_match_the_law_scans_on_valid_plus_mutants():
+    # R4 fixes + only on orthogonal pairs, so a symmetric change of + at
+    # other pairs can leave a valid event ring; each changed cell takes a
+    # random element or the symmetric difference of the ring's lattice
+    rng = random.Random(4747)
+    bases = [_paper()] + [rlse_from_oml(corpus.builtin(name), plus)
+                          for name in ("boolean_2", "mo1", "boolean_3", "boolean_4", "mo2", "mo3")
+                          for plus in ("t1", "t2")]
+    sym = {r: rlse_from_oml(derived_lattice(r), "t1").oplus for r in bases}
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        r = base = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            x, y = rng.randrange(r.n), rng.randrange(r.n)
+            v = sym[base][x][y] if rng.random() < 0.5 else rng.randrange(r.n)
+            r = _swap_cell(_swap_cell(r, "oplus", x, y, v), "oplus", y, x, v)
+        if not check_rlse(r).passed:
+            continue
+        identity_route, ring_route = is_boolean_ring(r)
+        boolean = rlse._verdict(r, BOOLEAN_RING_LAWS).passed
+        assert identity_route.passed is ring_route.passed is boolean, r
+        assert ring_route.first == rlse._verdict(r, RING_ROUTE_LAWS).first, r
+        outcomes[boolean] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_atom_map_on_symmetric_two_cell_mutants_of_boolean_rings():
     rng = random.Random(4545)
     bases = [rlse_from_oml(corpus.builtin(name), "t1")
