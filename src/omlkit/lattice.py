@@ -10,15 +10,15 @@ and the validation reads antisymmetry and the top from one transpose of
 the masks.
 check_oml returns a Verdict over the lattice laws of laws.LAWS; each law is
 scanned row by row with laws.first_mismatch, so a failure carries the
-lexicographically first witness.
+lexicographically first witness; is_distributive scans only the row of
+the first element that is not central (_central, n^2 lookups).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import product, repeat
-from operator import or_
+from itertools import repeat
 
 from .errors import (
     CycleError,
@@ -309,54 +309,40 @@ def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:
     return oml
 
 
-def _down(T):
-    """down[y]: the mask of the x with T[y][x] = x, the x below y in the
-    order of a meet or ring product table T."""
-    return [sum(1 << x for x, v in enumerate(ty) if v == x) for ty in T]
+def _central(meet, comp) -> int | None:
+    """The first x with x' != (x^y)' ^ (x^y')' for some y, or None.
 
-
-def _is_boolean(first, second, op) -> bool:
-    """Whether x -> {atoms below x} is an isomorphism onto the subsets of
-    the atoms that carries first to & and second to op.
-
-    first and second are index tables, x <= y when first[y][x] = x, and an
-    atom is an element with one element strictly below it.  op is
-    operator.or_ for a lattice's meet and join, operator.xor for a ring's
-    times and plus.  When the map is such an isomorphism, the tables are
-    those of the Boolean algebra or ring of subsets, so every law of it
-    holds; a finite Boolean algebra or ring always is one (Stone's
-    representation; Birkhoff, Lattice Theory, 1967).  That is n^2 mask
-    operations, and none when n is not a power of two.
+    By De Morgan that is x != (x^y) v (x^y'): x does not commute with y.
+    An orthomodular lattice is Boolean exactly when every element commutes
+    with every other, that is, is central (Kalmbach, Orthomodular Lattices,
+    1983).  n^2 table lookups.
     """
-    n = len(first)
-    if n & n - 1:
-        return False
-    down = _down(first)
-    atoms = sum(1 << x for x, d in enumerate(down) if d.bit_count() == 2)
-    f = [d & atoms for d in down]
-    if 1 << atoms.bit_count() != n or len(set(f)) != n:
-        return False
-    return all(list(map(f.__getitem__, ax)) == list(map(fx.__and__, f))
-               and list(map(f.__getitem__, bx)) == list(map(op, repeat(fx), f))
-               for fx, ax, bx in zip(f, first, second))
+    for x, mx in enumerate(meet):
+        nx = [comp[v] for v in mx]  # (x^y)' for each y
+        if [meet[a][nx[cy]] for a, cy in zip(nx, comp)] != [comp[x]] * len(nx):
+            return x
+    return None
 
 
 def is_distributive(oml: FiniteOml):
     """Distributivity test; returns (verdict, witness_labels).
 
-    An orthocomplemented lattice is distributive exactly when it is
-    Boolean, which _is_boolean decides in n^2 mask operations.  Only a
-    lattice it finds not Boolean has its triples scanned, for the
-    lexicographically first witness.
+    An orthomodular lattice is distributive exactly when it is Boolean,
+    which _central decides.  By Foulis-Holland a central x distributes
+    over every y and z, and a non-central x fails at some (x, y, y'), so
+    the lexicographically first witness lies in the row of the first
+    non-central x, and only its n^2 pairs (y, z) are scanned.
     """
     meet, join = oml.meet, oml.join
-    if _is_boolean(meet, join, or_):
+    x = _central(meet, oml.comp)
+    if x is None:
         return True, None
-    # x^(y v z) against (x^y) v (x^z), one row over z per pair (x, y)
+    # x^(y v z) against (x^y) v (x^z), one row over z per y
+    mx = meet[x]
     hit = first_mismatch(
-        product(range(oml.n), repeat=2),
-        ([mx[v] for v in jy] for mx in meet for jy in join),
-        ([ja[v] for v in mx] for mx in meet for ja in map(join.__getitem__, mx)))
+        ((x, y) for y in range(oml.n)),
+        ([mx[v] for v in jy] for jy in join),
+        ([ja[v] for v in mx] for ja in map(join.__getitem__, mx)))
     if hit is None:
-        raise OracleMismatch("a distributive orthomodular lattice fails the atom map")
+        raise OracleMismatch(f"{oml.elements[x]} is not central, yet distributes")
     return False, tuple(oml.elements[i] for i in hit[:3])

@@ -12,17 +12,15 @@ runs along a row, one row per assignment of the others.
 laws.first_mismatch compares the rows whole, so each check reports the
 lexicographically first counterexample.  Every check returns a
 laws.Verdict, or a pair of them where it decides one property two ways
-and the caller compares the two.  Associativity of * is decided in
-quadratic time, as the meet of its own order, and a Boolean ring's
-associativity of + and distributivity through its atom map, before any
-of their n^3 triples is scanned.
+and the caller compares the two.  Associativity of * and Boolean-ness
+are decided in quadratic time, as the meet of its own order and by the
+center of its lattice, before any of their n^3 triples is scanned.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import xor
 from typing import NamedTuple
 
 from . import lattice as _lat
@@ -209,6 +207,12 @@ def _ring_laws(r: RlseTables, comp=()) -> dict:
     }
 
 
+def _down(T):
+    """down[y]: the mask of the x with T[y][x] = x, the x below y in the
+    order of a meet or ring product table T."""
+    return [sum(1 << x for x, v in enumerate(ty) if v == x) for ty in T]
+
+
 def _semilattice(T) -> bool:
     """Whether the table T is commutative, idempotent and associative.
 
@@ -222,7 +226,7 @@ def _semilattice(T) -> bool:
     """
     if list(zip(*T)) != list(map(tuple, T)) or any(tx[x] != x for x, tx in enumerate(T)):
         return False
-    return _lat._bounds(_lat._down(T)) == [list(tx[x:]) for x, tx in enumerate(T)]
+    return _lat._bounds(_down(T)) == [list(tx[x:]) for x, tx in enumerate(T)]
 
 
 def _failures(r: RlseTables, laws, comp=(), boolean=False):
@@ -230,9 +234,8 @@ def _failures(r: RlseTables, laws, comp=(), boolean=False):
 
     times-associative passes without a scan when _semilattice decides it;
     its rows are scanned only to find the witness of a failure.  boolean
-    says that the atom map (lattice._is_boolean) has shown r isomorphic to
-    a ring of subsets, where plus-associative and distributive pass
-    without a scan.
+    says that r is a Boolean ring (is_boolean_ring), where
+    plus-associative and distributive pass without a scan.
     """
     rows, els = _ring_laws(r, comp), r.elements
     for law in laws:
@@ -333,6 +336,14 @@ def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
     return oml
 
 
+def _t1(meet, comp) -> tuple[tuple[int, ...], ...]:
+    """The table of the symmetric difference (x^y') v (x'^y), through De
+    Morgan as ((x^y')' ^ (x'^y)')', from the meet table and complement."""
+    a = [[comp[mx[cy]] for cy in comp] for mx in meet]  # (x^y')'; (x'^y)' is a[y][x]
+    return tuple(tuple([comp[meet[u][v]] for u, v in zip(ax, col)])
+                 for ax, col in zip(a, zip(*a)))
+
+
 def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     """Equip a lattice with an addition, giving a validated event ring.
 
@@ -345,10 +356,7 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     n = oml.n
     meet, join, comp = oml.meet, oml.join, oml.comp
     if plus == "t1":
-        oplus = tuple(
-            tuple(join[meet[x][comp[y]]][meet[comp[x]][y]] for y in range(n))
-            for x in range(n)
-        )
+        oplus = _t1(meet, comp)
     elif plus == "t2":
         oplus = tuple(
             tuple(meet[join[x][y]][join[comp[x]][comp[y]]] for y in range(n))
@@ -414,22 +422,23 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     Returns (identity_route, ring_route); the ring is Boolean iff
     ring_route passed.  Route one tests weak associativity and identity T;
     route two tests the ring axioms (x+x=0, x+0=x, associativity of +, and
-    distributivity) up to the first that fails.  The last two are decided
-    by the atom map, which takes * to & and + to ^ in a Boolean ring
-    (lattice._is_boolean), and scanned only when it finds the ring not
-    Boolean, for their first witness; a scan that then finds none raises
-    OracleMismatch.  So does a disagreement of the two routes,
-    which are provably equivalent for valid event rings.
+    distributivity) up to the first that fails.  A valid event ring is
+    Boolean exactly when every element is central (lattice._central) and
+    + is the symmetric difference (_t1); that decides the last two, which
+    are scanned only in a ring that is not, for their first witness.  A
+    scan that then finds none raises OracleMismatch, and so does a
+    disagreement of the two routes, provably equivalent on valid rings.
     """
     require_rlse(r)
     identity_route = _verdict(r, ("weak-associativity", "T"))
-    boolean = _lat._is_boolean(r.times, r.oplus, xor)
+    N = [row[r.one] for row in r.oplus]  # x+1, the complement
+    boolean = _lat._central(r.times, N) is None and r.oplus == _t1(r.times, N)
     ring_route = collect(_failures(r, ("plus-self-inverse", "zero-neutral", "plus-associative",
                                        "distributive"), boolean=boolean), first_only=True)
     if ring_route.passed != boolean:
         raise OracleMismatch(
-            f"Boolean-ring test disagrees with the atom map: ring axioms say "
-            f"{ring_route.passed}, atom map says {boolean}"
+            f"Boolean-ring test disagrees with the center: ring axioms say "
+            f"{ring_route.passed}, center and symmetric difference say {boolean}"
         )
     if identity_route.passed != ring_route.passed:
         raise OracleMismatch(

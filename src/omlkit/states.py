@@ -373,7 +373,11 @@ def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
 
 def _scaled(events):
     """(den, ints): coordinate k of the vectors scaled by _scale, by den[k];
-    the scans below run on the ints with den[k] in place of 1."""
+    the scans below run on the ints with den[k] in place of 1.  The vectors
+    must be of one length, else ValidationError names the first that is not."""
+    for i, vec in enumerate(events):
+        if len(vec) != len(events[0]):
+            raise ValidationError(f"event vector {i} has {len(vec)} values, not {len(events[0])}")
     cols = [_scale(col) for col in zip(*events)]
     return [d for d, _ in cols], list(zip(*(c for _, c in cols))) or [()] * len(events)
 

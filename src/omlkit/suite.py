@@ -5,7 +5,7 @@ to end: the census of the ninety-six binary terms, the two-class
 filter result, round trips between lattices and event rings with
 cross-checked verdicts, the Boolean-ring characterization, the derived
 identities, uniqueness of the ring addition, full state sets with the
-event-set axioms, the event-ring inequality against brute-force
+event-set axioms, the event-ring inequality against the lattice's
 distributivity, and the term chain.  All arithmetic is exact, so every
 comparison is equality, never approximation.
 
@@ -85,7 +85,7 @@ def _events(name: str):
 
 @lru_cache(maxsize=None)
 def _boolean_members() -> tuple[str, ...]:
-    """Corpus members that are distributive, decided by brute force."""
+    """Corpus members that are distributive, decided by is_distributive."""
     return tuple(n for n in corpus.OML_NAMES
                  if is_distributive(corpus.builtin(n))[0])
 
@@ -288,8 +288,8 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """The pointwise ring inequality decides Booleanness, matching
-    brute-force distributivity on every corpus member."""
+    """The pointwise ring inequality decides Booleanness, matching the
+    lattice's distributivity (is_distributive) on every corpus member."""
     problems = []
     boolean = set(_boolean_members())
     for name in corpus.OML_NAMES:

@@ -296,7 +296,7 @@ def chain_check(oml: FiniteOml):
     Returns (chain_holds, hat_equals_t2, witness): whether t1 <= that <= t2
     pointwise, whether that = t2, and the first pair where t1 and t2
     differ, None when they are equal.  The biconditional is cross-checked
-    against a brute-force distributivity test and any disagreement raises.
+    against is_distributive, and any disagreement raises.
     """
     n = oml.n
     up = oml.poset.up

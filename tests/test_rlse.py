@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from operator import or_, xor
 
 import pytest
 
@@ -498,25 +497,31 @@ def test_associativity_decider_on_symmetric_two_cell_mutants():
 
 
 # ---------------------------------------------------------------------------
-# The atom map against the cubic scans
+# The center test against the cubic scans
 # ---------------------------------------------------------------------------
 
-#: What the atom map decides on a commutative, idempotent table: * is
-#: associative and (R, +, *) is a Boolean ring
+#: What is_boolean_ring decides on a valid event ring: (R, +, *) is a
+#: Boolean ring
 BOOLEAN_RING_LAWS = ("times-associative", "plus-self-inverse", "zero-neutral",
                      "plus-associative", "distributive")
 
 
-def _assert_atom_map_matches_the_scans(r):
-    boolean = lattice._is_boolean(r.times, r.oplus, xor)
+def _assert_boolean_ring_matches_the_scans(r):
+    """is_boolean_ring's verdict on r, a valid event ring, checked against
+    the Boolean-ring law scans."""
+    boolean = is_boolean_ring(r)[1].passed
     assert boolean == rlse._verdict(r, BOOLEAN_RING_LAWS).passed, r
     return boolean
 
 
-def _distributive_scan(oml):
+def _first_triple(oml):
+    """The labels of the lexicographically first (x, y, z) with
+    x^(y v z) != (x^y) v (x^z), or None: a plain cubic scan."""
     meet, join = oml.meet, oml.join
-    return all([mx[v] for v in join[y]] == [join[mx[y]][v] for v in mx]
-               for mx in meet for y in range(oml.n))
+    for x, y, z in itertools.product(range(oml.n), repeat=3):
+        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+            return tuple(oml.elements[i] for i in (x, y, z))
+    return None
 
 
 def _shuffled(oml, seed):
@@ -536,42 +541,33 @@ def _product(*names):
     return oml
 
 
-def test_atom_map_matches_the_scans_on_builtins_and_shuffled_products():
+def _lattices():
+    """The builtins, and products of 32 and 64 elements, Boolean or not,
+    each also in a shuffled order; mo3 x 2^2 and mo1 x mo3 have a power of
+    two elements without being Boolean."""
     lattices = [corpus.builtin(name) for name in corpus.OML_NAMES]
-    # 32 and 64 elements, Boolean or not; mo3 x 2^2 and mo1 x mo3 have a
-    # power of two elements without being Boolean
     for seed, names in enumerate((("boolean_2", "boolean_3"), ("boolean_3", "boolean_3"),
                                   ("mo3", "boolean_2"), ("mo1", "mo3"), ("mo2", "boolean_2"))):
         lattices += [_product(*names), _shuffled(_product(*names), seed)]
+    return lattices
+
+
+def test_atom_map_matches_the_scans_on_builtins_and_shuffled_products():
     seen = set()
-    for oml in lattices:
-        distributive = _distributive_scan(oml)
-        assert lattice.is_distributive(oml)[0] is distributive
-        boolean = lattice._is_boolean(oml.meet, oml.join, or_)
-        assert boolean is distributive
+    for oml in _lattices():
+        boolean = _first_triple(oml) is None
+        assert lattice.is_distributive(oml)[0] is boolean
+        assert (lattice._central(oml.meet, oml.comp) is None) is boolean
         for plus in ("t1", "t2"):
-            ring = _assert_atom_map_matches_the_scans(rlse_from_oml(oml, plus))
+            ring = _assert_boolean_ring_matches_the_scans(rlse_from_oml(oml, plus))
             assert ring is boolean or plus == "t2" and not boolean
         seen.add((oml.n & oml.n - 1 == 0, boolean))
-    assert not _assert_atom_map_matches_the_scans(_paper())
+    assert not _assert_boolean_ring_matches_the_scans(_paper())
     assert seen == {(True, True), (True, False), (False, False)}
 
 
-def _first_triple(oml):
-    """The labels of the lexicographically first (x, y, z) with
-    x^(y v z) != (x^y) v (x^z), or None: a plain cubic scan."""
-    meet, join = oml.meet, oml.join
-    for x, y, z in itertools.product(range(oml.n), repeat=3):
-        if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-            return tuple(oml.elements[i] for i in (x, y, z))
-    return None
-
-
 def test_distributivity_witness_matches_a_first_triple_scan():
-    lattices = [corpus.builtin(name) for name in corpus.OML_NAMES]
-    for seed, names in enumerate((("boolean_2", "boolean_3"), ("boolean_3", "boolean_3"),
-                                  ("mo3", "boolean_2"), ("mo1", "mo3"), ("mo2", "boolean_2"))):
-        lattices += [_product(*names), _shuffled(_product(*names), seed)]
+    lattices = _lattices()
     # 192 elements: the 32 of the form (0, S) come first and distribute
     # over every pair, so the first witness lies past them
     lattices.append(_product("mo2", "boolean_5"))
@@ -623,38 +619,44 @@ def test_atom_map_on_symmetric_two_cell_mutants_of_boolean_rings():
         x, y = rng.sample(range(r.n), 2)
         v = rng.randrange(r.n)
         r = _swap_cell(_swap_cell(r, table, x, y, v), table, y, x, v)
-        outcomes[table, _assert_atom_map_matches_the_scans(r)] += 1
-    # a mutant stays Boolean only where it rewrote a cell with its own value
+        if check_rlse(r).passed:
+            outcomes[table, _assert_boolean_ring_matches_the_scans(r)] += 1
+    # a mutant stays Boolean only where it rewrote a cell with its own
+    # value, and each changed * that kept a valid event ring here did so
+    assert outcomes.pop(("times", False)) == 0
     assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_atom_map_matches_the_scans_on_every_small_commutative_idempotent_table():
     # each table as *, with + the same table and, where the indices are
     # closed under ^, their bitwise xor
-    boolean = 0
-    for n in range(1, 5):
+    # closed under ^, their bitwise xor; one element is no event ring, since
+    # its zero is its one
+    valid = boolean = 0
+    for n in range(2, 5):
         elements = tuple(map(str, range(n)))
         xor = tuple(tuple(x ^ y for y in range(n)) for x in range(n))
         for times in _commutative_idempotent_tables(n):
-            for oplus in dict.fromkeys((times, xor) if n in (1, 2, 4) else (times,)):
+            for oplus in dict.fromkeys((times, xor) if n in (2, 4) else (times,)):
                 r = RlseTables(elements, oplus, times, 0, n - 1)
-                boolean += _assert_atom_map_matches_the_scans(r)
-    # the Boolean rings on 1, 2 and 4 labelled elements with bottom 0 and
-    # + the xor of indices: one each on 1 and 2, and on 4 one per choice
-    # of the top among the three other indices
-    assert boolean == 1 + 1 + 3
+                if check_rlse(r).passed:
+                    valid += 1
+                    boolean += _assert_boolean_ring_matches_the_scans(r)
+    # the event rings on 2 and 4 labelled elements with bottom 0 and top
+    # n-1 are the Boolean rings with + the xor of indices
+    assert (valid, boolean) == (2, 2)
 
 
 def test_atom_map_must_be_one_to_one():
-    # a and b lie below each other and are the two atoms, c and d lie
-    # below nothing else; x -> {atoms below x} sends a, b to {a, b} and
-    # c, d to {}, and carries * to & and + to ^, yet + is not associative:
-    # (a+a)+d = c, a+(a+d) = d
+    # a and b lie below each other, c and d below nothing else, and + is
+    # not associative: (a+a)+d = c, a+(a+d) = d.  * is not commutative, so
+    # no Boolean test sees the table
     a, b, c, d = range(4)
     times = ((a, b, d, c), (a, b, d, c), (c, c, c, c), (d, d, d, d))
     oplus = ((c, d, a, b), (d, c, b, a), (a, b, c, c), (b, a, c, c))
     r = RlseTables(tuple("abcd"), oplus, times, c, a)
-    assert not _assert_atom_map_matches_the_scans(r)
+    with pytest.raises(NotAnRlse):
+        is_boolean_ring(r)
     assert rlse._verdict(r, ("plus-associative",)).first.witness == {"x": "a", "y": "a", "z": "d"}
 
 
@@ -701,14 +703,16 @@ def test_a_boolean_lattice_draws_no_distributivity_rows(monkeypatch):
 def test_atom_map_disagreeing_with_the_scans_raises(monkeypatch):
     boolean = rlse_from_oml(corpus.builtin("boolean_3"), "t1")
     mo3 = rlse_from_oml(corpus.builtin("mo3"), "t1")
-    monkeypatch.setattr(lattice, "_is_boolean", lambda *tables: False)
-    with pytest.raises(OracleMismatch, match="atom map"):
+    # said not central, the bottom sends the ring route to its scans and
+    # is_distributive to the row of 0, which distributes
+    monkeypatch.setattr(lattice, "_central", lambda meet, comp: 0)
+    with pytest.raises(OracleMismatch, match="center"):
         is_boolean_ring(boolean)
-    with pytest.raises(OracleMismatch, match="atom map"):
+    with pytest.raises(OracleMismatch, match="not central"):
         lattice.is_distributive(corpus.builtin("boolean_3"))
-    # said Boolean, the ring of mo3 (eight elements) skips the triples and
-    # passes the ring route, which the identity route then contradicts
-    monkeypatch.setattr(lattice, "_is_boolean", lambda *tables: True)
+    # said central, the t1 ring of mo3 skips the triples and passes the
+    # ring route, which the identity route then contradicts
+    monkeypatch.setattr(lattice, "_central", lambda meet, comp: None)
     with pytest.raises(OracleMismatch, match="routes disagree"):
         is_boolean_ring(mo3)
 

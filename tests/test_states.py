@@ -314,6 +314,17 @@ def test_boolean_test_requires_distinct_vectors():
         boolean_test(ev)
 
 
+def test_event_checks_require_vectors_of_one_length():
+    # cut to two coordinates, q would be (0, 1) and the set Boolean
+    ev = NumericalEventSet(
+        ("z", "p", "q", "u"),
+        ((F(0), F(0)), (F(1), F(0)), (F(0), F(1), F(5)), (F(1), F(1))),
+    )
+    for check in (boolean_test, check_s_probability_algebra):
+        with pytest.raises(ValidationError, match="event vector 2 has 3 values, not 2"):
+            check(ev)
+
+
 def test_representation_of_a_boolean_ring():
     b2 = corpus.builtin("boolean_2")
     ring = rlse_from_oml(b2, "t1")
