@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from omlkit import corpus, states, structfile
-from omlkit.errors import ParseError, UnknownLabel, ValidationError
+from omlkit.errors import MalformedTable, ParseError, UnknownLabel, ValidationError
 from omlkit.lattice import check_oml
 from omlkit.rlse import check_rlse
 from omlkit.structfile import (
@@ -173,6 +173,31 @@ def test_rlse_table_must_be_square():
     text = "KIND rlse\nELEMENTS\n0 1\nOPLUS\n0 1\nTIMES\n0 0\n0 1\n"
     with pytest.raises(ParseError):
         parse_structure(text)
+
+
+def _ring_text(oplus="a b\nb a", times="a a\na b", zero="a", one="b", elements="a b"):
+    return (f"KIND rlse\nELEMENTS\n{elements}\nZERO {zero}\nONE {one}\n"
+            f"OPLUS\n{oplus}\nTIMES\n{times}\n")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # parse errors come first, then ZERO, ONE, the first bad OPLUS entry
+    # and the first bad TIMES entry
+    (_ring_text(oplus="a q\nb a", times="a a\na"), ParseError,
+     "a TIMES row needs 2 labels, got 1 at line 11, column 1"),
+    (_ring_text(oplus="a q\nb a", zero="z"), UnknownLabel, "unknown element label: 'z'"),
+    (_ring_text(one="u"), UnknownLabel, "unknown element label: 'u'"),
+    (_ring_text(oplus="a q\nb a", times="a a\nz b"), MalformedTable,
+     "oplus table entry 'q' is not an element"),
+    (_ring_text(times="a a\na z"), MalformedTable, "times table entry 'z' is not an element"),
+    (_ring_text(elements="a a"), ParseError, "duplicate element label at line 11, column 1"),
+], ids=["short-row", "unknown-zero", "unknown-one", "unknown-oplus", "unknown-times",
+        "duplicate-label"])
+def test_malformed_ring_files_raise_in_order(text, error, message):
+    with pytest.raises(error) as info:
+        to_rlse(parse_structure(text))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_events_rows_must_cover_elements():
