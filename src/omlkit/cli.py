@@ -234,8 +234,9 @@ def _cmd_derive(args):
 
 
 def _custom_plus(path: str, elements) -> list:
-    """The addition table of an rlse file, re-indexed into the order of
-    the lattice elements; the file may list them in any order."""
+    """The addition table of an rlse file as the label table rlse_from_oml
+    takes, re-indexed into the order of the lattice elements; the file may
+    list them in any order."""
     sf = structfile.parse_structure(_read(Path(path)))
     if sf.kind != "rlse":
         raise _Usage("custom addition must come from an rlse file")
@@ -243,7 +244,7 @@ def _custom_plus(path: str, elements) -> list:
         raise _Usage("custom addition must be over the elements of the lattice")
     row = {lab: i for i, lab in enumerate(sf.elements)}
     order = [row[lab] for lab in elements]
-    return [[sf.oplus[i][j] for j in order] for i in order]
+    return [[sf.elements[sf.oplus[i][j]] for j in order] for i in order]
 
 
 def _cmd_construct(args):

@@ -66,12 +66,8 @@ def _mo(n: int) -> FiniteOml:
         atoms += [letter, letter + "'"]
     labels = ["0"] + atoms + ["1"]
     size = len(labels)
-    full = (1 << size) - 1
-    top_bit = 1 << (size - 1)
-    rows = [full]  # bottom sees everything
-    for i in range(1, size - 1):
-        rows.append((1 << i) | top_bit)
-    rows.append(top_bit)
+    # i <= j when i is j, i the bottom or j the top
+    rows = [_lat._mask(i in (0, j) or j == size - 1 for j in range(size)) for i in range(size)]
     poset = _lat._poset_from_masks(labels, rows)
     comp = {"0": "1", "1": "0"}
     for letter in "abcd"[:n]:

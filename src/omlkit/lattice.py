@@ -87,7 +87,9 @@ def _transpose(rows: list[int]) -> list[int]:
 
 
 def _mask(flags) -> int:
-    """The bitmask with bit i set where flags[i] is true."""
+    """The bitmask with bit i set where flags[i] is true; the one mask
+    builder, for the builtin lattices (corpus), the ring order
+    (rlse._order_poset) and the down-sets of rlse._semilattice."""
     return sum(1 << i for i, f in enumerate(flags) if f)
 
 

@@ -20,7 +20,8 @@ center of its lattice, before any of their n^3 triples is scanned.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
+from operator import eq
 from typing import NamedTuple
 
 from . import lattice as _lat
@@ -56,8 +57,8 @@ class RlseTables(NamedTuple):
     """Raw event-ring data: labels, two index tables and the two constants.
 
     Tables are row-major and index-valued; nothing is validated at
-    construction time beyond what from_labels does.  Run check_rlse to
-    find out whether the axioms actually hold.
+    construction time.  Run check_rlse to find out whether the axioms
+    actually hold.
     """
 
     elements: tuple[str, ...]
@@ -65,20 +66,6 @@ class RlseTables(NamedTuple):
     times: tuple[tuple[int, ...], ...]
     zero: int
     one: int
-
-    @classmethod
-    def from_labels(cls, elements, oplus_rows, times_rows, zero, one) -> "RlseTables":
-        """Build from label-valued tables, rejecting unknown entries."""
-        elements = tuple(elements)
-        pos = {lab: i for i, lab in enumerate(elements)}
-        if len(pos) != len(elements):
-            raise MalformedTable("duplicate element labels")
-        if zero not in pos:
-            raise UnknownLabel(zero)
-        if one not in pos:
-            raise UnknownLabel(one)
-        return cls(elements, _indices(oplus_rows, pos, "oplus"),
-                   _indices(times_rows, pos, "times"), pos[zero], pos[one])
 
     @property
     def n(self) -> int:
@@ -95,23 +82,25 @@ class RlseTables(NamedTuple):
         return self.oplus[i][self.one]
 
 
+def _rows(table, n: int, name: str):
+    """The rows of table, each checked to have n entries as it is drawn,
+    after the table is checked to have n rows."""
+    if len(table) != n:
+        raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
+    for row in table:
+        if len(row) != n:
+            raise MalformedTable(f"{name} table row has {len(row)} entries")
+        yield row
+
+
 def _indices(rows, pos: dict, name: str) -> tuple[tuple[int, ...], ...]:
     """A square label table as an index table, through pos (label ->
     index); the first row or entry that does not fit raises."""
-    n = len(pos)
-    rows = [list(r) for r in rows]
-    if len(rows) != n:
-        raise MalformedTable(f"{name} table has {len(rows)} rows, wants {n}")
-    out = []
-    for r in rows:
-        if len(r) != n:
-            raise MalformedTable(f"{name} table row has {len(r)} entries")
-        try:
-            out.append(tuple(map(pos.__getitem__, r)))
-        except KeyError as exc:  # the first entry that is no element
-            raise MalformedTable(
-                f"{name} table entry {exc.args[0]!r} is not an element") from None
-    return tuple(out)
+    try:
+        return tuple(tuple(map(pos.__getitem__, r)) for r in _rows(rows, len(pos), name))
+    except KeyError as exc:  # the first entry that is no element
+        raise MalformedTable(
+            f"{name} table entry {exc.args[0]!r} is not an element") from None
 
 
 def _check_shape(r: RlseTables) -> None:
@@ -119,11 +108,7 @@ def _check_shape(r: RlseTables) -> None:
     if len(set(r.elements)) != n:
         raise MalformedTable("duplicate element labels")
     for name, table in (("oplus", r.oplus), ("times", r.times)):
-        if len(table) != n:
-            raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
-        for row in table:
-            if len(row) != n:
-                raise MalformedTable(f"{name} table row has {len(row)} entries")
+        for row in _rows(table, n, name):
             for v in row:
                 if not (isinstance(v, int) and 0 <= v < n):
                     raise MalformedTable(f"{name} table entry {v!r} out of range")
@@ -207,12 +192,6 @@ def _ring_laws(r: RlseTables, comp=()) -> dict:
     }
 
 
-def _down(T):
-    """down[y]: the mask of the x with T[y][x] = x, the x below y in the
-    order of a meet or ring product table T."""
-    return [sum(1 << x for x, v in enumerate(ty) if v == x) for ty in T]
-
-
 def _semilattice(T) -> bool:
     """Whether the table T is commutative, idempotent and associative.
 
@@ -226,7 +205,8 @@ def _semilattice(T) -> bool:
     """
     if list(zip(*T)) != list(map(tuple, T)) or any(tx[x] != x for x, tx in enumerate(T)):
         return False
-    return _lat._bounds(_down(T)) == [list(tx[x:]) for x, tx in enumerate(T)]
+    down = [_lat._mask(map(eq, ty, count())) for ty in T]  # down[y]: the x with y*x = x
+    return _lat._bounds(down) == [list(tx[x:]) for x, tx in enumerate(T)]
 
 
 def _failures(r: RlseTables, laws, comp=(), boolean=False):

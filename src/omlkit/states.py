@@ -371,10 +371,13 @@ def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
     return NumericalEventSet(oml.elements, events)
 
 
-def _scaled(events):
+def _scaled(labels, events):
     """(den, ints): coordinate k of the vectors scaled by _scale, by den[k];
-    the scans below run on the ints with den[k] in place of 1.  The vectors
-    must be of one length, else ValidationError names the first that is not."""
+    the scans below run on the ints with den[k] in place of 1.  There must
+    be one label per vector and the vectors must be of one length, else
+    ValidationError names the counts or the first vector that is not."""
+    if len(labels) != len(events):
+        raise ValidationError(f"event set has {len(labels)} labels for {len(events)} vectors")
     for i, vec in enumerate(events):
         if len(vec) != len(events[0]):
             raise ValidationError(f"event vector {i} has {len(vec)} values, not {len(events[0])}")
@@ -399,7 +402,7 @@ def check_s_probability_algebra(ev: NumericalEventSet) -> Verdict:
     pointwise.  For every orthogonal pair the sum must be a member and the
     least upper bound of the pair within the set.
     """
-    den, events = _scaled(ev.events)
+    den, events = _scaled(ev.elements, ev.events)
     return collect(_algebra_laws(ev, den, events, _pointwise_up(events)))
 
 
@@ -497,7 +500,7 @@ def boolean_test(ev: NumericalEventSet):
     them all.
     """
     labels = ev.elements
-    den, events = _scaled(ev.events)
+    den, events = _scaled(labels, ev.events)
     m = len(events)
     member = {vec: i for i, vec in enumerate(events)}
     if len(member) != m:
@@ -580,7 +583,7 @@ def _representation_laws(r, ev, f):
     rng, xs = range(r.n), [(x,) for x in range(r.n)]
     N = [row[r.one] for row in r.oplus]
     # order and sums compare alike on the vectors scaled to ints
-    _, vecs = _scaled(vecs)
+    _, vecs = _scaled(els, vecs)
     up = _pointwise_up(vecs)
     # the ring's order: x <= y iff x*y = x
     hit = first_mismatch(xs, ([v == x for v in tx] for x, tx in enumerate(r.times)),

@@ -20,7 +20,9 @@ An oml file gives the order either as COVERS or as LEQ pairs (reflexive
 and transitive pairs may be omitted either way), one complement pair per
 line, and optionally STATES rows with one rational per element.  An rlse
 file lists the operation tables row by row in element order; ZERO and
-ONE default to the first and last element.  An events file gives one row
+ONE default to the first and last element.  Labels exist only in the
+text: parsing turns an rlse file's tables and constants into element
+indices, and serializing turns them back.  An events file gives one row
 per member: its label followed by its value in each state.  Rationals
 are written in Fraction notation (1/2, 3, 0).
 """
@@ -53,17 +55,18 @@ _SECTIONS = {
 
 
 class StructureFile(NamedTuple):
-    """Parsed but not yet validated file contents."""
+    """Parsed but not yet validated file contents.  The rlse fields zero,
+    one, oplus and times hold element indices; labels exist only in the text."""
 
     kind: str
     elements: tuple[str, ...] = ()
     covers: tuple[tuple[str, str], ...] = ()
     leq: tuple[tuple[str, str], ...] = ()
     complement: tuple[tuple[str, str], ...] = ()
-    zero: str | None = None
-    one: str | None = None
-    oplus: tuple[tuple[str, ...], ...] = ()
-    times: tuple[tuple[str, ...], ...] = ()
+    zero: int | None = None
+    one: int | None = None
+    oplus: tuple[tuple[int, ...], ...] = ()
+    times: tuple[tuple[int, ...], ...] = ()
     states: tuple[tuple[Fraction, ...], ...] = ()
     events: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
 
@@ -76,7 +79,10 @@ def _fraction(Fraction, token: str, lineno: int, col: int) -> Fraction:
 
 
 def parse_structure(text: str) -> StructureFile:
-    """Parse file text; raises ParseError with line and column on errors."""
+    """Parse file text; raises ParseError with line and column on errors.
+
+    An rlse file's labels then become indices: an unknown ZERO or ONE
+    raises UnknownLabel, a table entry that is no element MalformedTable."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -95,7 +101,7 @@ def parse_structure(text: str) -> StructureFile:
         raise ParseError(f"unknown kind {kind!r}", lineno, head.index(kind) + 1)
 
     known = _SECTIONS[kind]
-    zero = one = None
+    constants = {}  # ZERO and ONE, by section name
     seen = set()
     section = None
     rows: dict[str, list] = {name: [] for name in known}
@@ -114,10 +120,7 @@ def parse_structure(text: str) -> StructureFile:
             if first in ("ZERO", "ONE"):
                 if len(tokens) != 2:
                     raise ParseError(f"{first} takes exactly one label", lineno, 1)
-                if first == "ZERO":
-                    zero = tokens[1]
-                else:
-                    one = tokens[1]
+                constants[first] = tokens[1]
                 section = None
             else:
                 section = first
@@ -163,6 +166,8 @@ def parse_structure(text: str) -> StructureFile:
         return StructureFile(kind, elements, covers, leq, complement,
                              states=tuple(states))
     if kind == "rlse":
+        from .rlse import _indices
+
         tables = []
         for name in ("OPLUS", "TIMES"):
             table = []
@@ -170,14 +175,18 @@ def parse_structure(text: str) -> StructureFile:
                 if len(tokens) != n:
                     raise ParseError(f"a {name} row needs {n} labels, got {len(tokens)}",
                                      ln, 1)
-                table.append(tuple(tokens))
+                table.append(tokens)
             if len(table) != n:
                 raise ParseError(f"{name} needs {n} rows, got {len(table)}", lineno, 1)
-            tables.append(tuple(table))
-        return StructureFile(kind, elements,
-                             zero=elements[0] if zero is None else zero,
-                             one=elements[-1] if one is None else one,
-                             oplus=tables[0], times=tables[1])
+            tables.append(table)
+        pos = {lab: i for i, lab in enumerate(elements)}
+        zero, one = constants.get("ZERO", elements[0]), constants.get("ONE", elements[-1])
+        for label in (zero, one):
+            if label not in pos:
+                raise UnknownLabel(label)
+        return StructureFile(kind, elements, zero=pos[zero], one=pos[one],
+                             oplus=_indices(tables[0], pos, "oplus"),
+                             times=_indices(tables[1], pos, "times"))
     out = []
     width = None
     for ln, body, tokens in rows["EVENTS"]:
@@ -222,7 +231,7 @@ def to_rlse(sf: StructureFile) -> RlseTables:
 
     if sf.kind != "rlse":
         raise ValidationError(f"expected an rlse file, got {sf.kind}")
-    return RlseTables.from_labels(sf.elements, sf.oplus, sf.times, sf.zero, sf.one)
+    return RlseTables(sf.elements, sf.oplus, sf.times, sf.zero, sf.one)
 
 
 def to_events(sf: StructureFile) -> NumericalEventSet:
@@ -273,10 +282,8 @@ def from_oml(oml: FiniteOml, states=()) -> StructureFile:
 
 
 def from_rlse(r: RlseTables) -> StructureFile:
-    els = r.elements
-    return StructureFile("rlse", els, zero=els[r.zero], one=els[r.one],
-                         oplus=tuple(tuple(els[v] for v in row) for row in r.oplus),
-                         times=tuple(tuple(els[v] for v in row) for row in r.times))
+    return StructureFile("rlse", r.elements, zero=r.zero, one=r.one, oplus=r.oplus,
+                         times=r.times)
 
 
 def from_events(ev: NumericalEventSet) -> StructureFile:
@@ -297,12 +304,13 @@ def serialize_structure(sf: StructureFile) -> str:
             lines.append("STATES")
             lines += [" ".join(str(v) for v in row) for row in sf.states]
     elif sf.kind == "rlse":
-        lines.append(f"ZERO {sf.zero}")
-        lines.append(f"ONE {sf.one}")
+        label = sf.elements.__getitem__
+        lines.append(f"ZERO {label(sf.zero)}")
+        lines.append(f"ONE {label(sf.one)}")
         lines.append("OPLUS")
-        lines += [" ".join(row) for row in sf.oplus]
+        lines += [" ".join(map(label, row)) for row in sf.oplus]
         lines.append("TIMES")
-        lines += [" ".join(row) for row in sf.times]
+        lines += [" ".join(map(label, row)) for row in sf.times]
     else:
         lines.append("EVENTS")
         lines += [f"{lab} " + " ".join(str(v) for v in vec)

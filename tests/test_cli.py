@@ -174,10 +174,10 @@ def test_construct_rejects_a_bad_custom_plus(tmp_path):
 def _permuted_ring_file(tmp_path, ring, order):
     """ring written with its elements listed in the given order."""
     pos = [ring.index(lab) for lab in order]
-    rows = {name: tuple(tuple(ring.elements[getattr(ring, name)[i][j]] for j in pos)
-                        for i in pos) for name in ("oplus", "times")}
-    permuted = RlseTables.from_labels(order, rows["oplus"], rows["times"],
-                                      ring.elements[ring.zero], ring.elements[ring.one])
+    new = {i: k for k, i in enumerate(pos)}  # old index -> index in order
+    oplus, times = (tuple(tuple(new[table[i][j]] for j in pos) for i in pos)
+                    for table in (ring.oplus, ring.times))
+    permuted = RlseTables(order, oplus, times, new[ring.zero], new[ring.one])
     path = tmp_path / "permuted.txt"
     path.write_text(structfile.serialize_structure(structfile.from_rlse(permuted)))
     return str(path)
@@ -205,6 +205,23 @@ def test_construct_custom_plus_over_other_elements_is_unusable(tmp_path):
     assert code == 2
     assert out == ""
     assert "elements of the lattice" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("{} {1} {} {1}", "{} {1} x {1}", "times table entry 'x' is not an element"),
+    ("{2} {1,2} {} {1}", "{2} x {} {1}", "oplus table entry 'x' is not an element"),
+    ("ZERO {}", "ZERO z", "unknown element label: 'z'"),
+    ("ONE {1,2}", "ONE u", "unknown element label: 'u'"),
+], ids=["times-entry", "oplus-entry", "zero", "one"])
+def test_a_custom_plus_file_is_read_like_any_ring_file(tmp_path, old, new, message):
+    # the whole file counts, its TIMES, ZERO and ONE too, not only OPLUS
+    _, text, _ = run_cli("construct", "boolean_2", "--plus", "t1")
+    assert text.count(old) == 1
+    path = tmp_path / "custom.txt"
+    path.write_text(text.replace(old, new))
+    assert run_cli("check-rlse", str(path)) == (2, "", f"error: {message}\n")
+    code, out, err = run_cli("construct", "boolean_2", "--plus", "custom=" + str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_bad_plus_value():
@@ -472,8 +489,8 @@ def test_a_custom_plus_that_is_not_utf8_is_unusable_input(tmp_path):
     _assert_unusable(*run_cli("construct", "boolean_2", "--plus", f"custom={custom}"))
 
 
-def _ring_file(path, n, oplus, times, zero, one):
-    labels = [f"e{i}" for i in range(n)]
+def _ring_file(path, n, oplus, times, zero, one, labels=None):
+    labels = labels or [f"e{i}" for i in range(n)]
     lines = ["KIND rlse", "ELEMENTS", " ".join(labels),
              f"ZERO {labels[zero]}", f"ONE {labels[one]}", "OPLUS"]
     lines += [" ".join(labels[v] for v in row) for row in oplus]
@@ -514,18 +531,53 @@ def _random_rings(count, seed):
         yield n, oplus, times, zero, one
 
 
+def _mutate_ring_text(rng, text):
+    """text with one seeded edit: a table entry replaced by a label that is
+    no element, a table row cut short or duplicated, or ZERO or ONE naming
+    a non-element."""
+    lines = text.splitlines()
+    rows = [i for i in range(lines.index("OPLUS") + 1, len(lines)) if lines[i] != "TIMES"]
+    i, how = rng.choice(rows), rng.randrange(4)
+    tokens = lines[i].split()
+    if how == 0:
+        tokens[rng.randrange(len(tokens))] = "q"
+        lines[i] = " ".join(tokens)
+    elif how == 1:
+        lines[i] = " ".join(tokens[:-1])
+    elif how == 2:
+        lines.insert(i, lines[i])
+    else:
+        key = rng.choice(("ZERO ", "ONE "))
+        lines = [key + "q" if line.startswith(key) else line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
 def test_ring_commands_never_raise_on_random_tables(tmp_path):
-    codes = set()
+    # the four-element rings also over the labels of boolean_2, once as
+    # drawn and once with one text mutation, for construct as well
+    rng, b2 = random.Random(62), corpus.builtin("boolean_2").elements
+    commands = ("check-rlse", "derive", "boolean-test")
+    runs = []
     for k, ring in enumerate(_random_rings(300, 61)):
-        path = _ring_file(tmp_path / f"ring{k}.txt", *ring)
-        for command in ("check-rlse", "derive", "boolean-test"):
-            try:
-                code, _, _ = run_cli(command, path)
-            except Exception as exc:
-                pytest.fail(f"{command} raised {exc!r} on {ring}")
-            assert code in (0, 1, 2), (command, ring)
-            codes.add(code)
-    assert codes == {0, 1, 2}
+        runs += [(command, _ring_file(tmp_path / f"ring{k}.txt", *ring)) for command in commands]
+        if ring[0] == len(b2):
+            path = Path(_ring_file(tmp_path / f"b2ring{k}.txt", *ring, labels=b2))
+            mutated = tmp_path / f"mutated{k}.txt"
+            mutated.write_text(_mutate_ring_text(rng, path.read_text()))
+            runs += [(command, str(p)) for p in (path, mutated)
+                     for command in commands + ("construct",)]
+    codes = set()
+    for command, path in runs:
+        argv = ("construct", "boolean_2", "--plus", "custom=" + path) \
+            if command == "construct" else (command, path)
+        try:
+            code, _, err = run_cli(*argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r} on {Path(path).read_text()}")
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        codes.add((command, code))
+    assert codes == {(command, code) for command in commands + ("construct",)
+                     for code in (0, 1, 2)}
 
 
 def _random_rational(rng):

@@ -11,7 +11,6 @@ from omlkit.errors import (
     MalformedTable,
     NotAnRlse,
     OracleMismatch,
-    UnknownLabel,
 )
 from omlkit.lattice import is_distributive
 from omlkit.rlse import (
@@ -40,39 +39,6 @@ def _swap_cell(r, table, i, j, value):
     return RlseTables(r.elements, r.oplus, frozen, r.zero, r.one)
 
 
-def test_from_labels_round_trip():
-    r = _paper()
-    labels = tuple(tuple(r.elements[v] for v in row) for row in r.oplus)
-    times = tuple(tuple(r.elements[v] for v in row) for row in r.times)
-    again = RlseTables.from_labels(r.elements, labels, times, "{}", "{1,2}")
-    assert again == r
-
-
-def test_from_labels_rejects_bad_shape():
-    with pytest.raises(MalformedTable):
-        RlseTables.from_labels(("a", "b"), (("a", "b"),), (("a", "b"), ("b", "a")),
-                               "a", "b")
-
-
-def test_from_labels_rejects_unknown_table_entry():
-    with pytest.raises(MalformedTable):
-        RlseTables.from_labels(("a", "b"), (("a", "q"), ("b", "a")),
-                               (("a", "a"), ("a", "b")), "a", "b")
-
-
-def test_from_labels_names_the_first_bad_entry():
-    cases = [
-        ((("a", "b"), ("q", "r")), (("a", "a"), ("a", "b")), "oplus table entry 'q'"),
-        ((("a", "b"), ("b", "a")), (("a", "a"), ("a", 3, "x")), "times table row has 3"),
-        ((("a", "b"), ("b", "a")), (("a", "a"), (3, "x")), "times table entry 3 is"),
-        ((("a", "b"), ("b", "a")), (("z", "y"), ("a", "b")), "times table entry 'z'"),
-        ((("a", "b"),), (("a", "a"), ("a", "b")), "oplus table has 1 rows"),
-    ]
-    for oplus, times, message in cases:
-        with pytest.raises(MalformedTable, match=message):
-            RlseTables.from_labels(("a", "b"), oplus, times, "a", "b")
-
-
 def test_checks_reject_a_hand_built_ring_with_a_repeated_label():
     # mo2's t1 ring is valid on its index tables; with a' relabelled a its
     # derived poset has two elements named a
@@ -81,12 +47,6 @@ def test_checks_reject_a_hand_built_ring_with_a_repeated_label():
     for check in (check_rlse, check_correspondence, derived_lattice):
         with pytest.raises(MalformedTable, match="duplicate element labels"):
             check(r)
-
-
-def test_from_labels_rejects_unknown_constant():
-    with pytest.raises(UnknownLabel):
-        RlseTables.from_labels(("a", "b"), (("a", "b"), ("b", "a")),
-                               (("a", "a"), ("a", "b")), "q", "b")
 
 
 def test_paper_example_is_valid():

@@ -325,6 +325,19 @@ def test_event_checks_require_vectors_of_one_length():
             check(ev)
 
 
+@pytest.mark.parametrize("labels, vectors", [
+    (("z", "u"), ((F(0),), (F(1),), (F(1, 2),))),
+    (("z", "a", "b", "u"), ((F(0),), (F(1),))),
+], ids=["fewer-labels", "more-labels"])
+def test_event_checks_require_one_label_per_vector(labels, vectors):
+    ev = NumericalEventSet(labels, vectors)
+    message = f"event set has {len(labels)} labels for {len(vectors)} vectors"
+    for check in (boolean_test, check_s_probability_algebra):
+        with pytest.raises(ValidationError) as info:
+            check(ev)
+        assert str(info.value) == message
+
+
 def test_representation_of_a_boolean_ring():
     b2 = corpus.builtin("boolean_2")
     ring = rlse_from_oml(b2, "t1")
@@ -1104,7 +1117,7 @@ def test_packed_scan_matches_the_two_pass_form_on_fine_denominators():
         got = _outcome(boolean_test, ev)
         assert got == _outcome(_oracle_boolean_test, ev), ev
         seen.add(_kind(got))
-        wide += max(states._scaled(ev.events)[0]) > 10 ** 5
+        wide += max(states._scaled(ev.elements, ev.events)[0]) > 10 ** 5
     assert seen >= {True, False, NotLatticeOrdered, ValidationError}
     assert wide >= 300
 
