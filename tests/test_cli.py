@@ -559,7 +559,8 @@ def test_ring_commands_never_raise_on_random_tables(tmp_path):
     commands = ("check-rlse", "derive", "boolean-test")
     runs = []
     for k, ring in enumerate(_random_rings(300, 61)):
-        runs += [(command, _ring_file(tmp_path / f"ring{k}.txt", *ring)) for command in commands]
+        path = _ring_file(tmp_path / f"ring{k}.txt", *ring)
+        runs += [(command, path) for command in commands]
         if ring[0] == len(b2):
             path = Path(_ring_file(tmp_path / f"b2ring{k}.txt", *ring, labels=b2))
             mutated = tmp_path / f"mutated{k}.txt"
