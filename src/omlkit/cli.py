@@ -55,10 +55,13 @@ class _Early(Exception):
 
 
 class _Target(NamedTuple):
+    """A lattice as the arguments of check_oml (poset and complement
+    vector) with any STATES rows, a ring, or an event set."""
+
     kind: str
     name: str
     poset: object = None
-    comp: dict | None = None
+    comp: tuple | None = None
     ring: object = None
     events: object = None
     states: tuple = ()
@@ -86,11 +89,9 @@ def _load_target(arg: str) -> _Target:
             return _Target("rlse", arg, ring=corpus.builtin(arg))
         if arg in corpus.OML_NAMES:
             oml = corpus.builtin(arg)
-            comp = {lab: oml.elements[oml.comp[i]] for i, lab in enumerate(oml.elements)}
-            return _Target("oml", arg, poset=oml.poset, comp=comp)
+            return _Target("oml", arg, poset=oml.poset, comp=oml.comp)
         if arg == "o6":
-            poset, comp = corpus.o6_candidate()
-            return _Target("oml", arg, poset=poset, comp=comp)
+            return _Target("oml", arg, *corpus.o6_candidate())
         base = os.environ.get("OMLKIT_CORPUS_DIR")
         if base:
             for cand in (Path(base) / arg, Path(base) / (arg + ".txt")):
@@ -233,17 +234,23 @@ def _cmd_derive(args):
                    {"structure": text})
 
 
-def _custom_plus(path: str, elements) -> list:
+def _custom_plus(path: str, oml) -> list:
     """The addition table of an rlse file as the label table rlse_from_oml
     takes, re-indexed into the order of the lattice elements; the file may
-    list them in any order."""
+    list them in any order.  Its TIMES, ZERO and ONE, re-indexed the same
+    way, must be the lattice's meet, bottom and top."""
     sf = structfile.parse_structure(_read(Path(path)))
     if sf.kind != "rlse":
         raise _Usage("custom addition must come from an rlse file")
-    if set(sf.elements) != set(elements):
+    if set(sf.elements) != set(oml.elements):
         raise _Usage("custom addition must be over the elements of the lattice")
     row = {lab: i for i, lab in enumerate(sf.elements)}
-    order = [row[lab] for lab in elements]
+    order = [row[lab] for lab in oml.elements]  # lattice index -> file index
+    at = {i: x for x, i in enumerate(order)}  # file index -> lattice index
+    times = tuple(tuple(at[sf.times[i][j]] for j in order) for i in order)
+    if times != oml.meet or (at[sf.zero], at[sf.one]) != (oml.poset.bottom, oml.poset.top):
+        raise _Usage("custom addition file's TIMES, ZERO and ONE must be the "
+                     "lattice's meet, bottom and top")
     return [[sf.elements[sf.oplus[i][j]] for j in order] for i in order]
 
 
@@ -254,7 +261,7 @@ def _cmd_construct(args):
     oml = _oml(target, "construct")
     plus = args.plus
     if plus.startswith("custom="):
-        plus = _custom_plus(plus[7:], oml.elements)
+        plus = _custom_plus(plus[7:], oml)
     elif plus not in ("t1", "t2"):
         raise _Usage(f"--plus must be t1, t2 or custom=FILE, got {plus!r}")
     try:

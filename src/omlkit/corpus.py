@@ -54,8 +54,7 @@ def _boolean(n: int) -> FiniteOml:
     labels = [_set_label(m) for m in range(size)]
     rows = [_lat._mask(i | j == j for j in range(size)) for i in range(size)]
     poset = _lat._poset_from_masks(labels, rows)
-    comp = {labels[i]: labels[(size - 1) ^ i] for i in range(size)}
-    _, oml = check_oml(poset, comp)
+    _, oml = check_oml(poset, [(size - 1) ^ i for i in range(size)])
     assert oml is not None
     return oml
 
@@ -69,10 +68,8 @@ def _mo(n: int) -> FiniteOml:
     # i <= j when i is j, i the bottom or j the top
     rows = [_lat._mask(i in (0, j) or j == size - 1 for j in range(size)) for i in range(size)]
     poset = _lat._poset_from_masks(labels, rows)
-    comp = {"0": "1", "1": "0"}
-    for letter in "abcd"[:n]:
-        comp[letter] = letter + "'"
-        comp[letter + "'"] = letter
+    # 0 and 1 swap, and so does each atom x (odd index) with x' after it
+    comp = [size - 1, *(i + 1 if i % 2 else i - 1 for i in range(1, size - 1)), 0]
     _, oml = check_oml(poset, comp)
     assert oml is not None
     return oml
@@ -136,16 +133,15 @@ def product_generating_pair() -> tuple[str, str]:
     return "({3,4},a)", "({2,4},b)"
 
 
-def o6_candidate() -> tuple[FinitePoset, dict]:
+def o6_candidate() -> tuple[FinitePoset, tuple[int, ...]]:
     """The hexagon: two three-element chains glued at shared bounds.
 
-    An ortholattice that fails the orthomodular law; shipped purely as a
-    negative control for check_oml.
+    An ortholattice that fails the orthomodular law, as the arguments of
+    check_oml; shipped purely as a negative control for it.
     """
     poset = _lat.build_poset(
         ["0", "a", "b", "b'", "a'", "1"],
         [("0", "a"), ("a", "b"), ("b", "1"),
          ("0", "b'"), ("b'", "a'"), ("a'", "1")],
     )
-    comp = {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"}
-    return poset, comp
+    return poset, (5, 4, 3, 2, 1, 0)  # 0, a and b swap with 1, a' and b'

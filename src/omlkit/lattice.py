@@ -8,7 +8,8 @@ also serves the pointwise order of event vectors).  build_poset closes
 the given pairs with Warshall's algorithm, one pass over the elements,
 and the validation reads antisymmetry and the top from one transpose of
 the masks.
-check_oml returns a Verdict over the lattice laws of laws.LAWS; each law is
+check_oml takes the complement as an index vector, like every table here,
+and returns a Verdict over the lattice laws of laws.LAWS; each law is
 scanned row by row with laws.first_mismatch, so a failure carries the
 lexicographically first witness; is_distributive scans only the row of
 the first element that is not central (_central, n^2 lookups).
@@ -235,29 +236,27 @@ class FiniteOml(namedtuple("FiniteOml", "poset meet join comp")):
         return tuple(tuple(y for y in range(x, n) if up[x] >> comp[y] & 1) for x in range(n))
 
 
-def check_oml(poset: FinitePoset, comp: dict):
+def check_oml(poset: FinitePoset, comp):
     """Verify that (poset, comp) is an orthomodular lattice.
 
-    comp maps labels to labels.  The lattice laws of LAWS are checked in
-    order up to the first failure, which carries its witness pair.
+    comp[i] is the index of element i's complement in the poset's order,
+    else ValidationError.  The lattice laws of LAWS are checked in order
+    up to the first failure, which carries its witness pair.
     Returns (verdict, oml), where oml is the fully tabulated lattice, or
     None when a law fails.
     """
-    els = poset.elements
-    cvec = []
-    for lab in els:
-        if lab not in comp:
-            raise UnknownLabel(lab)
-        cvec.append(poset.index(comp[lab]))
-    extra = set(comp) - set(els)
-    if extra:
-        raise UnknownLabel(sorted(extra)[0])
+    comp, n = tuple(comp), poset.n
+    if len(comp) != n:
+        raise ValidationError(f"complement vector has {len(comp)} entries, wants {n}")
+    for c in comp:
+        if not (isinstance(c, int) and 0 <= c < n):
+            raise ValidationError(f"complement entry {c!r} is not an element index")
 
-    meet, join, bad = lattice_tables(els, poset.up)
-    verdict = collect(_oml_laws(poset, cvec, meet, join, bad), first_only=True)
+    meet, join, bad = lattice_tables(poset.elements, poset.up)
+    verdict = collect(_oml_laws(poset, comp, meet, join, bad), first_only=True)
     if not verdict.passed:
         return verdict, None
-    return verdict, FiniteOml(poset, meet, join, tuple(cvec))
+    return verdict, FiniteOml(poset, meet, join, comp)
 
 
 def _oml_laws(poset, c, meet, join, bad):
@@ -299,16 +298,19 @@ def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:
     blocks = [sum(1 << ya * nb for ya in range(na) if ua >> ya & 1) for ua in a.poset.up]
     rows = [block * ub for block in blocks for ub in b.poset.up]
     poset = _poset_from_masks(labels, rows)
-    comp = {
-        labels[xa * nb + xb]: labels[a.comp[xa] * nb + b.comp[xb]]
-        for xa in range(na)
-        for xb in range(nb)
-    }
-    verdict, oml = check_oml(poset, comp)
+    verdict, oml = check_oml(poset, [ca * nb + cb for ca in a.comp for cb in b.comp])
     if oml is None:
         f = verdict.failures[0]
         raise OracleMismatch(f"product of valid lattices failed {f.law} at {f.witness}")
     return oml
+
+
+def _t1(meet, comp) -> tuple[tuple[int, ...], ...]:
+    """The table of the symmetric difference (x^y') v (x'^y), through De
+    Morgan as ((x^y')' ^ (x'^y)')', from the meet table and complement."""
+    a = [[comp[mx[cy]] for cy in comp] for mx in meet]  # (x^y')'; (x'^y)' is a[y][x]
+    return tuple(tuple([comp[meet[u][v]] for u, v in zip(ax, col)])
+                 for ax, col in zip(a, zip(*a)))
 
 
 def _central(meet, comp) -> int | None:

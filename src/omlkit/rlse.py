@@ -77,10 +77,6 @@ class RlseTables(NamedTuple):
         except ValueError:
             raise UnknownLabel(label) from None
 
-    def neg(self, i: int) -> int:
-        """Index-level x+1."""
-        return self.oplus[i][self.one]
-
 
 def _rows(table, n: int, name: str):
     """The rows of table, each checked to have n entries as it is drawn,
@@ -299,7 +295,7 @@ def _derived(r: RlseTables) -> tuple[Verdict, _lat.FiniteOml | None]:
     if poset.bottom != r.zero or poset.top != r.one:
         return Verdict.of(Failure("bounds", {
             "bottom": els[poset.bottom], "top": els[poset.top]})), None
-    return _lat.check_oml(poset, {els[i]: els[r.neg(i)] for i in range(r.n)})
+    return _lat.check_oml(poset, [row[r.one] for row in r.oplus])
 
 
 def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
@@ -316,14 +312,6 @@ def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
     return oml
 
 
-def _t1(meet, comp) -> tuple[tuple[int, ...], ...]:
-    """The table of the symmetric difference (x^y') v (x'^y), through De
-    Morgan as ((x^y')' ^ (x'^y)')', from the meet table and complement."""
-    a = [[comp[mx[cy]] for cy in comp] for mx in meet]  # (x^y')'; (x'^y)' is a[y][x]
-    return tuple(tuple([comp[meet[u][v]] for u, v in zip(ax, col)])
-                 for ax, col in zip(a, zip(*a)))
-
-
 def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     """Equip a lattice with an addition, giving a validated event ring.
 
@@ -336,7 +324,7 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     n = oml.n
     meet, join, comp = oml.meet, oml.join, oml.comp
     if plus == "t1":
-        oplus = _t1(meet, comp)
+        oplus = _lat._t1(meet, comp)
     elif plus == "t2":
         oplus = tuple(
             tuple(meet[join[x][y]][join[comp[x]][comp[y]]] for y in range(n))
@@ -404,15 +392,16 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     route two tests the ring axioms (x+x=0, x+0=x, associativity of +, and
     distributivity) up to the first that fails.  A valid event ring is
     Boolean exactly when every element is central (lattice._central) and
-    + is the symmetric difference (_t1); that decides the last two, which
-    are scanned only in a ring that is not, for their first witness.  A
-    scan that then finds none raises OracleMismatch, and so does a
-    disagreement of the two routes, provably equivalent on valid rings.
+    + is the symmetric difference (lattice._t1); that decides the last
+    two, which are scanned only in a ring that is not, for their first
+    witness.  A scan that then finds none raises OracleMismatch, and so
+    does a disagreement of the two routes, provably equivalent on valid
+    rings.
     """
     require_rlse(r)
     identity_route = _verdict(r, ("weak-associativity", "T"))
     N = [row[r.one] for row in r.oplus]  # x+1, the complement
-    boolean = _lat._central(r.times, N) is None and r.oplus == _t1(r.times, N)
+    boolean = _lat._central(r.times, N) is None and r.oplus == _lat._t1(r.times, N)
     ring_route = collect(_failures(r, ("plus-self-inverse", "zero-neutral", "plus-associative",
                                        "distributive"), boolean=boolean), first_only=True)
     if ring_route.passed != boolean:
@@ -444,11 +433,10 @@ def _lattice_side(r: RlseTables) -> Verdict:
 
 
 def _lattice_side_laws(r, oml):
-    N = [row[r.one] for row in r.oplus]
-    c = oml.comp
+    c = oml.comp  # x+1, as _derived passes it
     yield "meet-is-times", None if oml.meet == r.times else Failure("meet-is-times", {})
     hit = first_mismatch(((x,) for x in range(r.n)), map(list, oml.join),
-                         ([N[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c)))
+                         ([c[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c)))
     yield "join-is-demorgan", hit and Failure("join-is-demorgan", witness("xy", r.elements, hit))
     # the admissible-addition laws, by witness only: once x+1 = x' holds
     # and the join is the De Morgan one, their ring forms are the lattice's

@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
-from .lattice import FiniteOml, _transpose, lattice_tables
+from .lattice import FiniteOml, _t1, _transpose, lattice_tables
 
 if TYPE_CHECKING:
     from .rlse import RlseTables
@@ -440,15 +440,15 @@ def _algebra_laws(ev, den, events, le):
 
     def pair_rows():
         # what is wrong with p+q, for the orthogonal q from p on; "" if nothing.
-        # The sum s is the supremum when p, q <= s and s <= every common upper
-        # bound of p and q.
+        # The sum s is the supremum when its up-set is theirs in common
+        # (lattice._bounds).
         for i, p in enumerate(events):
             qs = orth[i] >> i << i
             sums = [member.get(tuple(map(add, p, q)), -1) if qs >> j & 1 else None
                     for j, q in enumerate(events)]
             yield ["" if s is None
                    else "sum is not a member" if s < 0
-                   else "" if le[i] >> s & 1 and le[j] >> s & 1 and not le[i] & le[j] & ~le[s]
+                   else "" if le[s] == le[i] & le[j]
                    else "sum is not the supremum"
                    for j, s in enumerate(sums)]
 
@@ -494,7 +494,8 @@ def boolean_test(ev: NumericalEventSet):
     otherwise.  The vectors must be distinct (else ValidationError) and
     lattice-ordered: every pair has an infimum and a supremum in the set
     under the pointwise order (else NotLatticeOrdered).  The addition
-    table is cross-checked against (p^q')v(p'^q) in the set's own lattice.
+    table is cross-checked against (p^q')v(p'^q) in the set's own lattice
+    (lattice._t1: p -> 1-p reverses the order and is an involution).
     A mismatch raises NotAnEventAlgebra when the vectors fail a
     probability-algebra axiom, and OracleMismatch only when they satisfy
     them all.
@@ -507,7 +508,7 @@ def boolean_test(ev: NumericalEventSet):
         raise ValidationError("event vectors are not distinct")
 
     up = _pointwise_up(events)
-    meet, join, bad = lattice_tables(labels, up)
+    meet, _, bad = lattice_tables(labels, up)
     if bad is not None:
         kind, pair = bad
         raise NotLatticeOrdered("infimum" if kind == "meet" else "supremum", pair)
@@ -539,9 +540,7 @@ def boolean_test(ev: NumericalEventSet):
         for j, h in enumerate(hats, start=i):
             plus[i][j] = plus[j][i] = index.get(h)
 
-    sym = [[join[mi[cj]][meet[ci][j]] for j, cj in enumerate(compl)]
-           for mi, ci in zip(meet, compl)]
-    hit = first_mismatch([(i,) for i in range(m)], plus, sym)
+    hit = first_mismatch([(i,) for i in range(m)], map(tuple, plus), _t1(meet, compl))
     if hit is not None:
         # the axiom check is exhaustive and slow: only a failed
         # cross-check pays for it

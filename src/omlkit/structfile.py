@@ -29,6 +29,7 @@ are written in Fraction notation (1/2, 3, 0).
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import ParseError, UnknownLabel, ValidationError
@@ -71,11 +72,17 @@ class StructureFile(NamedTuple):
     events: tuple[tuple[str, tuple[Fraction, ...]], ...] = ()
 
 
-def _fraction(Fraction, token: str, lineno: int, col: int) -> Fraction:
+def _column(body: str, k: int) -> int:
+    """The 1-based column of token k of body, as body.split() numbers them."""
+    return [m.start() for m in re.finditer(r"\S+", body)][k] + 1
+
+
+def _fraction(Fraction, lineno: int, body: str, tokens, k: int) -> Fraction:
     try:
-        return Fraction(token)
+        return Fraction(tokens[k])
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {token!r}", lineno, col) from None
+        raise ParseError(f"not a rational number: {tokens[k]!r}", lineno,
+                         _column(body, k)) from None
 
 
 def parse_structure(text: str) -> StructureFile:
@@ -94,11 +101,10 @@ def parse_structure(text: str) -> StructureFile:
     lineno, head = lines[0]
     tokens = head.split()
     if tokens[0] != "KIND" or len(tokens) != 2:
-        raise ParseError("expected 'KIND oml|rlse|events'", lineno,
-                         head.index(tokens[0]) + 1)
+        raise ParseError("expected 'KIND oml|rlse|events'", lineno, _column(head, 0))
     kind = tokens[1]
     if kind not in _KINDS:
-        raise ParseError(f"unknown kind {kind!r}", lineno, head.index(kind) + 1)
+        raise ParseError(f"unknown kind {kind!r}", lineno, _column(head, 1))
 
     known = _SECTIONS[kind]
     constants = {}  # ZERO and ONE, by section name
@@ -112,10 +118,9 @@ def parse_structure(text: str) -> StructureFile:
         if first in _SECTIONS["oml"] | _SECTIONS["rlse"] | _SECTIONS["events"]:
             if first not in known:
                 raise ParseError(f"section {first} not allowed in a {kind} file",
-                                 lineno, body.index(first) + 1)
+                                 lineno, _column(body, 0))
             if first in seen:
-                raise ParseError(f"duplicate section {first}", lineno,
-                                 body.index(first) + 1)
+                raise ParseError(f"duplicate section {first}", lineno, _column(body, 0))
             seen.add(first)
             if first in ("ZERO", "ONE"):
                 if len(tokens) != 2:
@@ -126,11 +131,10 @@ def parse_structure(text: str) -> StructureFile:
                 section = first
                 if len(tokens) > 1:
                     raise ParseError("section header takes no arguments", lineno,
-                                     body.index(tokens[1]) + 1)
+                                     _column(body, 1))
             continue
         if section is None:
-            raise ParseError(f"content before any section: {first!r}", lineno,
-                             body.index(first) + 1)
+            raise ParseError(f"content before any section: {first!r}", lineno, _column(body, 0))
         rows[section].append((lineno, body, tokens))
     if rows.get("STATES") or rows.get("EVENTS"):  # only these hold rationals
         from fractions import Fraction
@@ -162,7 +166,7 @@ def parse_structure(text: str) -> StructureFile:
             if len(tokens) != n:
                 raise ParseError(f"a state row needs {n} values, got {len(tokens)}",
                                  ln, 1)
-            states.append(tuple(_fraction(Fraction, t, ln, body.index(t) + 1) for t in tokens))
+            states.append(tuple(_fraction(Fraction, ln, body, tokens, k) for k in range(n)))
         return StructureFile(kind, elements, covers, leq, complement,
                              states=tuple(states))
     if kind == "rlse":
@@ -196,7 +200,7 @@ def parse_structure(text: str) -> StructureFile:
             width = len(tokens) - 1
         elif len(tokens) - 1 != width:
             raise ParseError(f"an EVENTS row needs {width} values", ln, 1)
-        vals = tuple(_fraction(Fraction, t, ln, body.index(t) + 1) for t in tokens[1:])
+        vals = tuple(_fraction(Fraction, ln, body, tokens, k) for k in range(1, len(tokens)))
         out.append((tokens[0], vals))
     if len(out) != n:
         raise ParseError(f"EVENTS needs one row per element, got {len(out)}",
@@ -210,20 +214,24 @@ def parse_structure(text: str) -> StructureFile:
 
 
 def to_oml_input(sf: StructureFile):
-    """(poset, complement dict) from an oml file, ready for check_oml."""
+    """(poset, comp) from an oml file, ready for check_oml; the first element
+    in the poset's order without a complement pair raises UnknownLabel."""
     if sf.kind != "oml":
         raise ValidationError(f"expected an oml file, got {sf.kind}")
     poset = build_poset(sf.elements, sf.covers + sf.leq)
+    pos = {lab: i for i, lab in enumerate(poset.elements)}
     comp = {}
-    labels = set(sf.elements)
     for a, b in sf.complement:
-        if a not in labels or b not in labels:
+        if a not in pos or b not in pos:
             raise ValidationError(f"complement pair ({a}, {b}) uses an unknown label")
         if a in comp and comp[a] != b:
             raise ValidationError(f"conflicting complements for {a}")
         comp[a] = b
         comp.setdefault(b, a)
-    return poset, comp
+    try:
+        return poset, tuple(pos[comp[lab]] for lab in poset.elements)
+    except KeyError as exc:  # the first element without a pair
+        raise UnknownLabel(exc.args[0]) from None
 
 
 def to_rlse(sf: StructureFile) -> RlseTables:
@@ -240,11 +248,10 @@ def to_events(sf: StructureFile) -> NumericalEventSet:
 
     if sf.kind != "events":
         raise ValidationError(f"expected an events file, got {sf.kind}")
-    order = {lab: i for i, (lab, _) in enumerate(sf.events)}
-    for lab in sf.elements:
-        if lab not in order:
-            raise UnknownLabel(f"no EVENTS row for element {lab!r}")
     matrix = dict(sf.events)
+    for lab in sf.elements:
+        if lab not in matrix:
+            raise ValidationError(f"no EVENTS row for element {lab!r}")
     vectors = tuple(matrix[lab] for lab in sf.elements)
     seen = {}
     for lab, vec in zip(sf.elements, vectors):

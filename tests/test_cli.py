@@ -159,16 +159,40 @@ def test_construct_custom_plus_reproduces_the_shipped_ring():
 
 
 def test_construct_rejects_a_bad_custom_plus(tmp_path):
-    labels = corpus.builtin("boolean_2").elements
-    n = len(labels)
+    # an all-{} OPLUS over the lattice's own meet
+    b2 = corpus.builtin("boolean_2")
+    labels, n = b2.elements, b2.n
     rows = "\n".join(" ".join("{}" for _ in range(n)) for _ in range(n))
+    meet = "\n".join(" ".join(labels[m] for m in row) for row in b2.meet)
     custom = tmp_path / "allzero.txt"
     custom.write_text("KIND rlse\nELEMENTS\n" + " ".join(labels) +
-                      f"\nOPLUS\n{rows}\nTIMES\n{rows}\n")
+                      f"\nOPLUS\n{rows}\nTIMES\n{meet}\n")
     code, out, _ = run_cli("construct", "boolean_2", "--plus",
                            "custom=" + str(custom))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_a_custom_plus_must_keep_the_lattices_meet_and_bounds(tmp_path):
+    # boolean_2's t1 ring with TIMES all {}, ZERO {1} and ONE {2}: not a ring,
+    # and not over the lattice's meet, bottom and top
+    _, text, _ = run_cli("construct", "boolean_2", "--plus", "t1")
+    head, times = text.split("TIMES\n")
+    rows = "".join(" ".join(["{}"] * 4) + "\n" for _ in range(4))
+    path = tmp_path / "custom.txt"
+    path.write_text(head.replace("ZERO {}", "ZERO {1}").replace("ONE {1,2}", "ONE {2}")
+                    + "TIMES\n" + rows)
+    assert run_cli("check-rlse", str(path))[0] == 1
+    code, out, err = run_cli("construct", "boolean_2", "--plus", "custom=" + str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: custom addition file's TIMES, ZERO and ONE must be the "
+                   "lattice's meet, bottom and top\n")
+
+
+def test_a_custom_plus_from_a_lattice_file_is_unusable():
+    code, out, err = run_cli("construct", "boolean_2", "--plus",
+                             "custom=" + str(DATA / "o6.txt"))
+    assert (code, out, err) == (2, "", "error: custom addition must come from an rlse file\n")
 
 
 def _permuted_ring_file(tmp_path, ring, order):
@@ -409,6 +433,12 @@ def test_duplicate_event_rows_are_unusable_input(tmp_path):
     assert code == 2
     assert out == ""
     assert "same event vector" in err
+
+
+def test_event_rows_that_miss_an_element_are_unusable_input(tmp_path):
+    path = _events_file(tmp_path, [("z", "0"), ("u", "1")])
+    Path(path).write_text(Path(path).read_text().replace("\nu 1", "\nq 1"))
+    assert run_cli("boolean-test", path) == (2, "", "error: no EVENTS row for element 'u'\n")
 
 
 def test_corpus_dir_lookup(tmp_path, monkeypatch):

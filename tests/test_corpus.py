@@ -27,8 +27,9 @@ def test_sizes(name, size):
 
 
 def test_unknown_name():
-    with pytest.raises(UnknownName):
-        corpus.builtin("boolean_0")
+    for name in ("boolean_0", "boolean_x", "mox", "mo5"):
+        with pytest.raises(UnknownName):
+            corpus.builtin(name)
 
 
 def test_builtin_is_cached():

@@ -62,6 +62,16 @@ def test_singleton_poset_rejected():
         build_poset(["x"], [])
 
 
+def test_an_unknown_label_raises_unknown_label():
+    poset = build_poset(*DIAMOND)
+    for call in (lambda: poset.index("q"),
+                 lambda: build_poset(DIAMOND[0], [("q", "1")]),
+                 lambda: build_poset(DIAMOND[0], [("0", "q")])):
+        with pytest.raises(UnknownLabel) as info:
+            call()
+        assert str(info.value) == "unknown element label: 'q'"
+
+
 def test_lattice_tables_diamond():
     poset = build_poset(*DIAMOND)
     meet, join, bad = lattice_tables(poset.elements, poset.up)
@@ -86,8 +96,7 @@ def test_lattice_tables_failure_witness():
 @pytest.mark.parametrize("name", corpus.OML_NAMES)
 def test_corpus_members_pass_all_laws(name):
     oml = corpus.builtin(name)
-    comp = {lab: oml.elements[oml.comp[i]] for i, lab in enumerate(oml.elements)}
-    verdict, got = check_oml(oml.poset, comp)
+    verdict, got = check_oml(oml.poset, oml.comp)
     assert verdict.passed
     assert got == oml
     assert list(verdict.checked) == [
@@ -106,17 +115,25 @@ def test_hexagon_fails_orthomodular_law():
 
 def test_identity_complement_rejected():
     poset = build_poset(*DIAMOND)
-    verdict, _ = check_oml(poset, {lab: lab for lab in poset.elements})
+    verdict, _ = check_oml(poset, range(poset.n))
     assert not verdict.passed
     assert verdict.failures[0].law in ("antitone", "complement-law")
 
 
 def test_complement_map_must_cover_all_labels():
+    # the vector has one element index per element; an element without a
+    # complement pair in a file is to_oml_input's UnknownLabel
     poset = build_poset(*DIAMOND)
-    with pytest.raises(UnknownLabel):
-        check_oml(poset, {"0": "1", "1": "0"})
-    with pytest.raises(UnknownLabel):
-        check_oml(poset, {"0": "1", "1": "0", "a": "b", "b": "a", "q": "q"})
+    for comp, message in [
+        ((3, 0), "complement vector has 2 entries, wants 4"),
+        ((3, 2, 1, 0, 0), "complement vector has 5 entries, wants 4"),
+        ((3, 2, 4, 0), "complement entry 4 is not an element index"),
+        ((3, 2, -1, 0), "complement entry -1 is not an element index"),
+        ((3, 2, "a", 0), "complement entry 'a' is not an element index"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            check_oml(poset, comp)
+        assert str(info.value) == message
 
 
 def test_label_helpers_mo2():
@@ -152,7 +169,7 @@ def test_direct_product_shape():
 
 def test_direct_product_rejects_colliding_labels():
     # ("p", "q,r") and ("p,q", "r") are both labelled (p,q,r)
-    a, b = (check_oml(build_poset([lo, hi], [(lo, hi)]), {lo: hi, hi: lo})[1]
+    a, b = (check_oml(build_poset([lo, hi], [(lo, hi)]), (1, 0))[1]
             for lo, hi in (("p", "p,q"), ("q,r", "r")))
     with pytest.raises(ValidationError, match="^duplicate element labels$"):
         direct_product(a, b)

@@ -1,14 +1,17 @@
 """The public surface: every name a module lists in __all__ exists, the
 package resolves its names on first use, and each subcommand imports only
 the modules it runs; the lattice, ring and state commands never import
-dataclasses, and json and fractions load only where they are used."""
+dataclasses, and json and fractions load only where they are used.  The
+README's library example runs and prints what its comments say."""
 
 import importlib
+import io
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import omlkit
 from omlkit import corpus, states, structfile
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+README = DATA.parent / "README.md"
 
 
 def test_every_listed_name_resolves():
@@ -131,3 +135,12 @@ def test_verify_all_still_loads_the_suite():
 ])
 def test_json_and_fractions_load_only_where_used(argv, loaded):
     assert _imported(*argv, roots=("json", "fractions")) & {"json", "fractions"} == loaded
+
+
+def test_the_readme_example_prints_what_its_comments_say():
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    said = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == said

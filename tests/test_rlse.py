@@ -11,6 +11,7 @@ from omlkit.errors import (
     MalformedTable,
     NotAnRlse,
     OracleMismatch,
+    UnknownLabel,
 )
 from omlkit.lattice import is_distributive
 from omlkit.rlse import (
@@ -47,6 +48,24 @@ def test_checks_reject_a_hand_built_ring_with_a_repeated_label():
     for check in (check_rlse, check_correspondence, derived_lattice):
         with pytest.raises(MalformedTable, match="duplicate element labels"):
             check(r)
+
+
+@pytest.mark.parametrize("ring, message", [
+    (_swap_cell(_paper(), "times", 1, 2, 4), "times table entry 4 out of range"),
+    (_swap_cell(_paper(), "oplus", 0, 3, -1), "oplus table entry -1 out of range"),
+    (_paper()._replace(zero=4), "zero/one out of range"),
+    (_paper()._replace(one=-1), "zero/one out of range"),
+], ids=["times-entry", "oplus-entry", "zero", "one"])
+def test_check_rlse_rejects_an_index_out_of_range(ring, message):
+    with pytest.raises(MalformedTable) as info:
+        check_rlse(ring)
+    assert str(info.value) == message
+
+
+def test_index_of_an_unknown_label_raises():
+    with pytest.raises(UnknownLabel) as info:
+        _paper().index("q")
+    assert str(info.value) == "unknown element label: 'q'"
 
 
 def test_paper_example_is_valid():
@@ -490,8 +509,10 @@ def _shuffled(oml, seed):
     random.Random(seed).shuffle(els)
     pairs = [(a, b) for a, ua in zip(oml.elements, oml.poset.up)
              for y, b in enumerate(oml.elements) if ua >> y & 1]
-    comp = {lab: oml.elements[c] for lab, c in zip(oml.elements, oml.comp)}
-    return lattice.check_oml(lattice.build_poset(els, pairs), comp)[1]
+    poset = lattice.build_poset(els, pairs)
+    pos = {lab: i for i, lab in enumerate(poset.elements)}
+    comp = [pos[oml.elements[oml.comp[oml.index(lab)]]] for lab in poset.elements]
+    return lattice.check_oml(poset, comp)[1]
 
 
 def _product(*names):

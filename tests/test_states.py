@@ -368,6 +368,29 @@ def test_representation_rejects_wrong_domain():
     assert report.failures[0].law == "bijection"
 
 
+def test_representation_names_the_first_broken_hypothesis():
+    b2 = corpus.builtin("boolean_2")
+    ring = rlse_from_oml(b2, "t1")
+    ev = events_from_states(b2, find_full_state_set(b2).states)
+    f = {lab: ev.event_of(lab) for lab in b2.elements}
+    # {1} and {2} at 1/2 each keep the order: with {1,2} at (1,1) their sum
+    # is not {1,2}, and with {1,2} at their sum the set has no constant 1
+    halves = (F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2))
+    unsummed, summed = (NumericalEventSet(b2.elements, (*halves, (v, v)))
+                        for v in (F(1), F(1, 2)))
+    cases = [
+        (ev, {**f, "{2}": f["{1}"]}, "bijection", {"reason": "not injective"}),
+        (ev, {**f, "{1}": (F(1, 7), F(1, 7))}, "bijection", {"reason": "image differs"}),
+        (unsummed, None, "orthogonal-additivity", {"x": "{1}", "y": "{2}"}),
+        (summed, None, "algebra-axioms", {"axiom": "contains-bounds"}),
+    ]
+    for events, f, law, w in cases:
+        f = f or dict(zip(events.elements, events.events))
+        verdict = check_representation(ring, events, f)
+        assert not verdict.passed
+        assert (verdict.first.law, verdict.first.witness) == (law, w)
+
+
 def test_representation_round_trip_on_every_builtin_ring():
     # ring -> derived lattice -> full state set -> event vectors: the
     # event map must embed the ring

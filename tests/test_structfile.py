@@ -154,6 +154,19 @@ def test_unknown_complement_label():
         to_oml_input(parse_structure(text))
 
 
+@pytest.mark.parametrize("elements, comp", [("0 a b 1", (3, 2, 1, 0)),
+                                            ("1 a b 0", (1, 0, 3, 2))])
+def test_an_element_without_a_complement_pair_is_unknown(elements, comp):
+    # comp follows the poset's order, which lists the bottom first; so
+    # does the search for the first element without a pair
+    text = (f"KIND oml\nELEMENTS\n{elements}\nCOVERS\n0 a\n0 b\na 1\nb 1\n"
+            "COMPLEMENT\nb a\n0 1\n")
+    assert to_oml_input(parse_structure(text))[1] == comp
+    with pytest.raises(UnknownLabel) as info:
+        to_oml_input(parse_structure(text.replace("0 1\n", "")))
+    assert str(info.value) == "unknown element label: '0'"
+
+
 def test_conflicting_complement_pairs():
     text = ("KIND oml\nELEMENTS\n0 a 1\nCOVERS\n0 a\na 1\n"
             "COMPLEMENT\n0 1\n0 a\na a\n1 0\n")
@@ -200,6 +213,39 @@ def test_malformed_ring_files_raise_in_order(text, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("KIND IN\n", "unknown kind 'IN'", 1, 6),
+    ("KIND rlse\nELEMENTS\na b\nOPLUS O\n", "section header takes no arguments", 4, 7),
+    ("KIND oml\nELEMENTS S\n", "section header takes no arguments", 2, 10),
+    ("KIND oml\nELEMENTS\n0 1\nCOVERS\n0 1\nCOMPLEMENT\n0 1\nSTATES\n11/2 1/\n",
+     "not a rational number: '1/'", 9, 6),
+    ("KIND events\nELEMENTS\np q\nEVENTS\np 11/3 1/\nq 1 1\n",
+     "not a rational number: '1/'", 5, 8),
+], ids=["kind", "oplus-header", "elements-header", "states-row", "events-row"])
+def test_parse_errors_point_at_their_own_token(text, message, line, column):
+    # each token's text also occurs earlier in its line
+    with pytest.raises(ParseError) as info:
+        parse_structure(text)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"{message} at line {line}, column {column}", line, column)
+
+
+def test_leq_pairs_are_written_back():
+    text = ("KIND oml\nELEMENTS\n0 a b 1\nCOVERS\n0 a\n0 b\nLEQ\na 1\nb 1\n"
+            "COMPLEMENT\n0 1\na b\n")
+    sf = parse_structure(text)
+    assert "\nLEQ\na 1\nb 1\n" in serialize_structure(sf)
+    assert parse_structure(serialize_structure(sf)) == sf
+
+
+def test_events_rows_must_name_the_elements():
+    text = "KIND events\nELEMENTS\np q\nEVENTS\np 0 0\nz 1 1\n"
+    with pytest.raises(ValidationError) as info:
+        to_events(parse_structure(text))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "no EVENTS row for element 'q'"
+
+
 def test_events_rows_must_cover_elements():
     text = "KIND events\nELEMENTS\np q\nEVENTS\np 0 0\n"
     with pytest.raises(ParseError):
@@ -219,6 +265,9 @@ def test_kind_mismatch_at_build_time():
         to_oml_input(sf)
     with pytest.raises(ValidationError):
         to_events(sf)
+    oml = parse_structure((DATA / "o6.txt").read_text())
+    with pytest.raises(ValidationError, match="^expected an rlse file, got oml$"):
+        to_rlse(oml)
 
 
 def test_serializer_wraps_long_element_lines():

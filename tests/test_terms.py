@@ -215,8 +215,10 @@ def _shuffled_product(seed):
     random.Random(seed).shuffle(els)
     pairs = [(a, b) for a, ua in zip(oml.elements, oml.poset.up)
              for y, b in enumerate(oml.elements) if ua >> y & 1]
-    comp = {lab: oml.elements[c] for lab, c in zip(oml.elements, oml.comp)}
-    return lattice.check_oml(lattice.build_poset(els, pairs), comp)[1]
+    poset = lattice.build_poset(els, pairs)
+    pos = {lab: i for i, lab in enumerate(poset.elements)}
+    comp = [pos[oml.elements[oml.comp[oml.index(lab)]]] for lab in poset.elements]
+    return lattice.check_oml(poset, comp)[1]
 
 
 def test_term_tables_match_a_per_pair_reference():
