@@ -235,7 +235,7 @@ def _cmd_derive(args):
 
 
 def _custom_plus(path: str, oml) -> list:
-    """The addition table of an rlse file as the label table rlse_from_oml
+    """The addition table of an rlse file as the index table rlse_from_oml
     takes, re-indexed into the order of the lattice elements; the file may
     list them in any order.  Its TIMES, ZERO and ONE, re-indexed the same
     way, must be the lattice's meet, bottom and top."""
@@ -251,7 +251,7 @@ def _custom_plus(path: str, oml) -> list:
     if times != oml.meet or (at[sf.zero], at[sf.one]) != (oml.poset.bottom, oml.poset.top):
         raise _Usage("custom addition file's TIMES, ZERO and ONE must be the "
                      "lattice's meet, bottom and top")
-    return [[sf.elements[sf.oplus[i][j]] for j in order] for i in order]
+    return [[at[sf.oplus[i][j]] for j in order] for i in order]
 
 
 def _cmd_construct(args):

@@ -78,33 +78,16 @@ class RlseTables(NamedTuple):
             raise UnknownLabel(label) from None
 
 
-def _rows(table, n: int, name: str):
-    """The rows of table, each checked to have n entries as it is drawn,
-    after the table is checked to have n rows."""
-    if len(table) != n:
-        raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
-    for row in table:
-        if len(row) != n:
-            raise MalformedTable(f"{name} table row has {len(row)} entries")
-        yield row
-
-
-def _indices(rows, pos: dict, name: str) -> tuple[tuple[int, ...], ...]:
-    """A square label table as an index table, through pos (label ->
-    index); the first row or entry that does not fit raises."""
-    try:
-        return tuple(tuple(map(pos.__getitem__, r)) for r in _rows(rows, len(pos), name))
-    except KeyError as exc:  # the first entry that is no element
-        raise MalformedTable(
-            f"{name} table entry {exc.args[0]!r} is not an element") from None
-
-
 def _check_shape(r: RlseTables) -> None:
     n = r.n
     if len(set(r.elements)) != n:
         raise MalformedTable("duplicate element labels")
     for name, table in (("oplus", r.oplus), ("times", r.times)):
-        for row in _rows(table, n, name):
+        if len(table) != n:
+            raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
+        for row in table:
+            if len(row) != n:
+                raise MalformedTable(f"{name} table row has {len(row)} entries")
             for v in row:
                 if not (isinstance(v, int) and 0 <= v < n):
                     raise MalformedTable(f"{name} table entry {v!r} out of range")
@@ -316,26 +299,25 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
     """Equip a lattice with an addition, giving a validated event ring.
 
     plus is "t1" for the symmetric difference (x^y') v (x'^y), "t2" for
-    the upper bound choice (x v y)^(x' v y'), or an n x n label table
+    the upper bound choice (x v y)^(x' v y'), or an n x n index table
     whose row and column i belong to the lattice's element i.  A custom
-    table must be commutative, must send x,1 to the complement of x and
-    must satisfy R4; anything else raises CustomPlusInvalid.
+    table that is not n x n indices raises MalformedTable; one that is
+    not commutative, does not send x,1 to the complement of x or breaks
+    R4 raises CustomPlusInvalid.
     """
     n = oml.n
     meet, join, comp = oml.meet, oml.join, oml.comp
+    r = RlseTables(oml.elements, (), meet, oml.poset.bottom, oml.poset.top)
     if plus == "t1":
-        oplus = _lat._t1(meet, comp)
+        r = r._replace(oplus=_lat._t1(meet, comp))
     elif plus == "t2":
-        oplus = tuple(
+        r = r._replace(oplus=tuple(
             tuple(meet[join[x][y]][join[comp[x]][comp[y]]] for y in range(n))
             for x in range(n)
-        )
+        ))
     else:
-        oplus = _indices(plus, {lab: i for i, lab in enumerate(oml.elements)}, "custom")
-
-    r = RlseTables(oml.elements, oplus, oml.meet, oml.poset.bottom, oml.poset.top)
-
-    if not isinstance(plus, str):
+        r = r._replace(oplus=tuple(map(tuple, plus)))
+        _check_shape(r)
         for law, failure in _failures(r, ("R1", "plus-at-one", "R4"), comp):
             if failure is not None:
                 if law == "R1":  # reported without the two sums

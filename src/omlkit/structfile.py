@@ -21,10 +21,10 @@ and transitive pairs may be omitted either way), one complement pair per
 line, and optionally STATES rows with one rational per element.  An rlse
 file lists the operation tables row by row in element order; ZERO and
 ONE default to the first and last element.  Labels exist only in the
-text: parsing turns an rlse file's tables and constants into element
-indices, and serializing turns them back.  An events file gives one row
-per member: its label followed by its value in each state.  Rationals
-are written in Fraction notation (1/2, 3, 0).
+text: parsing turns an rlse file's tables (through _indices) and
+constants into element indices, and serializing turns them back.  An
+events file gives one row per member: its label followed by its value in
+each state.  Rationals are written in Fraction notation (1/2, 3, 0).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import ParseError, UnknownLabel, ValidationError
+from .errors import MalformedTable, ParseError, UnknownLabel, ValidationError
 from .lattice import FiniteOml, FinitePoset, _bits, _transpose, build_poset
 
 __all__ = [
@@ -47,12 +47,12 @@ __all__ = [
     "from_events",
 ]
 
-_KINDS = ("oml", "rlse", "events")
 _SECTIONS = {
     "oml": {"ELEMENTS", "COVERS", "LEQ", "COMPLEMENT", "STATES"},
     "rlse": {"ELEMENTS", "ZERO", "ONE", "OPLUS", "TIMES"},
     "events": {"ELEMENTS", "EVENTS"},
 }
+_HEADERS = frozenset().union(*_SECTIONS.values())  # a section name of any kind
 
 
 class StructureFile(NamedTuple):
@@ -85,6 +85,16 @@ def _fraction(Fraction, lineno: int, body: str, tokens, k: int) -> Fraction:
                          _column(body, k)) from None
 
 
+def _indices(rows, pos: dict, name: str) -> tuple[tuple[int, ...], ...]:
+    """A square label table as an index table, through pos (label ->
+    index); the first entry that is no element raises MalformedTable."""
+    try:
+        return tuple(tuple(map(pos.__getitem__, r)) for r in rows)
+    except KeyError as exc:  # the first entry that is no element
+        raise MalformedTable(
+            f"{name} table entry {exc.args[0]!r} is not an element") from None
+
+
 def parse_structure(text: str) -> StructureFile:
     """Parse file text; raises ParseError with line and column on errors.
 
@@ -103,7 +113,7 @@ def parse_structure(text: str) -> StructureFile:
     if tokens[0] != "KIND" or len(tokens) != 2:
         raise ParseError("expected 'KIND oml|rlse|events'", lineno, _column(head, 0))
     kind = tokens[1]
-    if kind not in _KINDS:
+    if kind not in _SECTIONS:
         raise ParseError(f"unknown kind {kind!r}", lineno, _column(head, 1))
 
     known = _SECTIONS[kind]
@@ -115,7 +125,7 @@ def parse_structure(text: str) -> StructureFile:
     for lineno, body in lines[1:]:
         tokens = body.split()
         first = tokens[0]
-        if first in _SECTIONS["oml"] | _SECTIONS["rlse"] | _SECTIONS["events"]:
+        if first in _HEADERS:
             if first not in known:
                 raise ParseError(f"section {first} not allowed in a {kind} file",
                                  lineno, _column(body, 0))
@@ -170,8 +180,6 @@ def parse_structure(text: str) -> StructureFile:
         return StructureFile(kind, elements, covers, leq, complement,
                              states=tuple(states))
     if kind == "rlse":
-        from .rlse import _indices
-
         tables = []
         for name in ("OPLUS", "TIMES"):
             table = []

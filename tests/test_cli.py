@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from omlkit import cli, corpus, structfile
+from omlkit import cli, corpus, lattice, structfile
 from omlkit.rlse import (
     RlseTables, check_rlse, derived_lattice, is_boolean_ring, rlse_from_oml)
 from omlkit.states import find_full_state_set
@@ -215,6 +215,25 @@ def test_construct_custom_plus_reads_the_file_in_its_own_order(tmp_path):
     code, _, _ = run_cli("check-rlse", path)
     assert code == 0
     code, out, err = run_cli("construct", "boolean_2", "--plus", "custom=" + path)
+    assert (code, err) == (0, "")
+    assert out == canonical
+
+
+@pytest.mark.parametrize("plus", ["t1", "t2"])
+def test_construct_custom_plus_reindexes_a_shuffled_product(tmp_path, plus):
+    # mo3 x 2^2, 32 elements, not Boolean: its ring file in a seeded random
+    # order must give back the ring of the lattice's own order
+    oml = lattice.direct_product(corpus.builtin("mo3"), corpus.builtin("boolean_2"))
+    target = tmp_path / "mo3x2x2.txt"
+    target.write_text(structfile.serialize_structure(structfile.from_oml(oml)))
+    code, canonical, _ = run_cli("construct", str(target), "--plus", plus)
+    assert code == 0
+    ring = structfile.to_rlse(structfile.parse_structure(canonical))
+    order = list(ring.elements)
+    random.Random(31).shuffle(order)
+    path = _permuted_ring_file(tmp_path, ring, tuple(order))
+    assert run_cli("check-rlse", path)[0] == 0
+    code, out, err = run_cli("construct", str(target), "--plus", "custom=" + path)
     assert (code, err) == (0, "")
     assert out == canonical
 

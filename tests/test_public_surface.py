@@ -1,8 +1,9 @@
 """The public surface: every name a module lists in __all__ exists, the
 package resolves its names on first use, and each subcommand imports only
 the modules it runs; the lattice, ring and state commands never import
-dataclasses, and json and fractions load only where they are used.  The
-README's library example runs and prints what its comments say."""
+dataclasses, json and fractions load only where they are used, and
+parsing a ring file loads no ring module.  The README's library example
+runs and prints what its comments say."""
 
 import importlib
 import io
@@ -74,12 +75,13 @@ sys.exit(code)
 """
 
 
-def _imported(*argv, roots=("omlkit", "dataclasses")):
-    """The modules a CLI run imported whose top-level package is in roots."""
+def _imported(*argv, roots=("omlkit", "dataclasses"), child=_CHILD):
+    """The modules a CLI run (or another child script) imported whose
+    top-level package is in roots."""
     src = str(Path(omlkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode in (0, 1), proc.stderr
     return {m for m in json.loads(proc.stdout) if m.split(".")[0] in roots}
@@ -121,6 +123,22 @@ def test_subcommands_leave_the_suite_and_terms_unloaded(files, command, kind):
     loaded = _imported(command, files[kind])
     assert "omlkit.structfile" in loaded
     assert not loaded & {"omlkit.suite", "omlkit.terms", "dataclasses"}, loaded
+
+
+#: Parses the file named by its argument and prints every module imported.
+_PARSE = """
+import json, sys
+from omlkit import structfile
+with open(sys.argv[1], encoding="utf-8") as f:
+    structfile.parse_structure(f.read())
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_parsing_a_ring_file_loads_no_ring_module():
+    # structfile turns the labels into indices itself, without omlkit.rlse
+    assert _imported(str(DATA / "paper-example-2set.txt"), child=_PARSE) == {
+        "omlkit", "omlkit.errors", "omlkit.laws", "omlkit.lattice", "omlkit.structfile"}
 
 
 def test_verify_all_still_loads_the_suite():

@@ -134,64 +134,83 @@ def test_orthogonal_pair_mutation_breaks_both_r4_forms():
     assert (a, b) == (False, False)
 
 
-def test_custom_plus_accepts_the_example_table():
+def _xor():
+    """boolean_2's symmetric difference as an index table: element i is the
+    subset of {1, 2} whose members are the bits of i."""
+    return [[x ^ y for y in range(4)] for x in range(4)]
+
+
+def _replayed(oml, plus, failure):
+    """Both sides of the custom pre-check law that failure names, recomputed
+    at its witness from the index table plus and the lattice's meet and
+    complement: R1 x+y and y+x, plus-at-one x+1 and x', R4 x*y + (x+1) and
+    (x*y+1)*x + 1."""
+    w = {v: oml.index(lab) for v, lab in failure.witness.items()}
+    meet, one, x = oml.meet, oml.poset.top, w["x"]
+    if failure.law == "R1":
+        return plus[x][w["y"]], plus[w["y"]][x]
+    if failure.law == "plus-at-one":
+        return plus[x][one], oml.comp[x]
+    assert failure.law == "R4"
+    xy = meet[x][w["y"]]
+    return plus[xy][plus[x][one]], plus[meet[plus[xy][one]][x]][one]
+
+
+def _assert_custom_plus_fails(plus, law):
     oml = corpus.builtin("boolean_2")
-    r = _paper()
-    labels = tuple(tuple(r.elements[v] for v in row) for row in r.oplus)
-    built = rlse_from_oml(oml, labels)
-    assert built == r
+    with pytest.raises(CustomPlusInvalid) as info:
+        rlse_from_oml(oml, plus)
+    failure = info.value.failure
+    assert failure.law == law
+    lhs, rhs = _replayed(oml, plus, failure)
+    assert lhs != rhs, failure
+
+
+def test_custom_plus_accepts_the_example_table():
+    oml, r = corpus.builtin("boolean_2"), _paper()
+    assert oml.elements == r.elements
+    assert rlse_from_oml(oml, r.oplus) == r
+    assert rlse_from_oml(oml, [list(row) for row in r.oplus]) == r
 
 
 def test_custom_plus_rejects_noncommutative():
-    oml = corpus.builtin("boolean_2")
-    rows = [["{}", "{1}", "{2}", "{1,2}"],
-            ["{1}", "{}", "{1,2}", "{2}"],
-            ["{2}", "{1,2}", "{}", "{1}"],
-            ["{1,2}", "{2}", "{1}", "{}"]]
-    rows[0][1] = "{2}"
-    with pytest.raises(CustomPlusInvalid) as info:
-        rlse_from_oml(oml, tuple(tuple(r) for r in rows))
-    assert info.value.failure.law == "R1"
+    plus = _xor()
+    plus[0][1] = 2
+    _assert_custom_plus_fails(plus, "R1")
 
 
 def test_custom_plus_rejects_wrong_complement_column():
-    oml = corpus.builtin("boolean_2")
-    rows = [["{}", "{1}", "{2}", "{1,2}"],
-            ["{1}", "{}", "{1,2}", "{2}"],
-            ["{2}", "{1,2}", "{}", "{1}"],
-            ["{1,2}", "{2}", "{1}", "{}"]]
-    rows[1][3] = rows[3][1] = "{1}"   # {1}+1 must be {2}
-    with pytest.raises(CustomPlusInvalid) as info:
-        rlse_from_oml(oml, tuple(tuple(r) for r in rows))
-    assert info.value.failure.law == "plus-at-one"
+    plus = _xor()
+    plus[1][3] = plus[3][1] = 1   # {1}+1 must be {2}
+    _assert_custom_plus_fails(plus, "plus-at-one")
 
 
 def test_custom_plus_rejects_broken_orthogonal_sum():
-    oml = corpus.builtin("boolean_2")
-    rows = [["{}", "{1}", "{2}", "{1,2}"],
-            ["{1}", "{}", "{1,2}", "{2}"],
-            ["{2}", "{1,2}", "{}", "{1}"],
-            ["{1,2}", "{2}", "{1}", "{}"]]
-    rows[1][2] = rows[2][1] = "{1}"   # {1}+{2} redirected
-    with pytest.raises(CustomPlusInvalid) as info:
-        rlse_from_oml(oml, tuple(tuple(r) for r in rows))
-    assert info.value.failure.law == "R4"
+    plus = _xor()
+    plus[1][2] = plus[2][1] = 1   # {1}+{2} redirected
+    _assert_custom_plus_fails(plus, "R4")
 
 
-def test_custom_plus_rejects_unknown_labels():
+def test_custom_plus_rejects_a_label_table():
     oml = corpus.builtin("boolean_2")
-    with pytest.raises(MalformedTable):
-        rlse_from_oml(oml, (("x",) * 4,) * 4)
+    labels = tuple(tuple(oml.elements[v] for v in row) for row in _paper().oplus)
+    for table in (labels, (("x",) * 4,) * 4):
+        with pytest.raises(MalformedTable) as info:
+            rlse_from_oml(oml, table)
+        assert str(info.value) == f"oplus table entry {table[0][0]!r} out of range"
 
 
 def test_custom_plus_names_the_first_entry_or_row_that_does_not_fit():
     oml = corpus.builtin("boolean_2")
-    good = ("{}", "{1}", "{2}", "{1,2}")
+    good = (0, 1, 2, 3)
     cases = [
-        ((good, good, ("{1}", "x", "y", "{}"), good), "custom table entry 'x' is not an element"),
-        ((good,) * 3, "custom table has 3 rows, wants 4"),
-        ((good,) * 5, "custom table has 5 rows, wants 4"),
-        ((good, good[:3], good, good), "custom table row has 3 entries"),
+        ((good, good, (1, "x", "y", 0), good), "oplus table entry 'x' out of range"),
+        ((good, good, (1, "{}", 4, 0), good), "oplus table entry '{}' out of range"),
+        ((good, (0, 1, 4, -1), good, good), "oplus table entry 4 out of range"),
+        ((good,) * 3, "oplus table has 3 rows, wants 4"),
+        ((good,) * 5, "oplus table has 5 rows, wants 4"),
+        ((good, good[:3], good, good), "oplus table row has 3 entries"),
+        ("t3", "oplus table has 2 rows, wants 4"),
     ]
     for rows, message in cases:
         with pytest.raises(MalformedTable) as info:
