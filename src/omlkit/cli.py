@@ -104,7 +104,8 @@ def _load_target(arg: str) -> _Target:
     if sf.kind == "oml":
         poset, comp = structfile.to_oml_input(sf)
         # STATES columns follow ELEMENTS, which need not list the bottom first
-        cols = [sf.elements.index(lab) for lab in poset.elements]
+        pos = {lab: i for i, lab in enumerate(sf.elements)}
+        cols = [pos[lab] for lab in poset.elements]
         states = tuple(tuple(row[i] for i in cols) for row in sf.states)
         return _Target("oml", name, poset=poset, comp=comp, states=states)
     if sf.kind == "rlse":

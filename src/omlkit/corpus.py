@@ -8,13 +8,16 @@ Available through builtin():
   paper-example-2set       an event ring on the powerset of {1,2} whose
                            addition is not a Boolean ring addition
 
-The hexagon ortholattice (a known non-orthomodular example) is exposed
-separately via o6_candidate, since it cannot be a validated lattice.
+Those names and no others: each is one entry of _BUILDERS, so a new
+builtin is one entry there, and OML_NAMES, RLSE_NAMES and all_names()
+follow it.  The hexagon ortholattice (a known non-orthomodular example)
+is exposed separately via o6_candidate, since it cannot be a validated
+lattice.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import lattice as _lat
 from .errors import UnknownName
@@ -27,22 +30,9 @@ __all__ = [
     "product_generating_pair",
 ]
 
-#: Names of the validated lattice entries, small to large.
-OML_NAMES = (
-    "boolean_1", "boolean_2", "boolean_3", "boolean_4", "boolean_5",
-    "mo1", "mo2", "mo3", "mo4",
-    "product_2p4_mo2",
-)
-
-RLSE_NAMES = ("paper-example-2set",)
-
 #: Corpus for the term filter; small members come first so cheap
 #: eliminations happen before the big product is consulted.
 FILTER_CORPUS = ("boolean_2", "mo2", "boolean_3", "product_2p4_mo2")
-
-
-def all_names() -> tuple[str, ...]:
-    return OML_NAMES + RLSE_NAMES
 
 
 def _set_label(mask: int) -> str:
@@ -94,32 +84,36 @@ def _paper_example() -> RlseTables:
     return RlseTables(tuple(labels), tuple(oplus), times, 0, 3)
 
 
+#: name -> builder of each builtin: the lattices small to large, then the
+#: event ring.  product_2p4_mo2 is built from its factors.
+_BUILDERS = {
+    **{f"boolean_{n}": partial(_boolean, n) for n in range(1, 6)},
+    **{f"mo{n}": partial(_mo, n) for n in range(1, 5)},
+    "product_2p4_mo2": lambda: direct_product(_boolean(4), _mo(2)),
+    "paper-example-2set": _paper_example,
+}
+
+#: Names of the validated lattice entries, small to large; the last
+#: entry of _BUILDERS is the event ring.
+OML_NAMES = tuple(_BUILDERS)[:-1]
+RLSE_NAMES = tuple(_BUILDERS)[-1:]
+
+
+def all_names() -> tuple[str, ...]:
+    return tuple(_BUILDERS)
+
+
 @lru_cache(maxsize=None)
 def builtin(name: str):
-    """Return a compiled-in structure by name.
+    """Return a compiled-in structure by name, one of all_names().
 
-    Lattice names give a FiniteOml, event-ring names an RlseTables.
-    Results are cached, so repeated lookups share one validated object.
+    Lattice names give a FiniteOml, event-ring names an RlseTables; any
+    other name raises UnknownName.  Results are cached, so repeated
+    lookups share one validated object.
     """
-    if name.startswith("boolean_"):
-        try:
-            n = int(name[len("boolean_"):])
-        except ValueError:
-            raise UnknownName(name) from None
-        if 1 <= n <= 5:
-            return _boolean(n)
-    if name.startswith("mo"):
-        try:
-            n = int(name[2:])
-        except ValueError:
-            raise UnknownName(name) from None
-        if 1 <= n <= 4:
-            return _mo(n)
-    if name == "product_2p4_mo2":
-        return direct_product(_boolean(4), _mo(2))
-    if name == "paper-example-2set":
-        return _paper_example()
-    raise UnknownName(name)
+    if name not in _BUILDERS:
+        raise UnknownName(name)
+    return _BUILDERS[name]()
 
 
 def product_generating_pair() -> tuple[str, str]:

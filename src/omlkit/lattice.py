@@ -41,6 +41,16 @@ __all__ = [
 ]
 
 
+def _index(labels, label) -> int:
+    """The position of label in the sequence labels, else UnknownLabel:
+    the one lookup of an element label (index, event_of, a ring file's
+    ZERO and ONE)."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise UnknownLabel(label) from None
+
+
 # FinitePoset and FiniteOml subclass a namedtuple rather than typing.NamedTuple
 # so that their instances get a __dict__ for the cached views (leq,
 # orthogonal_rows); equality and hashing stay those of the tuple.
@@ -57,10 +67,7 @@ class FinitePoset(namedtuple("FinitePoset", "elements up bottom top")):
         return len(self.elements)
 
     def index(self, label: str) -> int:
-        try:
-            return self.elements.index(label)
-        except ValueError:
-            raise UnknownLabel(label) from None
+        return _index(self.elements, label)
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:

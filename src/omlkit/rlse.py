@@ -32,7 +32,6 @@ from .errors import (
     NoBoundsError,
     NotAnRlse,
     OracleMismatch,
-    UnknownLabel,
     ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
@@ -72,10 +71,7 @@ class RlseTables(NamedTuple):
         return len(self.elements)
 
     def index(self, label: str) -> int:
-        try:
-            return self.elements.index(label)
-        except ValueError:
-            raise UnknownLabel(label) from None
+        return _lat._index(self.elements, label)
 
 
 def _check_shape(r: RlseTables) -> None:
@@ -300,10 +296,10 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
 
     plus is "t1" for the symmetric difference (x^y') v (x'^y), "t2" for
     the upper bound choice (x v y)^(x' v y'), or an n x n index table
-    whose row and column i belong to the lattice's element i.  A custom
-    table that is not n x n indices raises MalformedTable; one that is
-    not commutative, does not send x,1 to the complement of x or breaks
-    R4 raises CustomPlusInvalid.
+    whose row and column i belong to the lattice's element i.  Any other
+    string, or a table that is not n x n indices, raises MalformedTable;
+    a table that is not commutative, does not send x,1 to the complement
+    of x or breaks R4 raises CustomPlusInvalid.
     """
     n = oml.n
     meet, join, comp = oml.meet, oml.join, oml.comp
@@ -315,6 +311,8 @@ def rlse_from_oml(oml: _lat.FiniteOml, plus) -> RlseTables:
             tuple(meet[join[x][y]][join[comp[x]][comp[y]]] for y in range(n))
             for x in range(n)
         ))
+    elif isinstance(plus, str):
+        raise MalformedTable(f"unknown addition term {plus!r}; the terms are 't1' and 't2'")
     else:
         r = r._replace(oplus=tuple(map(tuple, plus)))
         _check_shape(r)

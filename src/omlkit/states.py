@@ -47,11 +47,10 @@ from .errors import (
     NotFull,
     NotLatticeOrdered,
     OracleMismatch,
-    UnknownLabel,
     ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, witness
-from .lattice import FiniteOml, _t1, _transpose, lattice_tables
+from .lattice import FiniteOml, _index, _t1, _transpose, lattice_tables
 
 if TYPE_CHECKING:
     from .rlse import RlseTables
@@ -351,10 +350,7 @@ class NumericalEventSet(NamedTuple):
     events: tuple[tuple[Fraction, ...], ...]
 
     def event_of(self, label: str) -> tuple[Fraction, ...]:
-        try:
-            return self.events[self.elements.index(label)]
-        except ValueError:
-            raise UnknownLabel(label) from None
+        return self.events[_index(self.elements, label)]
 
 
 def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:

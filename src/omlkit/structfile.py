@@ -33,7 +33,7 @@ import re
 from typing import NamedTuple
 
 from .errors import MalformedTable, ParseError, UnknownLabel, ValidationError
-from .lattice import FiniteOml, FinitePoset, _bits, _transpose, build_poset
+from .lattice import FiniteOml, FinitePoset, _bits, _index, _transpose, build_poset
 
 __all__ = [
     "StructureFile",
@@ -192,11 +192,9 @@ def parse_structure(text: str) -> StructureFile:
                 raise ParseError(f"{name} needs {n} rows, got {len(table)}", lineno, 1)
             tables.append(table)
         pos = {lab: i for i, lab in enumerate(elements)}
-        zero, one = constants.get("ZERO", elements[0]), constants.get("ONE", elements[-1])
-        for label in (zero, one):
-            if label not in pos:
-                raise UnknownLabel(label)
-        return StructureFile(kind, elements, zero=pos[zero], one=pos[one],
+        zero = _index(elements, constants.get("ZERO", elements[0]))
+        one = _index(elements, constants.get("ONE", elements[-1]))
+        return StructureFile(kind, elements, zero=zero, one=one,
                              oplus=_indices(tables[0], pos, "oplus"),
                              times=_indices(tables[1], pos, "times"))
     out = []

@@ -194,7 +194,8 @@ def criterion_3() -> CriterionResult:
             continue
         rejected += not verdict
     return _result(3, "round trips and cross-checked verdicts", problems,
-                   f"20 constructions round-trip; verdicts agree on 21 rings "
+                   f"{2 * len(corpus.OML_NAMES)} constructions round-trip; verdicts "
+                   f"agree on {len(_corpus_rings())} rings "
                    f"and {len(mutants)} mutants ({rejected} rejected)")
 
 
@@ -224,8 +225,8 @@ def criterion_4() -> CriterionResult:
     if not is_distributive(derived)[0]:
         problems.append("derived lattice of the 2-set example is not Boolean")
     return _result(4, "Boolean-ring characterization", problems,
-                   "routes agree on 21 rings; {1}+{1} = {1,2} blocks the "
-                   "2-set example while its lattice is Boolean")
+                   f"routes agree on {len(_corpus_rings())} rings; {{1}}+{{1}} = "
+                   "{1,2} blocks the 2-set example while its lattice is Boolean")
 
 
 def criterion_5() -> CriterionResult:
@@ -239,7 +240,8 @@ def criterion_5() -> CriterionResult:
         if not (r4.passed and orthogonal.passed):
             problems.append(f"{label}: R4 forms {r4.passed}/{orthogonal.passed}")
     return _result(5, "derived identities", problems,
-                   "all five identities and both R4 forms hold on 21 rings")
+                   "all five identities and both R4 forms hold on "
+                   f"{len(_corpus_rings())} rings")
 
 
 def criterion_6() -> CriterionResult:
@@ -310,7 +312,8 @@ def criterion_8() -> CriterionResult:
     if w is None or (w["p"], w["q"], w["value"]) != ("a", "b", "2"):
         problems.append(f"unexpected mo2 witness {w}")
     return _result(8, "event-ring inequality", problems,
-                   "verdict matches distributivity on all 10 members; "
+                   "verdict matches distributivity on all "
+                   f"{len(corpus.OML_NAMES)} members; "
                    "mo2 witness q_a+q_b reaches 2")
 
 
@@ -334,7 +337,8 @@ def criterion_9() -> CriterionResult:
     if (lo, hi) != ("0", "1"):
         problems.append(f"t1(a,b), t2(a,b) = {lo}, {hi}, expected 0, 1")
     return _result(9, "term chain", problems,
-                   "chain and middle-term collapse hold on all 10 members; "
+                   "chain and middle-term collapse hold on all "
+                   f"{len(corpus.OML_NAMES)} members; "
                    "t1(a,b) = 0 and t2(a,b) = 1 on mo2")
 
 

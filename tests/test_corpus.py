@@ -4,8 +4,8 @@ import pytest
 
 from omlkit import corpus
 from omlkit.errors import UnknownName
-from omlkit.lattice import check_oml
-from omlkit.rlse import check_rlse
+from omlkit.lattice import FiniteOml, check_oml
+from omlkit.rlse import RlseTables, check_rlse
 
 EXPECTED_SIZES = {
     "boolean_1": 2, "boolean_2": 4, "boolean_3": 8, "boolean_4": 16,
@@ -27,13 +27,27 @@ def test_sizes(name, size):
 
 
 def test_unknown_name():
-    for name in ("boolean_0", "boolean_x", "mox", "mo5"):
-        with pytest.raises(UnknownName):
+    # the last four are names an int() parse would read as boolean_3 and mo2
+    for name in ("boolean_0", "boolean_x", "mox", "mo5", "boolean_6", "mo0",
+                 "boolean_03", "boolean_ 3", "mo+2", "mo\u0662"):
+        with pytest.raises(UnknownName) as info:
             corpus.builtin(name)
+        assert str(info.value) == f"unknown builtin structure: {name!r}"
 
 
 def test_builtin_is_cached():
     assert corpus.builtin("mo2") is corpus.builtin("mo2")
+
+
+def test_every_name_builds_in_order_once():
+    names = corpus.all_names()
+    assert names == (*corpus.OML_NAMES, *corpus.RLSE_NAMES) == (
+        "boolean_1", "boolean_2", "boolean_3", "boolean_4", "boolean_5",
+        "mo1", "mo2", "mo3", "mo4", "product_2p4_mo2", "paper-example-2set")
+    for name in names:
+        assert corpus.builtin(name) is corpus.builtin(name)
+    assert all(isinstance(corpus.builtin(n), FiniteOml) for n in corpus.OML_NAMES)
+    assert all(isinstance(corpus.builtin(n), RlseTables) for n in corpus.RLSE_NAMES)
 
 
 def test_boolean_labels_are_subsets():

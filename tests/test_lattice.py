@@ -7,7 +7,7 @@ from itertools import compress, product
 
 import pytest
 
-from omlkit import corpus, lattice, rlse
+from omlkit import corpus, lattice, rlse, states
 from omlkit.errors import CycleError, NoBoundsError, UnknownLabel, ValidationError
 from omlkit.lattice import (
     build_poset,
@@ -64,7 +64,11 @@ def test_singleton_poset_rejected():
 
 def test_an_unknown_label_raises_unknown_label():
     poset = build_poset(*DIAMOND)
+    events = states.NumericalEventSet(("0", "1"), ((0,), (1,)))
     for call in (lambda: poset.index("q"),
+                 lambda: corpus.builtin("mo2").index("q"),
+                 lambda: corpus.builtin("paper-example-2set").index("q"),
+                 lambda: events.event_of("q"),
                  lambda: build_poset(DIAMOND[0], [("q", "1")]),
                  lambda: build_poset(DIAMOND[0], [("0", "q")])):
         with pytest.raises(UnknownLabel) as info:

@@ -107,6 +107,18 @@ def test_manifest_matches_the_lattices_it_describes(workload, tmp_path):
         assert comp == entry["complement"]
 
 
+def test_the_oracle_lists_follow_the_corpus():
+    # plan.py judges verdicts by these lists, never by omlkit; a corpus
+    # change they miss would fail only a benchmark run
+    from omlkit import corpus
+    from omlkit.lattice import is_distributive
+
+    inputs = _load("inputs")
+    assert set(inputs.OML_BUILTINS) <= set(corpus.OML_NAMES)
+    assert inputs.BOOLEAN_BUILTINS == {
+        name for name in corpus.OML_NAMES if is_distributive(corpus.builtin(name))[0]}
+
+
 def _traced_run(tmp_path, *command):
     """(stdout, trace) of one command run by launch.py, which must pass."""
     src = Path(__file__).resolve().parent.parent / "src"

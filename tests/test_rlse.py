@@ -210,7 +210,7 @@ def test_custom_plus_names_the_first_entry_or_row_that_does_not_fit():
         ((good,) * 3, "oplus table has 3 rows, wants 4"),
         ((good,) * 5, "oplus table has 5 rows, wants 4"),
         ((good, good[:3], good, good), "oplus table row has 3 entries"),
-        ("t3", "oplus table has 2 rows, wants 4"),
+        ("t3", "unknown addition term 't3'; the terms are 't1' and 't2'"),
     ]
     for rows, message in cases:
         with pytest.raises(MalformedTable) as info:
