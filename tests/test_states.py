@@ -286,6 +286,21 @@ def test_boolean_test_fails_on_mo2_with_value_2():
     assert MO2_STATES[pos][mo2.index("b")] == 1
 
 
+def test_boolean_test_reports_a_value_above_1_before_a_t1_mismatch():
+    # the chain 0 < 1/3 < 2/3 < 1 times mo2's events, the chain coordinate
+    # first and varying fastest: row (c1,0) already disagrees with t1 at
+    # (c2,0), where 1/3 + 2/3 - 2/3 = 1/3 is not c1 v c2 = 2/3, yet no value
+    # exceeds 1 before row (c0,a)
+    mo2 = corpus.builtin("mo2")
+    ev = events_from_states(mo2, find_full_state_set(mo2).states)
+    chain = [F(k, 3) for k in range(4)]
+    labels = tuple(f"(c{k},{e})" for e in ev.elements for k in range(4))
+    vectors = tuple((c, *v) for v in ev.events for c in chain)
+    witness, plus = boolean_test(NumericalEventSet(labels, vectors))
+    assert witness == {"p": "(c0,a)", "q": "(c0,b)", "state": 2, "value": "2"}
+    assert plus is None
+
+
 def test_boolean_test_requires_lattice_order():
     ev = NumericalEventSet(
         ("p", "p'"),
