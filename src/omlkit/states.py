@@ -486,13 +486,14 @@ def boolean_test(ev: NumericalEventSet):
 
     Returns (witness, plus): witness is None when the set is Boolean and
     otherwise names the first p, q and the state where the value exceeds
-    1; plus is the induced addition table when the set is Boolean, None
-    otherwise.  The vectors must be distinct (else ValidationError) and
+    1; plus is None then.  When the set is Boolean, plus is its addition
+    table, which is the symmetric difference (p^q')v(p'^q) of the set's
+    own lattice, lattice._t1 (p -> 1-p reverses the order and is an
+    involution).  The vectors must be distinct (else ValidationError) and
     lattice-ordered: every pair has an infimum and a supremum in the set
-    under the pointwise order (else NotLatticeOrdered).  The addition
-    table is cross-checked against (p^q')v(p'^q) in the set's own lattice
-    (lattice._t1: p -> 1-p reverses the order and is an involution).
-    A mismatch raises NotAnEventAlgebra when the vectors fail a
+    under the pointwise order (else NotLatticeOrdered).  Where no value
+    exceeds 1 but p + q - 2(p^q) is not the vector of that table's entry,
+    NotAnEventAlgebra is raised when the vectors fail a
     probability-algebra axiom, and OracleMismatch only when they satisfy
     them all.
     """
@@ -514,12 +515,11 @@ def boolean_test(ev: NumericalEventSet):
         raise ValidationError("event set is not complement-closed")
 
     # p+q-2(p^q) is symmetric in p and q: one pass over the pairs p <= q
-    # both looks for a value above 1 (den, scaled) and fills the addition
-    # table, on the packed vectors (_packing); a row with a value above 1
-    # is computed again on the vectors, for its witness
+    # looks for a value above 1 (den, scaled) on the packed vectors
+    # (_packing) and keeps each row; a row with a value above 1 is computed
+    # again on the vectors, for its witness
     packed, over, top = _packing(den, events)
-    index = {v: i for i, v in enumerate(packed)}
-    plus = [[0] * m for _ in range(m)]
+    rows = []
     for i, (p, mi) in enumerate(zip(packed, meet)):
         hats = [p + q - 2 * packed[v] for q, v in zip(packed[i:], mi[i:])]
         if any(map(top.__and__, map(over.__add__, hats))):
@@ -533,10 +533,14 @@ def boolean_test(ev: NumericalEventSet):
                 "p": labels[i], "q": labels[j],
                 "state": pos, "value": str(Fraction(hats[j - i][pos], den[pos])),
             }, None
-        for j, h in enumerate(hats, start=i):
-            plus[i][j] = plus[j][i] = index.get(h)
+        rows.append(hats)
 
-    hit = first_mismatch([(i,) for i in range(m)], map(tuple, plus), _t1(meet, compl))
+    # no value exceeds 1: the kept rows must be the set's own symmetric
+    # difference, packed; both tables are symmetric, so the first mismatch
+    # from p <= q on is the first of the whole table
+    plus = _t1(meet, compl)
+    hit = first_mismatch([(i,) for i in range(m)], rows,
+                         ([packed[v] for v in row[i:]] for i, row in enumerate(plus)))
     if hit is not None:
         # the axiom check is exhaustive and slow: only a failed
         # cross-check pays for it
@@ -545,9 +549,9 @@ def boolean_test(ev: NumericalEventSet):
             raise NotAnEventAlgebra(algebra)
         raise OracleMismatch(
             "ring addition disagrees with the symmetric difference "
-            f"at ({labels[hit[0]]}, {labels[hit[1]]})"
+            f"at ({labels[hit[0]]}, {labels[hit[0] + hit[1]]})"
         )
-    return None, tuple(tuple(r) for r in plus)
+    return None, plus
 
 
 def check_representation(r: RlseTables, ev: NumericalEventSet, f) -> Verdict:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import MalformedTable, ParseError, UnknownLabel, ValidationError
+from .errors import MalformedTable, ParseError, ValidationError
 from .lattice import FiniteOml, FinitePoset, _bits, _index, _transpose, build_poset
 
 __all__ = [
@@ -221,7 +221,7 @@ def parse_structure(text: str) -> StructureFile:
 
 def to_oml_input(sf: StructureFile):
     """(poset, comp) from an oml file, ready for check_oml; the first element
-    in the poset's order without a complement pair raises UnknownLabel."""
+    in the poset's order without a complement pair raises ValidationError."""
     if sf.kind != "oml":
         raise ValidationError(f"expected an oml file, got {sf.kind}")
     poset = build_poset(sf.elements, sf.covers + sf.leq)
@@ -237,7 +237,7 @@ def to_oml_input(sf: StructureFile):
     try:
         return poset, tuple(pos[comp[lab]] for lab in poset.elements)
     except KeyError as exc:  # the first element without a pair
-        raise UnknownLabel(exc.args[0]) from None
+        raise ValidationError(f"element {exc.args[0]!r} has no complement pair") from None
 
 
 def to_rlse(sf: StructureFile) -> RlseTables:

@@ -154,13 +154,7 @@ def _mutated_rings():
         table = [list(row) for row in (base.oplus if which else base.times)]
         i, j = rng.randrange(n), rng.randrange(n)
         table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
-        frozen = tuple(tuple(row) for row in table)
-        if which:
-            out.append(RlseTables(base.elements, frozen, base.times,
-                                  base.zero, base.one))
-        else:
-            out.append(RlseTables(base.elements, base.oplus, frozen,
-                                  base.zero, base.one))
+        out.append(base._replace(**{"oplus" if which else "times": tuple(map(tuple, table))}))
     return out
 
 

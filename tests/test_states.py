@@ -264,13 +264,17 @@ def test_hat_plus_pointwise():
 
 
 def test_boolean_test_on_boolean_members():
-    for name in ("boolean_2", "boolean_3", "mo1"):
-        oml = corpus.builtin(name)
+    names = [f"boolean_{k}" for k in range(1, 6)] + ["mo1"]
+    shuffled = structfile.parse_structure(_shuffled_product(("boolean_2", "boolean_3"), 5))
+    omls = [corpus.builtin(name) for name in names]
+    omls.append(lattice.check_oml(*structfile.to_oml_input(shuffled))[1])
+    for oml in omls:
         result = find_full_state_set(oml)
         witness, plus = boolean_test(events_from_states(oml, result.states))
-        assert witness is None, name
+        assert witness is None, oml.elements
         # the symmetric difference (x^y')v(x'^y) is the term t1
         assert plus == term_function(T1, oml)
+        assert type(plus) is tuple and all(type(row) is tuple for row in plus)
 
 
 def test_boolean_test_fails_on_mo2_with_value_2():

@@ -156,15 +156,15 @@ def test_unknown_complement_label():
 
 @pytest.mark.parametrize("elements, comp", [("0 a b 1", (3, 2, 1, 0)),
                                             ("1 a b 0", (1, 0, 3, 2))])
-def test_an_element_without_a_complement_pair_is_unknown(elements, comp):
+def test_an_element_without_a_complement_pair_is_named(elements, comp):
     # comp follows the poset's order, which lists the bottom first; so
     # does the search for the first element without a pair
     text = (f"KIND oml\nELEMENTS\n{elements}\nCOVERS\n0 a\n0 b\na 1\nb 1\n"
             "COMPLEMENT\nb a\n0 1\n")
     assert to_oml_input(parse_structure(text))[1] == comp
-    with pytest.raises(UnknownLabel) as info:
+    with pytest.raises(ValidationError) as info:
         to_oml_input(parse_structure(text.replace("0 1\n", "")))
-    assert str(info.value) == "unknown element label: '0'"
+    assert str(info.value) == "element '0' has no complement pair"
 
 
 def test_conflicting_complement_pairs():
