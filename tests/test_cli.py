@@ -68,10 +68,22 @@ def test_malformed_file_is_usage_error(tmp_path):
     assert "error:" in err
 
 
-def test_wrong_structure_kind_for_command():
-    code, _, err = run_cli("check-rlse", "mo2")
-    assert code == 2
-    assert "rlse" in err
+def test_wrong_structure_kind_for_command(tmp_path):
+    # every subcommand that reads a file, given a structure of another kind
+    events = _events_file(tmp_path, [("z", "0"), ("u", "1")])
+    cases = [(command, target, "oml", got)
+             for command in ("check-oml", "construct", "states-find", "states-check-full")
+             for target, got in (("paper-example-2set", "rlse"), (events, "events"))]
+    cases += [(command, "mo2", "rlse", "oml") for command in ("check-rlse", "derive")]
+    for command, target, need, got in cases:
+        assert run_cli(command, target) == (
+            2, "", f"error: {command} needs an {need} structure, got {got}\n"), command
+    # boolean-test takes all three kinds
+    for target, name, want in (("mo2", "mo2", 1), ("paper-example-2set", "paper-example-2set", 1),
+                               (events, "events.txt", 0)):
+        code, out, err = run_cli("boolean-test", target)
+        assert (code, err) == (want, ""), target
+        assert out.startswith(f"boolean-test {name}: "), out
 
 
 @pytest.mark.parametrize("argv", [
