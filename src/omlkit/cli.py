@@ -6,9 +6,10 @@ short fixed-format listing; --json emits the same report as JSON
 (validating against report_schema.json).  Exit status is 0 when all
 checks pass, 1 when some check fails, 2 for unusable input.
 
-Targets are resolved in order: an existing file path, a builtin corpus
-name (plus "o6", the non-orthomodular demonstration hexagon), then a
-file under $OMLKIT_CORPUS_DIR.
+Each subcommand is declared once, in _parser, and main loads and
+kind-checks its target.  Targets resolve in order: an existing file
+path, a builtin corpus name (plus "o6", the non-orthomodular hexagon),
+then a file under $OMLKIT_CORPUS_DIR.
 
 Only the lattice and file modules are imported up front; each subcommand
 imports the rest of what it runs, so a process compiles no module it
@@ -42,8 +43,6 @@ from .lattice import check_oml
 from .laws import LAWS, Verdict
 
 __all__ = ["main"]
-
-_EMIT_COMMANDS = {"derive", "construct", "states-find"}
 
 
 class _Usage(Exception):
@@ -113,15 +112,9 @@ def _load_target(arg: str) -> _Target:
     return _Target("events", name, events=structfile.to_events(sf))
 
 
-def _expect(target: _Target, kind: str, command: str) -> _Target:
-    if target.kind != kind:
-        raise _Usage(f"{command} needs an {kind} structure, got {target.kind}")
-    return target
-
-
 def _oml(target: _Target, command: str):
     """The lattice of an oml target; failed laws end the command."""
-    verdict, oml = check_oml(_expect(target, "oml", command).poset, target.comp)
+    verdict, oml = check_oml(target.poset, target.comp)
     if oml is None:
         raise _Early(_report(command, target.name, _entries(verdict)))
     return oml
@@ -189,13 +182,12 @@ def _entries(verdict: Verdict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_oml(args):
-    target = _expect(_load_target(args.file), "oml", "check-oml")
+def _cmd_check_oml(args, target):
     verdict, _ = check_oml(target.poset, target.comp)
-    return _report("check-oml", target.name, _entries(verdict))
+    return _report(args.command, target.name, _entries(verdict))
 
 
-def _cmd_check_rlse(args):
+def _cmd_check_rlse(args, target):
     from .rlse import (
         check_correspondence,
         check_derived_identities,
@@ -203,7 +195,6 @@ def _cmd_check_rlse(args):
         check_rlse,
     )
 
-    target = _expect(_load_target(args.file), "rlse", "check-rlse")
     r = target.ring
     axioms = check_rlse(r)
     entries = _entries(axioms)
@@ -219,19 +210,18 @@ def _cmd_check_rlse(args):
     a, b = (v.passed for v in check_correspondence(r))
     entries.append(_check("correspondence-verdicts-agree", a == b,
                           f"ring axioms {a}, lattice side {b}"))
-    return _report("check-rlse", target.name, entries)
+    return _report(args.command, target.name, entries)
 
 
-def _cmd_derive(args):
+def _cmd_derive(args, target):
     from .rlse import derived_lattice
 
-    target = _expect(_load_target(args.file), "rlse", "derive")
     try:
         oml = derived_lattice(target.ring)
     except NotAnRlse as exc:
-        return _report("derive", target.name, _entries(exc.verdict))
+        return _report(args.command, target.name, _entries(exc.verdict))
     text = structfile.serialize_structure(structfile.from_oml(oml))
-    return _report("derive", target.name, [_check("is-valid-ring", True)],
+    return _report(args.command, target.name, [_check("is-valid-ring", True)],
                    {"structure": text})
 
 
@@ -255,11 +245,10 @@ def _custom_plus(path: str, oml) -> list:
     return [[at[sf.oplus[i][j]] for j in order] for i in order]
 
 
-def _cmd_construct(args):
+def _cmd_construct(args, target):
     from .rlse import rlse_from_oml
 
-    target = _load_target(args.file)
-    oml = _oml(target, "construct")
+    oml = _oml(target, args.command)
     plus = args.plus
     if plus.startswith("custom="):
         plus = _custom_plus(plus[7:], oml)
@@ -268,13 +257,13 @@ def _cmd_construct(args):
     try:
         ring = rlse_from_oml(oml, plus)
     except CustomPlusInvalid as exc:
-        return _report("construct", target.name, _entries(Verdict.of(exc.failure)))
+        return _report(args.command, target.name, _entries(Verdict.of(exc.failure)))
     text = structfile.serialize_structure(structfile.from_rlse(ring))
-    return _report("construct", target.name,
+    return _report(args.command, target.name,
                    [_check("addition-is-valid", True)], {"structure": text})
 
 
-def _cmd_terms_enumerate(args):
+def _cmd_terms_enumerate(args, target):
     from . import terms
 
     ts = terms.enumerate_canonical_terms()
@@ -283,7 +272,7 @@ def _cmd_terms_enumerate(args):
         {"index": i, "index_set": sorted(s), "term": terms.format_term(t)}
         for i, (s, t) in enumerate(zip(sets, ts))
     ]}
-    return _report("terms-enumerate", None,
+    return _report(args.command, None,
                    [_check("canonical-terms", len(ts) == 96, f"{len(ts)} terms")],
                    data)
 
@@ -299,7 +288,7 @@ def _filter_corpus(names):
     return tuple(omls)
 
 
-def _cmd_terms_filter(args):
+def _cmd_terms_filter(args, target):
     from . import corpus, terms
 
     names = corpus.FILTER_CORPUS if args.corpus is None else tuple(args.corpus.split(","))
@@ -320,23 +309,21 @@ def _cmd_terms_filter(args):
     entry = _check("classification", True,
                    f"{len(classes)} surviving classes, "
                    f"{len(eliminated)} candidates eliminated")
-    return _report("terms-filter", ",".join(names), [entry], data)
+    return _report(args.command, ",".join(names), [entry], data)
 
 
-def _cmd_states_find(args):
-    target = _load_target(args.file)
-    oml = _oml(target, "states-find")
-    found, entry = _full_state_set(target, "states-find", oml)
+def _cmd_states_find(args, target):
+    oml = _oml(target, args.command)
+    found, entry = _full_state_set(target, args.command, oml)
     text = structfile.serialize_structure(structfile.from_oml(oml, found))
-    return _report("states-find", target.name, [entry],
+    return _report(args.command, target.name, [entry],
                    {"structure": text, "count": len(found)})
 
 
-def _cmd_states_check_full(args):
+def _cmd_states_check_full(args, target):
     from . import states
 
-    target = _load_target(args.file)
-    oml = _oml(target, "states-check-full")
+    oml = _oml(target, args.command)
     if not target.states:
         raise _Usage("the target has no STATES section")
     try:
@@ -344,9 +331,9 @@ def _cmd_states_check_full(args):
     except InvalidState as exc:
         entry = _check("states-valid", False,
                        f"state {exc.position} fails {exc.failure}")
-        return _report("states-check-full", target.name, [entry])
+        return _report(args.command, target.name, [entry])
     entries = [_check("states-valid", True, f"{len(target.states)} states")]
-    return _report("states-check-full", target.name, entries + _entries(full))
+    return _report(args.command, target.name, entries + _entries(full))
 
 
 def _ring_test_entries(r) -> list:
@@ -383,44 +370,27 @@ def _event_test_entries(ev) -> list:
     return [_check("ring-inequality", False, detail, witness=w)]
 
 
-def _cmd_boolean_test(args):
-    target = _load_target(args.file)
+def _cmd_boolean_test(args, target):
     if target.kind == "rlse":
-        return _report("boolean-test", target.name,
-                       _ring_test_entries(target.ring))
+        return _report(args.command, target.name, _ring_test_entries(target.ring))
     if target.kind == "events":
-        return _report("boolean-test", target.name,
-                       _event_test_entries(target.events))
+        return _report(args.command, target.name, _event_test_entries(target.events))
     from . import states
 
-    oml = _oml(target, "boolean-test")
-    found, entry = _full_state_set(target, "boolean-test", oml)
+    oml = _oml(target, args.command)
+    found, entry = _full_state_set(target, args.command, oml)
     entries = [entry] + _event_test_entries(states.events_from_states(oml, found))
-    return _report("boolean-test", target.name, entries, {"states": len(found)})
+    return _report(args.command, target.name, entries, {"states": len(found)})
 
 
-def _cmd_verify_all(args):
+def _cmd_verify_all(args, target):
     from . import suite
 
     entries = []
     for r in suite.run_all():
         entries.append(_check(f"criterion-{r.number}", r.passed,
                               f"{r.title}: {r.detail}"))
-    return _report("verify-all", None, entries)
-
-
-_COMMANDS = {
-    "check-oml": _cmd_check_oml,
-    "check-rlse": _cmd_check_rlse,
-    "derive": _cmd_derive,
-    "construct": _cmd_construct,
-    "terms-enumerate": _cmd_terms_enumerate,
-    "terms-filter": _cmd_terms_filter,
-    "states-find": _cmd_states_find,
-    "states-check-full": _cmd_states_check_full,
-    "boolean-test": _cmd_boolean_test,
-    "verify-all": _cmd_verify_all,
-}
+    return _report(args.command, None, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +408,23 @@ def _strip_witnesses(report):
 
 
 def _render_text(report) -> str:
-    lines = []
     data = report.get("data") or {}
-    emit = report["command"] in _EMIT_COMMANDS and report["passed"]
-    if not emit:
-        head = report["command"]
-        if report["target"]:
-            head += " " + report["target"]
-        lines.append(f"{head}: {'PASS' if report['passed'] else 'FAIL'}")
-        for c in report["checks"]:
-            mark = "ok" if c["passed"] else "FAIL"
-            line = f"  [{mark}] {c['name']}"
-            if c["detail"]:
-                line += f": {c['detail']}"
-            lines.append(line)
-            if c["witness"]:
-                pairs = " ".join(f"{k}={v}" for k, v in sorted(c["witness"].items()))
-                lines.append(f"       witness: {pairs}")
-    if "structure" in data:
-        lines.append(data["structure"].rstrip("\n"))
+    if report["passed"] and "structure" in data:
+        # a structure file alone, so that the output is valid input
+        return data["structure"].rstrip("\n")
+    head = report["command"]
+    if report["target"]:
+        head += " " + report["target"]
+    lines = [f"{head}: {'PASS' if report['passed'] else 'FAIL'}"]
+    for c in report["checks"]:
+        mark = "ok" if c["passed"] else "FAIL"
+        line = f"  [{mark}] {c['name']}"
+        if c["detail"]:
+            line += f": {c['detail']}"
+        lines.append(line)
+        if c["witness"]:
+            pairs = " ".join(f"{k}={v}" for k, v in sorted(c["witness"].items()))
+            lines.append(f"       witness: {pairs}")
     if "terms" in data:
         for row in data["terms"]:
             labels = ",".join(str(v) for v in row["index_set"]) or "-"
@@ -492,32 +460,41 @@ def _parser() -> argparse.ArgumentParser:
                         help="include counterexample assignments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_file=True):
+    def add(name, help_text, run, reads=None):
+        # reads: the kind of structure the file must hold, "any", or None for no file
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if with_file:
+        if reads:
             p.add_argument("file", help="structure file or builtin name")
+        p.set_defaults(run=run, reads=reads)
         return p
 
-    add("check-oml", "verify the orthomodular lattice laws")
-    add("check-rlse", "verify the ring axioms and their consequences")
-    add("derive", "emit the lattice of a valid ring")
-    p = add("construct", "equip a lattice with an addition")
+    add("check-oml", "verify the orthomodular lattice laws", _cmd_check_oml, "oml")
+    add("check-rlse", "verify the ring axioms and their consequences", _cmd_check_rlse, "rlse")
+    add("derive", "emit the lattice of a valid ring", _cmd_derive, "rlse")
+    p = add("construct", "equip a lattice with an addition", _cmd_construct, "oml")
     p.add_argument("--plus", default="t1",
                    help="t1, t2 or custom=FILE (default t1)")
-    add("terms-enumerate", "list the 96 canonical binary terms", with_file=False)
-    p = add("terms-filter", "classify the addition candidates", with_file=False)
+    add("terms-enumerate", "list the 96 canonical binary terms", _cmd_terms_enumerate)
+    p = add("terms-filter", "classify the addition candidates", _cmd_terms_filter)
     p.add_argument("--corpus", help="comma-separated builtin lattice names")
-    add("states-find", "search for a full state set")
-    add("states-check-full", "check that the listed states recover the order")
-    add("boolean-test", "decide Booleanness of a ring, lattice or event set")
-    add("verify-all", "run the whole verification suite", with_file=False)
+    add("states-find", "search for a full state set", _cmd_states_find, "oml")
+    add("states-check-full", "check that the listed states recover the order",
+        _cmd_states_check_full, "oml")
+    add("boolean-test", "decide Booleanness of a ring, lattice or event set",
+        _cmd_boolean_test, "any")
+    add("verify-all", "run the whole verification suite", _cmd_verify_all)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        target = None
+        if args.reads:
+            target = _load_target(args.file)
+            if args.reads not in ("any", target.kind):
+                raise _Usage(f"{args.command} needs an {args.reads} structure, got {target.kind}")
+        report = args.run(args, target)
     except _Early as exc:
         report = exc.args[0]
     except (_Usage, ParseError, ValidationError, UnknownLabel, UnknownName,

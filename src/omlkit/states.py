@@ -318,17 +318,15 @@ def check_full(oml: FiniteOml, states) -> Verdict:
     failing pair in lexicographic order.  Each state is first validated;
     an invalid one raises InvalidState.
     """
-    above = [0] * oml.n
+    columns = []
     for pos, s in enumerate(states):
         vals = _fractions(s)
         verdict = check_state(oml, vals)
         if not verdict.passed:
             raise InvalidState(pos, verdict.failures[0].law)
-        _add_dominance(above, _scale(vals)[1])
-    full = (1 << oml.n) - 1
+        columns.append(_scale(vals)[1])
     # per x, the y where "no state puts x above y" disagrees with x <= y
-    wrong = [(~a ^ up) & full & ~(1 << x)
-             for x, (a, up) in enumerate(zip(above, oml.poset.up))]
+    wrong = [a ^ b for a, b in zip(_pointwise_up(columns, oml.n), oml.poset.up)]
     hit = first_mismatch([()], [wrong], [[0] * oml.n])
     if hit is None:
         return Verdict(True, ("order-determining",))
@@ -381,13 +379,13 @@ def _scaled(labels, events):
     return [d for d, _ in cols], list(zip(*(c for _, c in cols))) or [()] * len(events)
 
 
-def _pointwise_up(events) -> list[int]:
-    """up[i]: the bitmask of the j with events[i] <= events[j] in every
-    coordinate, folded in one coordinate at a time."""
-    above = [0] * len(events)
-    for column in zip(*events):
+def _pointwise_up(columns, m) -> list[int]:
+    """up[i]: the bitmask of the j < m whose value is at least i's in every
+    column (one value per element), folded in one column at a time."""
+    above = [0] * m
+    for column in columns:
         _add_dominance(above, column)
-    full = (1 << len(events)) - 1
+    full = (1 << m) - 1
     return [full & ~a for a in above]
 
 
@@ -399,7 +397,7 @@ def check_s_probability_algebra(ev: NumericalEventSet) -> Verdict:
     least upper bound of the pair within the set.
     """
     den, events = _scaled(ev.elements, ev.events)
-    return collect(_algebra_laws(ev, den, events, _pointwise_up(events)))
+    return collect(_algebra_laws(ev, den, events, _pointwise_up(zip(*events), len(events))))
 
 
 def _algebra_laws(ev, den, events, le):
@@ -418,7 +416,7 @@ def _algebra_laws(ev, den, events, le):
 
     # q is orthogonal to p when q <= 1-p: column m+i of the up-masks of the
     # events followed by their complements, cut down to the members
-    up = _transpose(_pointwise_up([*events, *compl]))
+    up = _transpose(_pointwise_up(zip(*events, *compl), 2 * m))
     orth = [col & (1 << m) - 1 for col in up[m:]]
     pairs = [(i, j) for i in range(m) for j in range(i, m) if orth[i] >> j & 1]
 
@@ -504,7 +502,7 @@ def boolean_test(ev: NumericalEventSet):
     if len(member) != m:
         raise ValidationError("event vectors are not distinct")
 
-    up = _pointwise_up(events)
+    up = _pointwise_up(zip(*events), m)
     meet, _, bad = lattice_tables(labels, up)
     if bad is not None:
         kind, pair = bad
@@ -583,7 +581,7 @@ def _representation_laws(r, ev, f):
     N = [row[r.one] for row in r.oplus]
     # order and sums compare alike on the vectors scaled to ints
     _, vecs = _scaled(els, vecs)
-    up = _pointwise_up(vecs)
+    up = _pointwise_up(zip(*vecs), r.n)
     # the ring's order: x <= y iff x*y = x
     hit = first_mismatch(xs, ([v == x for v in tx] for x, tx in enumerate(r.times)),
                          ([ux >> y & 1 == 1 for y in rng] for ux in up))

@@ -3,7 +3,8 @@ package resolves its names on first use, and each subcommand imports only
 the modules it runs; the lattice, ring and state commands never import
 dataclasses, json and fractions load only where they are used, and
 parsing a ring file loads no ring module.  The README's library example
-runs and prints what its comments say."""
+runs and prints what its comments say, and its command lines exit as
+their comments say."""
 
 import importlib
 import io
@@ -12,13 +13,13 @@ import os
 import pkgutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import omlkit
-from omlkit import corpus, states, structfile
+from omlkit import cli, corpus, states, structfile
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 README = DATA.parent / "README.md"
@@ -162,3 +163,27 @@ def test_the_readme_example_prints_what_its_comments_say():
     with redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == said
+
+
+def test_the_readme_command_lines_run_as_documented(tmp_path, monkeypatch):
+    # from the repo root, so that data/... resolves; a line's "> FILE" goes
+    # to tmp_path, where a later line reads it back
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(README.parent)
+    written = {}
+    codes = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, _, rest = command.partition(" ")
+        args, _, sink = rest.partition(">")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([written.get(a, a) for a in args.split()])
+        if sink.strip():
+            path = written[sink.strip()] = str(tmp_path / sink.strip())
+            Path(path).write_text(out.getvalue(), encoding="utf-8")
+        assert (program, code, err.getvalue()) == (
+            "omlkit", 1 if "exit 1" in comment else 0, ""), line
+        codes.append(code)
+    assert codes == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]

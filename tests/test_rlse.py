@@ -552,7 +552,7 @@ def _lattices():
     return lattices
 
 
-def test_atom_map_matches_the_scans_on_builtins_and_shuffled_products():
+def test_center_route_matches_the_scans_on_builtins_and_shuffled_products():
     seen = set()
     for oml in _lattices():
         boolean = _first_triple(oml) is None
@@ -609,7 +609,7 @@ def test_boolean_ring_routes_match_the_law_scans_on_valid_plus_mutants():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_atom_map_on_symmetric_two_cell_mutants_of_boolean_rings():
+def test_center_route_matches_the_scans_on_symmetric_mutants_of_boolean_rings():
     rng = random.Random(4545)
     bases = [rlse_from_oml(corpus.builtin(name), "t1")
              for name in ("boolean_2", "mo1", "boolean_3", "boolean_4")]
@@ -627,9 +627,8 @@ def test_atom_map_on_symmetric_two_cell_mutants_of_boolean_rings():
     assert min(outcomes.values()) >= 50, outcomes
 
 
-def test_atom_map_matches_the_scans_on_every_small_commutative_idempotent_table():
+def test_center_route_matches_the_scans_on_every_small_commutative_idempotent_table():
     # each table as *, with + the same table and, where the indices are
-    # closed under ^, their bitwise xor
     # closed under ^, their bitwise xor; one element is no event ring, since
     # its zero is its one
     valid = boolean = 0
@@ -647,7 +646,7 @@ def test_atom_map_matches_the_scans_on_every_small_commutative_idempotent_table(
     assert (valid, boolean) == (2, 2)
 
 
-def test_atom_map_must_be_one_to_one():
+def test_is_boolean_ring_refuses_a_non_associative_addition():
     # a and b lie below each other, c and d below nothing else, and + is
     # not associative: (a+a)+d = c, a+(a+d) = d.  * is not commutative, so
     # no Boolean test sees the table
@@ -700,7 +699,7 @@ def test_a_boolean_lattice_draws_no_distributivity_rows(monkeypatch):
     assert drawn
 
 
-def test_atom_map_disagreeing_with_the_scans_raises(monkeypatch):
+def test_a_center_disagreeing_with_the_scans_raises(monkeypatch):
     boolean = rlse_from_oml(corpus.builtin("boolean_3"), "t1")
     mo3 = rlse_from_oml(corpus.builtin("mo3"), "t1")
     # said not central, the bottom sends the ring route to its scans and
