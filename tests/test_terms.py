@@ -172,6 +172,44 @@ def test_filter_conditions_match_the_reference_on_mutants():
     assert min(failed.values()) >= 20, failed
 
 
+def _reference_filter(omls):
+    """The filter written out: judge every term on every member in order,
+    then group the survivors by their tables, classes in the order of
+    their first members."""
+    ts, sets = enumerate_canonical_terms(), canonical_index_sets()
+    eliminated, survivors = [], []
+    for ti, t in enumerate(ts):
+        tables = [term_function(t, oml) for oml in omls]
+        for ci, (table, oml) in enumerate(zip(tables, omls)):
+            failure = _reference_condition(table, oml)
+            if failure is not None:
+                eliminated.append(terms.Elimination(ti, sets[ti], failure[0], ci, failure[1]))
+                break
+        else:
+            survivors.append((ti, tuple(tables)))
+    groups = {}
+    for ti, tables in survivors:
+        groups.setdefault(tables, []).append(ti)
+    classes = [terms.SurvivorClass(tuple(members), tuple(sets[ti] for ti in members),
+                                   tuple(ts[ti] for ti in members), tables)
+               for tables, members in sorted(groups.items(), key=lambda kv: kv[1][0])]
+    return terms.FilterResult(tuple(classes), tuple(eliminated))
+
+
+def test_filter_result_matches_a_per_term_reference():
+    for names in (corpus.FILTER_CORPUS, corpus.FILTER_CORPUS[::-1],
+                  ("mo3",), ("mo2", "boolean_2")):
+        omls = tuple(corpus.builtin(name) for name in names)
+        assert filter_symmetric_difference_terms(omls) == _reference_filter(omls), names
+    basis, joins = basis_terms(), []
+    for idx_set in canonical_index_sets():
+        t = terms.Const(0)
+        for k, i in enumerate(sorted(idx_set)):
+            t = basis[i - 1] if k == 0 else terms.Join(t, basis[i - 1])
+        joins.append(t)
+    assert enumerate_canonical_terms() == tuple(joins)
+
+
 def test_filter_rejects_empty_corpus():
     with pytest.raises(EmptyCorpus):
         filter_symmetric_difference_terms(())
