@@ -366,17 +366,21 @@ def events_from_states(oml: FiniteOml, states) -> NumericalEventSet:
 
 
 def _scaled(labels, events):
-    """(den, ints): coordinate k of the vectors scaled by _scale, by den[k];
-    the scans below run on the ints with den[k] in place of 1.  There must
-    be one label per vector and the vectors must be of one length, else
-    ValidationError names the counts or the first vector that is not."""
+    """(den, ints, member, up): coordinate k of the vectors scaled by
+    _scale, by den[k]; the scans below run on the ints with den[k] in place
+    of 1.  member maps each scaled vector to its position and up holds
+    their pointwise up-masks (_pointwise_up).  There must be one label per
+    vector and the vectors must be of one length, else ValidationError
+    names the counts or the first vector that is not."""
     if len(labels) != len(events):
         raise ValidationError(f"event set has {len(labels)} labels for {len(events)} vectors")
     for i, vec in enumerate(events):
         if len(vec) != len(events[0]):
             raise ValidationError(f"event vector {i} has {len(vec)} values, not {len(events[0])}")
     cols = [_scale(col) for col in zip(*events)]
-    return [d for d, _ in cols], list(zip(*(c for _, c in cols))) or [()] * len(events)
+    ints = list(zip(*(c for _, c in cols))) or [()] * len(events)
+    return ([d for d, _ in cols], ints, {vec: i for i, vec in enumerate(ints)},
+            _pointwise_up((c for _, c in cols), len(events)))
 
 
 def _pointwise_up(columns, m) -> list[int]:
@@ -396,14 +400,12 @@ def check_s_probability_algebra(ev: NumericalEventSet) -> Verdict:
     pointwise.  For every orthogonal pair the sum must be a member and the
     least upper bound of the pair within the set.
     """
-    den, events = _scaled(ev.elements, ev.events)
-    return collect(_algebra_laws(ev, den, events, _pointwise_up(zip(*events), len(events))))
+    return collect(_algebra_laws(ev.elements, *_scaled(ev.elements, ev.events)))
 
 
-def _algebra_laws(ev, den, events, le):
-    # events are ev's vectors scaled by den (_scaled), le their up-masks
-    labels, m = ev.elements, len(events)
-    member = {vec: i for i, vec in enumerate(events)}
+def _algebra_laws(labels, den, events, member, le):
+    # events are the vectors scaled by den, member and le as in _scaled
+    m = len(events)
 
     # den is the constant 1 scaled, one coordinate per coordinate of the vectors
     yield "contains-bounds", (
@@ -496,13 +498,11 @@ def boolean_test(ev: NumericalEventSet):
     them all.
     """
     labels = ev.elements
-    den, events = _scaled(labels, ev.events)
+    den, events, member, up = _scaled(labels, ev.events)
     m = len(events)
-    member = {vec: i for i, vec in enumerate(events)}
     if len(member) != m:
         raise ValidationError("event vectors are not distinct")
 
-    up = _pointwise_up(zip(*events), m)
     meet, _, bad = lattice_tables(labels, up)
     if bad is not None:
         kind, pair = bad
@@ -542,7 +542,7 @@ def boolean_test(ev: NumericalEventSet):
     if hit is not None:
         # the axiom check is exhaustive and slow: only a failed
         # cross-check pays for it
-        algebra = collect(_algebra_laws(ev, den, events, up))
+        algebra = collect(_algebra_laws(labels, den, events, member, up))
         if not algebra.passed:
             raise NotAnEventAlgebra(algebra)
         raise OracleMismatch(
@@ -559,8 +559,10 @@ def check_representation(r: RlseTables, ev: NumericalEventSet, f) -> Verdict:
     up to the first failure: f is a bijection onto the event set; f is an
     order isomorphism for the multiplicative order versus the pointwise
     order; f turns orthogonal sums into vector sums; the vectors satisfy
-    the probability-algebra axioms.
+    the probability-algebra axioms.  A malformed r raises MalformedTable.
     """
+    from .rlse import _check_shape  # not at the top: state commands skip rlse
+    _check_shape(r)
     return collect(_representation_laws(r, ev, f), first_only=True)
 
 
@@ -580,8 +582,7 @@ def _representation_laws(r, ev, f):
     rng, xs = range(r.n), [(x,) for x in range(r.n)]
     N = [row[r.one] for row in r.oplus]
     # order and sums compare alike on the vectors scaled to ints
-    _, vecs = _scaled(els, vecs)
-    up = _pointwise_up(zip(*vecs), r.n)
+    _, vecs, _, up = _scaled(els, vecs)
     # the ring's order: x <= y iff x*y = x
     hit = first_mismatch(xs, ([v == x for v in tx] for x, tx in enumerate(r.times)),
                          ([ux >> y & 1 == 1 for y in rng] for ux in up))

@@ -121,11 +121,11 @@ def criterion_2() -> CriterionResult:
         problems.append(f"{len(result.survivors)} classes, expected 2")
     else:
         for cls, ref in zip(result.survivors, (terms.T1, terms.T2)):
-            for oml in omls:
-                if terms.term_function(cls.terms[0], oml) != terms.term_function(ref, oml):
+            for name, oml, table in zip(FILTER_CORPUS, omls, cls.tables):
+                if table != terms.term_function(ref, oml):
                     problems.append(
                         f"class {sorted(cls.index_sets[0])} differs from "
-                        f"{terms.format_term(ref)} on {FILTER_CORPUS[omls.index(oml)]}")
+                        f"{terms.format_term(ref)} on {name}")
                     break
     expected = [frozenset({2, 3, 5}), frozenset({2, 3, 6}),
                 frozenset({2, 3, 7}), frozenset({2, 3, 8})]

@@ -10,7 +10,7 @@ free algebra on two generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import EmptyCorpus, OracleMismatch
@@ -186,14 +186,8 @@ def canonical_index_sets() -> tuple[frozenset, ...]:
 def enumerate_canonical_terms() -> tuple[Term, ...]:
     """One join of basis terms per admissible subset; the empty join is 0."""
     basis = basis_terms()
-    out = []
-    for idx_set in canonical_index_sets():
-        t = None
-        for i in sorted(idx_set):
-            b = basis[i - 1]
-            t = b if t is None else Join(t, b)
-        out.append(Const(0) if t is None else t)
-    return tuple(out)
+    return tuple(reduce(Join, [basis[i - 1] for i in sorted(s)]) if s else Const(0)
+                 for s in canonical_index_sets())
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +240,7 @@ def filter_symmetric_difference_terms(corpus) -> FilterResult:
     admissible addition (rlse.ADDITION_LAWS: symmetric, x' at (x, 1), the
     join on orthogonal pairs) on every member.  Survivors are grouped
     extensionally: two terms land in one class when all their value tables
-    coincide.
+    coincide, and the classes come in the order of their first terms.
     """
     corpus = list(corpus)
     if not corpus:
@@ -254,33 +248,21 @@ def filter_symmetric_difference_terms(corpus) -> FilterResult:
     terms = enumerate_canonical_terms()
     index_sets = canonical_index_sets()
     eliminated = []
-    survivors = []  # (term_index, tables)
+    by_tables: dict = {}  # tables -> term indices
     for ti, t in enumerate(terms):
         tables = []
-        verdict = None
         for ci, oml in enumerate(corpus):
             table = term_function(t, oml)
             failure = _table_condition(table, oml)
             if failure is not None:
-                verdict = Elimination(ti, index_sets[ti], failure[0], ci, failure[1])
+                eliminated.append(Elimination(ti, index_sets[ti], failure[0], ci, failure[1]))
                 break
             tables.append(table)
-        if verdict is None:
-            survivors.append((ti, tuple(tables)))
         else:
-            eliminated.append(verdict)
-
-    by_tables: dict = {}
-    for ti, tables in survivors:
-        by_tables.setdefault(tables, []).append(ti)
-    classes = []
-    for tables, members in sorted(by_tables.items(), key=lambda kv: kv[1][0]):
-        classes.append(SurvivorClass(
-            tuple(members),
-            tuple(index_sets[ti] for ti in members),
-            tuple(terms[ti] for ti in members),
-            tables,
-        ))
+            by_tables.setdefault(tuple(tables), []).append(ti)
+    classes = [SurvivorClass(tuple(members), tuple(index_sets[ti] for ti in members),
+                             tuple(terms[ti] for ti in members), tables)
+               for tables, members in by_tables.items()]
     return FilterResult(tuple(classes), tuple(eliminated))
 
 

@@ -13,6 +13,7 @@ from omlkit import cli, corpus, lattice, simplex, states, structfile
 from omlkit.errors import (
     DimensionMismatch,
     InvalidState,
+    MalformedTable,
     NotAnEventAlgebra,
     NotFull,
     NotLatticeOrdered,
@@ -423,6 +424,25 @@ def test_representation_round_trip_on_every_builtin_ring():
         assert verdict.passed, (r.elements, verdict.first)
         assert verdict.checked[-1] == "algebra-axioms"
     assert len(rings) == len(corpus.RLSE_NAMES) + 2 * len(corpus.OML_NAMES)
+
+
+def test_representation_rejects_a_malformed_ring():
+    # each ring is boolean_2's t1 ring with one table broken, checked
+    # against that lattice's own full events
+    b2 = corpus.builtin("boolean_2")
+    ring = rlse_from_oml(b2, "t1")
+    ev = events_from_states(b2, find_full_state_set(b2).states)
+    f = {lab: ev.event_of(lab) for lab in b2.elements}
+    oplus = list(ring.oplus)
+    oplus[1] = (1, 7, 3, 2)
+    cases = [
+        (ring._replace(times=ring.times[:3]), "times table has 3 rows, wants 4"),
+        (ring._replace(oplus=tuple(oplus)), "oplus table entry 7 out of range"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(MalformedTable) as info:
+            check_representation(bad, ev, f)
+        assert str(info.value) == message
 
 
 def test_product_pipeline_is_exact_and_fast():
