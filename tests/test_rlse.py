@@ -323,6 +323,52 @@ def test_lattice_side_reports_where_a_mutant_fails():
     assert as_lattice.failures[0].law is not None
 
 
+def _lattice_side_reference(r, oml):
+    """(law, witness, detail) of the first lattice-side condition r breaks
+    on its derived lattice, or None, written pair by pair."""
+    els, P, T, c, rng = r.elements, r.oplus, r.times, oml.comp, range(r.n)
+    if any(oml.meet[x][y] != T[x][y] for x in rng for y in rng):
+        return "meet-is-times", {}, ""
+    checks = [
+        ("join-is-demorgan", 2, lambda x, y: oml.join[x][y] != c[T[c[x]][c[y]]]),
+        ("plus-commutative", 2, lambda x, y: P[x][y] != P[y][x]),
+        ("plus-at-one", 1, lambda x: P[x][r.one] != c[x]),
+        ("orthogonal-join", 2,
+         lambda x, y: oml.meet[x][c[y]] == x and P[x][y] != oml.join[x][y]),
+    ]
+    for law, count, broken in checks:
+        for asg in itertools.product(rng, repeat=count):
+            if broken(*asg):
+                return law, dict(zip("xy", (els[i] for i in asg))), ""
+    return None
+
+
+def test_lattice_side_failures_match_a_per_pair_reference():
+    # mutants of t1 and t2 rings, + changed twice as often as *, wherever
+    # the order of * still gives an orthomodular lattice
+    rng = random.Random(2929)
+    bases = [rlse_from_oml(corpus.builtin(name), plus)
+             for name in ("boolean_2", "mo2", "boolean_3", "mo3") for plus in ("t1", "t2")]
+    reached = {}
+    for _ in range(3000):
+        r = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice(("oplus", "oplus", "times"))
+            i, j = rng.randrange(r.n), rng.randrange(r.n)
+            old = getattr(r, table)[i][j]
+            r = _swap_cell(r, table, i, j, rng.choice([v for v in range(r.n) if v != old]))
+        _, oml = rlse._derived(r)
+        if oml is None:
+            continue
+        expected = _lattice_side_reference(r, oml)
+        f = check_correspondence(r)[1].first
+        assert (f and (f.law, f.witness, f.detail)) == expected, r
+        law = expected[0] if expected else "passed"
+        reached[law] = reached.get(law, 0) + 1
+    for law in ("plus-commutative", "meet-is-times", "orthogonal-join"):
+        assert reached.get(law, 0) >= 10, reached
+
+
 def test_axiom_report_failure_lookup():
     bad = _swap_cell(_paper(), "oplus", 1, 2, 0)   # breaks commutativity
     report = check_rlse(bad)

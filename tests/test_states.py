@@ -1,11 +1,12 @@
 """States, full sets, numerical events and the ring inequality."""
 
 import io
+import itertools
 import math
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
-from operator import gt, sub
+from operator import gt, le, sub
 
 import pytest
 
@@ -21,6 +22,7 @@ from omlkit.errors import (
     UnknownLabel,
     ValidationError,
 )
+from omlkit.laws import Failure
 from omlkit.states import (
     Infeasible,
     NumericalEventSet,
@@ -377,6 +379,28 @@ def test_representation_rejects_scrambled_map():
     report = check_representation(ring, ev, f)
     assert not report.passed
     assert report.failures[0].law == "order-isomorphism"
+
+
+def test_order_isomorphism_witness_matches_a_per_pair_reference():
+    # boolean_3's events with the vectors of two labels swapped: a bijection
+    # still, whose first order mismatch is the first pair (x, y) where
+    # x*y = x and f(x) <= f(y) pointwise disagree
+    b3 = corpus.builtin("boolean_3")
+    ring = rlse_from_oml(b3, "t1")
+    ev = events_from_states(b3, find_full_state_set(b3).states)
+    els, rng = ring.elements, range(ring.n)
+    failed = 0
+    for a, b in itertools.combinations(els, 2):
+        f = {lab: ev.event_of(lab) for lab in els}
+        f[a], f[b] = f[b], f[a]
+        expected = next(({"x": els[x], "y": els[y]} for x in rng for y in rng
+                         if (ring.times[x][y] == x)
+                         != all(map(le, f[els[x]], f[els[y]]))), None)
+        verdict = check_representation(ring, ev, f)
+        assert verdict.failure_for("order-isomorphism") == (
+            expected and Failure("order-isomorphism", expected)), (a, b)
+        failed += expected is not None
+    assert failed >= 20, failed
 
 
 def test_representation_rejects_wrong_domain():
