@@ -138,18 +138,9 @@ def _full_state_set(target: _Target, command: str, oml):
 # ---------------------------------------------------------------------------
 
 
-def _witness(raw) -> dict | None:
-    if not raw:
-        return None
-    out = {}
-    for k, v in raw.items():
-        out[str(k)] = v if isinstance(v, int) else str(v)
-    return out
-
-
 def _check(name, passed, detail=None, witness=None):
     return {"name": name, "passed": bool(passed), "detail": detail,
-            "witness": _witness(witness)}
+            "witness": dict(witness) if witness else None}
 
 
 def _report(command, target, checks, data=None):
@@ -200,13 +191,10 @@ def _cmd_check_rlse(args, target):
     entries = _entries(axioms)
     if axioms.passed:
         entries += _entries(check_derived_identities(r))
-        r4, orthogonal = check_r4_orthogonal_form(r)
-        agree = r4.passed == orthogonal.passed
-        f = orthogonal.first
-        entries.append(_check(
-            "orthogonal-addition-form", agree and r4.passed,
-            None if agree else "the two R4 readings disagree",
-            witness=f.witness if f else None))
+        f = check_r4_orthogonal_form(r)[1].first  # R4 holds: a failure is a disagreement
+        entries.append(_check("orthogonal-addition-form", f is None,
+                              f and "the two R4 readings disagree",
+                              witness=f and f.witness))
     a, b = (v.passed for v in check_correspondence(r))
     entries.append(_check("correspondence-verdicts-agree", a == b,
                           f"ring axioms {a}, lattice side {b}"))
@@ -302,7 +290,7 @@ def _cmd_terms_filter(args, target):
         "index_set": sorted(e.index_set),
         "condition": e.condition,
         "corpus_member": names[e.corpus_position],
-        "witness": _witness(e.witness),
+        "witness": dict(e.witness),
     } for e in result.eliminated]
     data = {"classes": classes, "eliminated": eliminated,
             "corpus": list(names)}

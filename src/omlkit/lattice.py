@@ -10,7 +10,7 @@ and the validation reads antisymmetry and the top from one transpose of
 the masks.
 check_oml takes the complement as an index vector, like every table here,
 and returns a Verdict over the lattice laws of laws.LAWS; each law is
-scanned row by row with laws.first_mismatch, so a failure carries the
+scanned row by row with laws.scan, so a failure carries the
 lexicographically first witness; is_distributive scans only the row of
 the first element that is not central (_central, n^2 lookups).
 """
@@ -28,7 +28,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .laws import Failure, collect, first_mismatch, witness
+from .laws import Failure, collect, first_mismatch, scan
 
 __all__ = [
     "FinitePoset",
@@ -269,28 +269,22 @@ def check_oml(poset: FinitePoset, comp):
 def _oml_laws(poset, c, meet, join, bad):
     """(law, first failure or None) for each lattice law, lazily, in order."""
     els, up, n = poset.elements, poset.up, poset.n
-    rng, xs = range(n), [(x,) for x in range(n)]
-
-    def failure(law, names, hit):
-        return law, None if hit is None else Failure(law, witness(names, els, hit))
-
+    rng = range(n)
     for kind in ("meet", "join"):
         law = kind + "-exists"
         failed = bad is not None and bad[0] == kind
         yield law, Failure(law, dict(zip("xy", bad[1]))) if failed else None
-    yield failure("involution", "x",
-                  first_mismatch([()], [[c[c[x]] for x in rng]], [list(rng)]))
-    yield failure("antitone", "xy", first_mismatch(
-        xs, ([not ux >> y & 1 or up[c[y]] >> c[x] & 1 for y in rng]
-             for x, ux in enumerate(up)),
-        repeat([True] * n)))
-    yield failure("complement-law", "x", first_mismatch(
-        [()], [[(meet[x][c[x]], join[x][c[x]]) for x in rng]],
-        [[(poset.bottom, poset.top)] * n]))
+    yield scan("involution", "x", els, [[c[c[x]] for x in rng]], [list(rng)])
+    yield scan("antitone", "xy", els,
+               ([not ux >> y & 1 or up[c[y]] >> c[x] & 1 for y in rng]
+                for x, ux in enumerate(up)),
+               repeat([True] * n))
+    yield scan("complement-law", "x", els, [[(meet[x][c[x]], join[x][c[x]]) for x in rng]],
+               [[(poset.bottom, poset.top)] * n])
     # ((x^y) v x') ^ x = x^y, with y running along the row of x^y
-    yield failure("orthomodular-law", "xy", first_mismatch(
-        xs, ([meet[join[v][c[x]]][x] for v in mx] for x, mx in enumerate(meet)),
-        map(list, meet)))
+    yield scan("orthomodular-law", "xy", els,
+               ([meet[join[v][c[x]]][x] for v in mx] for x, mx in enumerate(meet)),
+               map(list, meet))
 
 
 def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:

@@ -2,17 +2,18 @@
 
 A check returns a Verdict: whether it passed, the laws it checked in
 order, and one Failure per broken law carrying the first counterexample
-(variable -> element label) and a detail line.  The scanner compares whole
-rows of left- and right-hand values, one row per assignment of all
-variables but the last, so the first differing row and position give the
-lexicographically first counterexample.
+(variable -> element label) and a detail line.  scan is the one step from
+a law's rows to its Failure: one row per assignment of all variables but
+the last, compared whole, so the first differing row and position give
+the lexicographically first counterexample.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
-__all__ = ["LAWS", "Failure", "Verdict", "collect", "first_mismatch", "witness"]
+__all__ = ["LAWS", "Failure", "Verdict", "collect", "first_mismatch", "scan", "witness"]
 
 
 #: Statement of every law, by name, with the family it belongs to:
@@ -144,3 +145,16 @@ def first_mismatch(prefixes, lhs, rhs):
 def witness(names, labels, hit) -> dict:
     """The variables named by names bound to the labels of a hit's indices."""
     return {v: labels[i] for v, i in zip(names, hit)}
+
+
+def scan(law, names, labels, lhs, rhs, detail=""):
+    """(law, Failure or None) from rows of lhs and rhs, one per assignment of
+    names but the last, lexicographic over labels; a nonempty detail is
+    filled with the witness and a and b, the labels of the two sides' values."""
+    hit = first_mismatch(product(range(len(labels)), repeat=max(len(names) - 1, 0)), lhs, rhs)
+    if hit is None:
+        return law, None
+    w = witness(names, labels, hit)
+    if detail:
+        detail = detail.format(a=labels[hit[-2]], b=labels[hit[-1]], **w)
+    return law, Failure(law, w, detail)

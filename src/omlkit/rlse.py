@@ -9,7 +9,7 @@ toolkit checks both directions of that correspondence against each other.
 Every ring law is written once, in _ring_laws, as its variables, the
 detail line of a failure and the rows of both sides: the last variable
 runs along a row, one row per assignment of the others.
-laws.first_mismatch compares the rows whole, so each check reports the
+laws.scan compares the rows whole, so each check reports the
 lexicographically first counterexample.  Every check returns a
 laws.Verdict, or a pair of them where it decides one property two ways
 and the caller compares the two.  Associativity of * and Boolean-ness
@@ -20,7 +20,7 @@ center of its lattice, before any of their n^3 triples is scanned.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count, product
+from itertools import count
 from operator import eq
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ from .errors import (
     OracleMismatch,
     ValidationError,
 )
-from .laws import Failure, Verdict, collect, first_mismatch, witness
+from .laws import Failure, Verdict, collect, scan
 
 __all__ = [
     "RlseTables",
@@ -104,9 +104,8 @@ def _ring_laws(r: RlseTables, comp=()) -> dict:
     The last variable runs along a row, one row per assignment of the
     others in lexicographic order; a one-variable law has a single row.
     Rows of two- and three-variable laws are generated only as far as a
-    scan draws them, once.  The template is filled with the labels of the
-    witness and of the two sides' values, a and b, at the first mismatch.
-    comp, the lattice's complement vector, serves plus-at-one.
+    scan draws them, once.  The template is laws.scan's detail; comp, the
+    lattice's complement vector, serves plus-at-one.
     """
     P = [list(row) for row in r.oplus]
     T = [list(row) for row in r.times]
@@ -192,22 +191,14 @@ def _failures(r: RlseTables, laws, comp=(), boolean=False):
     says that r is a Boolean ring (is_boolean_ring), where
     plus-associative and distributive pass without a scan.
     """
-    rows, els = _ring_laws(r, comp), r.elements
+    rows = _ring_laws(r, comp)
     for law in laws:
         if (law == "times-associative" and _semilattice(r.times)
                 or boolean and law in ("plus-associative", "distributive")):
             yield law, None
-            continue
-        names, detail, lhs, rhs = rows[law]
-        prefixes = product(range(r.n), repeat=max(len(names) - 1, 0))
-        hit = first_mismatch(prefixes, lhs, rhs)
-        if hit is None:
-            yield law, None
-            continue
-        w = witness(names, els, hit)
-        if detail:
-            detail = detail.format(a=els[hit[-2]], b=els[hit[-1]], **w)
-        yield law, Failure(law, w, detail)
+        else:
+            names, detail, lhs, rhs = rows[law]
+            yield scan(law, names, r.elements, lhs, rhs, detail)
 
 
 def _verdict(r: RlseTables, laws) -> Verdict:
@@ -402,22 +393,12 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_side(r: RlseTables) -> Verdict:
-    """'The derived structure is an OML whose meet is *, whose join is the
-    De Morgan dual of *, with + commutative, x+1 = x' and x+y = x v y on
-    orthogonal pairs', checked up to the first failure."""
-    verdict, oml = _derived(r)
-    if oml is None:
-        return verdict
-    return collect(_lattice_side_laws(r, oml), first_only=True)
-
-
 def _lattice_side_laws(r, oml):
+    """(law, Failure or None) for the lattice-side laws on oml, lazily."""
     c = oml.comp  # x+1, as _derived passes it
     yield "meet-is-times", None if oml.meet == r.times else Failure("meet-is-times", {})
-    hit = first_mismatch(((x,) for x in range(r.n)), map(list, oml.join),
-                         ([c[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c)))
-    yield "join-is-demorgan", hit and Failure("join-is-demorgan", witness("xy", r.elements, hit))
+    yield scan("join-is-demorgan", "xy", r.elements, map(list, oml.join),
+               ([c[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c)))
     # the admissible-addition laws, by witness only: once x+1 = x' holds
     # and the join is the De Morgan one, their ring forms are the lattice's
     for law, found in _failures(r, ADDITION_LAWS, c):
@@ -433,7 +414,9 @@ def check_correspondence(r: RlseTables) -> tuple[Verdict, Verdict]:
     instead of returning.
     """
     left = check_rlse(r)
-    right = _lattice_side(r)
+    right, oml = _derived(r)
+    if oml is not None:
+        right = collect(_lattice_side_laws(r, oml), first_only=True)
     if left.passed != right.passed:
         raise OracleMismatch(
             f"correspondence verdicts disagree: axioms {left.passed}, "

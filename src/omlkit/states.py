@@ -49,7 +49,7 @@ from .errors import (
     OracleMismatch,
     ValidationError,
 )
-from .laws import Failure, Verdict, collect, first_mismatch, witness
+from .laws import Failure, Verdict, collect, first_mismatch, scan, witness
 from .lattice import FiniteOml, _index, _t1, _transpose, lattice_tables
 
 if TYPE_CHECKING:
@@ -413,8 +413,7 @@ def _algebra_laws(labels, den, events, member, le):
         else Failure("contains-bounds", {}, "missing a constant vector"))
 
     compl = [tuple(map(sub, den, p)) for p in events]
-    hit = first_mismatch([()], [[c in member for c in compl]], [[True] * m])
-    yield "complement-closed", hit and Failure("complement-closed", {"p": labels[hit[0]]})
+    yield scan("complement-closed", "p", labels, [[c in member for c in compl]], [[True] * m])
 
     # q is orthogonal to p when q <= 1-p: column m+i of the up-masks of the
     # events followed by their complements, cut down to the members
@@ -579,24 +578,20 @@ def _representation_laws(r, ev, f):
             reason = "image differs"
     yield "bijection", reason and Failure("bijection", {"reason": reason})
 
-    rng, xs = range(r.n), [(x,) for x in range(r.n)]
     N = [row[r.one] for row in r.oplus]
     # order and sums compare alike on the vectors scaled to ints
     _, vecs, _, up = _scaled(els, vecs)
     # the ring's order: x <= y iff x*y = x
-    hit = first_mismatch(xs, ([v == x for v in tx] for x, tx in enumerate(r.times)),
-                         ([ux >> y & 1 == 1 for y in rng] for ux in up))
-    yield "order-isomorphism", hit and Failure("order-isomorphism", witness("xy", els, hit))
+    yield scan("order-isomorphism", "xy", els,
+               ([v == x for v in tx] for x, tx in enumerate(r.times)),
+               ([ux >> y & 1 == 1 for y in range(r.n)] for ux in up))
 
     # only orthogonal pairs, x <= y+1, count; the others read None on both sides
-    hit = first_mismatch(
-        xs,
-        ([vecs[v] if tx[ny] == x else None for v, ny in zip(px, N)]
-         for x, (px, tx) in enumerate(zip(r.oplus, r.times))),
-        ([tuple(map(add, vx, vy)) if tx[ny] == x else None for vy, ny in zip(vecs, N)]
-         for x, (vx, tx) in enumerate(zip(vecs, r.times))))
-    yield "orthogonal-additivity", hit and Failure(
-        "orthogonal-additivity", witness("xy", els, hit))
+    yield scan("orthogonal-additivity", "xy", els,
+               ([vecs[v] if tx[ny] == x else None for v, ny in zip(px, N)]
+                for x, (px, tx) in enumerate(zip(r.oplus, r.times))),
+               ([tuple(map(add, vx, vy)) if tx[ny] == x else None for vy, ny in zip(vecs, N)]
+                for x, (vx, tx) in enumerate(zip(vecs, r.times))))
 
     algebra = check_s_probability_algebra(ev)
     yield "algebra-axioms", None if algebra.passed else Failure(

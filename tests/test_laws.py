@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 from omlkit import corpus, rlse, states
 from omlkit.lattice import check_oml
-from omlkit.laws import LAWS
+from omlkit.laws import LAWS, Failure, scan
 from omlkit.rlse import RlseTables, rlse_from_oml
 
 
@@ -86,3 +86,38 @@ def test_every_reported_law_is_in_the_table():
     assert {"range", "top-probability-one", "orthogonal-additivity", "order-determining",
             "bijection", "order-isomorphism", "algebra-axioms", "times-order", "bounds",
             "meet-is-times", "join-is-demorgan", "plus-commutative"} <= seen
+
+
+def test_scan_reports_the_first_row_mismatch():
+    els = ("0", "a", "b", "1")
+    # no variables: one row of one value
+    assert scan("one-self-inverse", "", els, [[2]], [[0]], "1+1 = {a}") == (
+        "one-self-inverse", Failure("one-self-inverse", {}, "1+1 = b"))
+    # one variable: x runs along the single row
+    assert scan("plus-at-one", "x", els, [[3, 2, 3, 0]], [[3, 2, 1, 0]],
+                "{x}+1 = {a}, complement is {b}") == (
+        "plus-at-one", Failure("plus-at-one", {"x": "b"}, "b+1 = 1, complement is a"))
+    # two variables: one row per x; the first row that differs wins over a
+    # later row that differs earlier
+    drawn = []
+
+    def rows(table):
+        for row in table:
+            drawn.append(row)
+            yield row
+
+    lhs = [[0, 1, 2, 3], [0, 1, 2, 1], [0, 0, 0, 0], [0, 1, 2, 3]]
+    rhs = [[0, 1, 2, 3], [0, 1, 2, 3], [1, 0, 0, 0], [0, 1, 2, 3]]
+    assert scan("R1", "xy", els, rows(lhs), rhs, "{x}+{y} = {a}, {y}+{x} = {b}") == (
+        "R1", Failure("R1", {"x": "a", "y": "1"}, "a+1 = a, 1+a = 1"))
+    assert drawn == lhs[:2]
+    # three variables: one row per (x, y) in lexicographic order; no detail
+    # template leaves the detail empty
+    ab = ("a", "b")
+    lhs = [[0, 0], [1, 1], [0, 1], [1, 0]]
+    rhs = [[0, 0], [1, 1], [0, 0], [1, 1]]
+    assert scan("plus-associative", "xyz", ab, lhs, rhs) == (
+        "plus-associative", Failure("plus-associative", {"x": "b", "y": "a", "z": "b"}))
+    # rows that agree everywhere pass
+    for names, table in (("", [[1]]), ("x", [[0, 1]]), ("xy", lhs[:2]), ("xyz", lhs)):
+        assert scan("law", names, ab, table, table, "{a}") == ("law", None)

@@ -65,10 +65,10 @@ def test_state_searches_call_check_state_through_the_module(monkeypatch):
 def test_check_rlse_draws_a_linear_number_of_rows(monkeypatch):
     # associativity is decided without its n^2 rows of triples; the other
     # laws draw at most n rows each
-    from omlkit import corpus, rlse
+    from omlkit import corpus, laws, rlse
 
     drawn = []
-    real = rlse.first_mismatch
+    real = laws.first_mismatch
 
     def counting(prefixes, lhs, rhs):
         def rows():
@@ -77,7 +77,7 @@ def test_check_rlse_draws_a_linear_number_of_rows(monkeypatch):
                 yield row
         return real(prefixes, rows(), rhs)
 
-    monkeypatch.setattr(rlse, "first_mismatch", counting)
+    monkeypatch.setattr(laws, "first_mismatch", counting)
     r = rlse.rlse_from_oml(corpus.builtin("boolean_5"), "t1")
     drawn.clear()
     assert rlse.check_rlse.__wrapped__(r).passed

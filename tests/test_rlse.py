@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from omlkit import corpus, lattice, rlse
+from omlkit import corpus, lattice, laws, rlse
 from omlkit.errors import (
     CustomPlusInvalid,
     MalformedTable,
@@ -722,7 +722,7 @@ def _counting_rows(monkeypatch, module):
 
 
 def test_a_boolean_ring_draws_no_triple_rows(monkeypatch):
-    drawn = _counting_rows(monkeypatch, rlse)
+    drawn = _counting_rows(monkeypatch, laws)
     r = rlse_from_oml(corpus.builtin("boolean_5"), "t1")
     check_rlse(r)
     drawn.clear()
