@@ -118,7 +118,7 @@ def parse_structure(text: str) -> StructureFile:
 
     known = _SECTIONS[kind]
     constants = {}  # ZERO and ONE, by section name
-    seen = set()
+    headers = {}  # section name -> the line of its header
     section = None
     rows: dict[str, list] = {name: [] for name in known}
 
@@ -129,9 +129,9 @@ def parse_structure(text: str) -> StructureFile:
             if first not in known:
                 raise ParseError(f"section {first} not allowed in a {kind} file",
                                  lineno, _column(body, 0))
-            if first in seen:
+            if first in headers:
                 raise ParseError(f"duplicate section {first}", lineno, _column(body, 0))
-            seen.add(first)
+            headers[first] = lineno
             if first in ("ZERO", "ONE"):
                 if len(tokens) != 2:
                     raise ParseError(f"{first} takes exactly one label", lineno, 1)
@@ -162,7 +162,11 @@ def parse_structure(text: str) -> StructureFile:
     if not elements:
         raise ParseError("missing ELEMENTS section", lineno, 1)
     if len(set(elements)) != len(elements):
-        raise ParseError("duplicate element label", lineno, 1)
+        k = next(k for k, t in enumerate(elements) if elements.index(t) < k)
+        for ln, body, tokens in rows["ELEMENTS"]:  # token k is the second occurrence
+            if k < len(tokens):
+                raise ParseError("duplicate element label", ln, _column(body, k))
+            k -= len(tokens)
     n = len(elements)
 
     if kind == "oml":
@@ -189,7 +193,8 @@ def parse_structure(text: str) -> StructureFile:
                                      ln, 1)
                 table.append(tokens)
             if len(table) != n:
-                raise ParseError(f"{name} needs {n} rows, got {len(table)}", lineno, 1)
+                raise ParseError(f"{name} needs {n} rows, got {len(table)}",
+                                 headers.get(name, lineno), 1)
             tables.append(table)
         pos = {lab: i for i, lab in enumerate(elements)}
         zero = _index(elements, constants.get("ZERO", elements[0]))
@@ -210,7 +215,7 @@ def parse_structure(text: str) -> StructureFile:
         out.append((tokens[0], vals))
     if len(out) != n:
         raise ParseError(f"EVENTS needs one row per element, got {len(out)}",
-                         lineno, 1)
+                         headers.get("EVENTS", lineno), 1)
     return StructureFile(kind, elements, events=tuple(out))
 
 

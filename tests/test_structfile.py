@@ -203,7 +203,7 @@ def _ring_text(oplus="a b\nb a", times="a a\na b", zero="a", one="b", elements="
     (_ring_text(oplus="a q\nb a", times="a a\nz b"), MalformedTable,
      "oplus table entry 'q' is not an element"),
     (_ring_text(times="a a\na z"), MalformedTable, "times table entry 'z' is not an element"),
-    (_ring_text(elements="a a"), ParseError, "duplicate element label at line 11, column 1"),
+    (_ring_text(elements="a a"), ParseError, "duplicate element label at line 3, column 3"),
 ], ids=["short-row", "unknown-zero", "unknown-one", "unknown-oplus", "unknown-times",
         "duplicate-label"])
 def test_malformed_ring_files_raise_in_order(text, error, message):
@@ -221,7 +221,13 @@ def test_malformed_ring_files_raise_in_order(text, error, message):
      "not a rational number: '1/'", 9, 6),
     ("KIND events\nELEMENTS\np q\nEVENTS\np 11/3 1/\nq 1 1\n",
      "not a rational number: '1/'", 5, 8),
-], ids=["kind", "oplus-header", "elements-header", "states-row", "events-row"])
+    # a label repeated on a later line, and a short section the file does not end with
+    ("KIND oml\nELEMENTS\n0 a\na 1\nCOVERS\n0 a\na 1\nCOMPLEMENT\n0 1\n",
+     "duplicate element label", 4, 1),
+    ("KIND rlse\nELEMENTS\n0 1\nOPLUS\n0 1\nTIMES\n0 0\n0 1\n",
+     "OPLUS needs 2 rows, got 1", 4, 1),
+], ids=["kind", "oplus-header", "elements-header", "states-row", "events-row",
+        "duplicate-label", "short-section"])
 def test_parse_errors_point_at_their_own_token(text, message, line, column):
     # each token's text also occurs earlier in its line
     with pytest.raises(ParseError) as info:
