@@ -12,14 +12,21 @@ check_oml takes the complement as an index vector, like every table here,
 and returns a Verdict over the lattice laws of laws.LAWS; each law is
 scanned row by row with laws.scan, so a failure carries the
 lexicographically first witness; is_distributive scans only the row of
-the first element that is not central (_central, n^2 lookups).
+the first element that is not central (_central, three row compositions
+per element).
+
+Public tables are tuples of tuples.  The scans read a private copy of
+their rows in the row type of the table's width (_width): bytes up to
+256 elements, where composing two rows, [t[v] for v in a], is one
+a.translate(t) in C, and tuples above that, composed by itemgetter.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import count
+from operator import eq, itemgetter
 
 from .errors import (
     CycleError,
@@ -96,9 +103,104 @@ def _transpose(rows: list[int]) -> list[int]:
 
 def _mask(flags) -> int:
     """The bitmask with bit i set where flags[i] is true; the one mask
-    builder, for the builtin lattices (corpus), the ring order
-    (rlse._order_poset) and the down-sets of rlse._semilattice."""
+    builder, for the builtin lattices (corpus) and the masks of tables
+    wider than 256 elements (_Tuples)."""
     return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+# ---------------------------------------------------------------------------
+# Rows of one width: every row scan is written once, against these helpers
+# ---------------------------------------------------------------------------
+
+#: Tables of at most this many elements are scanned as bytes rows.
+_BYTE_WIDTH = 256
+
+
+class _Bytes:
+    """Rows as bytes, for at most 256 elements.  A row serves as the
+    table of a composition once padded to 256 bytes (table), and
+    compose(a, t) is [t[v] for v in a], one bytes.translate."""
+
+    row = bytes
+    compose = bytes.translate
+
+    @staticmethod
+    def table(row) -> bytes:
+        return bytes(row).ljust(256, b"\0")
+
+    @staticmethod
+    def fits(rows, n) -> bool:
+        """Whether every entry of the rows is below n."""
+        return not b"".join(rows).translate(None, bytes(range(n)))
+
+    @staticmethod
+    def flags(row, i) -> bytes:
+        """Where row reads i, as the digits 0 and 1."""
+        return row.translate(b"0" * i + b"1" + b"0" * (255 - i))
+
+    @staticmethod
+    def mask(row, i) -> int:
+        """The bitmask of the positions where row reads i."""
+        return int(_Bytes.flags(row, i)[::-1], 2)
+
+    @staticmethod
+    def fixed(row) -> int:
+        """The bitmask of the x with row[x] = x."""
+        n = len(row)
+        ids = int.from_bytes(bytes(range(n)), "little")
+        same = (int.from_bytes(row, "little") ^ ids).to_bytes(n, "little")  # 0 where row[x] = x
+        return int(same.translate(b"1" + b"0" * 255)[::-1], 2)
+
+    @staticmethod
+    def only(row, cond, i) -> bytes:
+        """row where cond reads i, and 0 elsewhere."""
+        keep = int.from_bytes(cond.translate(bytes(i) + b"\xff" + bytes(255 - i)), "big")
+        return (int.from_bytes(row, "big") & keep).to_bytes(len(row), "big")
+
+
+class _Tuples:
+    """Rows as tuples, above 256 elements; a composition is one itemgetter."""
+
+    row = table = tuple
+
+    @staticmethod
+    def compose(a, t) -> tuple:
+        return itemgetter(*a)(t)  # a tuple, since a row here has more than one entry
+
+    @staticmethod
+    def fits(rows, n) -> bool:
+        for row in rows:
+            for v in row:
+                if not (isinstance(v, int) and 0 <= v < n):
+                    return False
+        return True
+
+    @staticmethod
+    def flags(row, i) -> tuple:
+        return tuple([v == i for v in row])
+
+    @staticmethod
+    def mask(row, i) -> int:
+        return _mask([v == i for v in row])
+
+    @staticmethod
+    def fixed(row) -> int:
+        return _mask(map(eq, row, count()))
+
+    @staticmethod
+    def only(row, cond, i) -> tuple:
+        return tuple([v if c == i else 0 for v, c in zip(row, cond)])
+
+
+def _width(n):
+    """The row helper for tables of n elements: _Bytes or _Tuples."""
+    return _Bytes if n <= _BYTE_WIDTH else _Tuples
+
+
+def _pairs(rows, a, b) -> list:
+    """[rows[u][v] for u, v in zip(a, b)]: a lookup by two rows at once,
+    which no composition does."""
+    return [rows[u][v] for u, v in zip(a, b)]
 
 
 def _validate_poset(elements, rows) -> tuple[int, int]:
@@ -183,7 +285,10 @@ def build_poset(labels, pairs) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-def _bounds(masks) -> list[list[int | None]]:
+# one entry: a ring's down-sets, bounded by rlse._semilattice, are those of
+# the lattice it derives, whose lattice_tables comes next
+@lru_cache(maxsize=1)
+def _bounds(masks: tuple) -> list[list[int | None]]:
     """Per x, for each y >= x, the index of the mask masks[x] & masks[y], or None."""
     at = {m: i for i, m in enumerate(masks)}
     return [list(map(at.get, map(m.__and__, masks[x:]))) for x, m in enumerate(masks)]
@@ -210,7 +315,7 @@ def lattice_tables(labels, up):
     mask (_bounds).  up must be a partial order, so no two elements have
     the same mask.
     """
-    meet, join = _bounds(_transpose(up)), _bounds(up)
+    meet, join = _bounds(tuple(_transpose(up))), _bounds(tuple(up))
     for x, (mx, jx) in enumerate(zip(meet, join)):
         if None in mx or None in jx:
             k = min(row.index(None) for row in (mx, jx) if None in row)
@@ -267,24 +372,31 @@ def check_oml(poset: FinitePoset, comp):
 
 
 def _oml_laws(poset, c, meet, join, bad):
-    """(law, first failure or None) for each lattice law, lazily, in order."""
-    els, up, n = poset.elements, poset.up, poset.n
+    """(law, first failure or None) for each lattice law, lazily, in order.
+
+    Past the two existence laws the tables, which lattice_tables makes
+    symmetric, are read as rows of their width (_width); x <= y is
+    meet[x][y] = x there.
+    """
+    els, n = poset.elements, poset.n
     rng = range(n)
     for kind in ("meet", "join"):
         law = kind + "-exists"
         failed = bad is not None and bad[0] == kind
         yield law, Failure(law, dict(zip("xy", bad[1]))) if failed else None
     yield scan("involution", "x", els, [[c[c[x]] for x in rng]], [list(rng)])
+    H = _width(n)
+    M, J, cr = list(map(H.row, meet)), list(map(H.row, join)), H.row(c)
+    MT, JT = list(map(H.table, M)), list(map(H.table, J))
+    # only the y >= x count; there y' <= x', that is meet[x'][y'] = y'
     yield scan("antitone", "xy", els,
-               ([not ux >> y & 1 or up[c[y]] >> c[x] & 1 for y in rng]
-                for x, ux in enumerate(up)),
-               repeat([True] * n))
+               (H.only(H.compose(cr, MT[c[x]]), mx, x) for x, mx in enumerate(M)),
+               (H.only(cr, mx, x) for x, mx in enumerate(M)))
     yield scan("complement-law", "x", els, [[(meet[x][c[x]], join[x][c[x]]) for x in rng]],
                [[(poset.bottom, poset.top)] * n])
     # ((x^y) v x') ^ x = x^y, with y running along the row of x^y
     yield scan("orthomodular-law", "xy", els,
-               ([meet[join[v][c[x]]][x] for v in mx] for x, mx in enumerate(meet)),
-               map(list, meet))
+               (H.compose(mx, H.compose(JT[c[x]], MT[x])) for x, mx in enumerate(M)), M)
 
 
 def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:
@@ -306,25 +418,37 @@ def direct_product(a: FiniteOml, b: FiniteOml) -> FiniteOml:
     return oml
 
 
+def _t1_rows(meet, comp) -> list:
+    """The rows, of their width (_width), of the symmetric difference
+    (x^y') v (x'^y), through De Morgan as ((x^y')' ^ (x'^y)')', from the
+    meet table and complement."""
+    H = _width(len(comp))
+    M, c = list(map(H.row, meet)), H.row(comp)
+    cT = H.table(c)
+    a = [H.compose(H.compose(c, H.table(mx)), cT) for mx in M]  # (x^y')'; (x'^y)' is a[y][x]
+    return [H.compose(H.row(_pairs(M, ax, col)), cT) for ax, col in zip(a, zip(*a))]
+
+
 def _t1(meet, comp) -> tuple[tuple[int, ...], ...]:
-    """The table of the symmetric difference (x^y') v (x'^y), through De
-    Morgan as ((x^y')' ^ (x'^y)')', from the meet table and complement."""
-    a = [[comp[mx[cy]] for cy in comp] for mx in meet]  # (x^y')'; (x'^y)' is a[y][x]
-    return tuple(tuple([comp[meet[u][v]] for u, v in zip(ax, col)])
-                 for ax, col in zip(a, zip(*a)))
+    """_t1_rows as a table of tuples."""
+    return tuple(map(tuple, _t1_rows(meet, comp)))
 
 
 def _central(meet, comp) -> int | None:
-    """The first x with x' != (x^y)' ^ (x^y')' for some y, or None.
+    """The first x with x ^ (x^y')' != x^y for some y, or None.
 
-    By De Morgan that is x != (x^y) v (x^y'): x does not commute with y.
-    An orthomodular lattice is Boolean exactly when every element commutes
-    with every other, that is, is central (Kalmbach, Orthomodular Lattices,
-    1983).  n^2 table lookups.
+    By De Morgan that is x ^ (x' v y) != x^y, which in an orthomodular
+    lattice says that x does not commute with y.  An orthomodular lattice
+    is Boolean exactly when every element commutes with every other, that
+    is, is central (Kalmbach, Orthomodular Lattices, 1983).  Three
+    compositions of a row per x.
     """
-    for x, mx in enumerate(meet):
-        nx = [comp[v] for v in mx]  # (x^y)' for each y
-        if [meet[a][nx[cy]] for a, cy in zip(nx, comp)] != [comp[x]] * len(nx):
+    H = _width(len(comp))
+    M, c = list(map(H.row, meet)), H.row(comp)
+    cT = H.table(c)
+    for x, mx in enumerate(M):
+        mxT = H.table(mx)
+        if H.compose(H.compose(H.compose(c, mxT), cT), mxT) != mx:
             return x
     return None
 
@@ -338,16 +462,15 @@ def is_distributive(oml: FiniteOml):
     the lexicographically first witness lies in the row of the first
     non-central x, and only its n^2 pairs (y, z) are scanned.
     """
-    meet, join = oml.meet, oml.join
-    x = _central(meet, oml.comp)
+    x = _central(oml.meet, oml.comp)
     if x is None:
         return True, None
     # x^(y v z) against (x^y) v (x^z), one row over z per y
-    mx = meet[x]
-    hit = first_mismatch(
-        ((x, y) for y in range(oml.n)),
-        ([mx[v] for v in jy] for jy in join),
-        ([ja[v] for v in mx] for ja in map(join.__getitem__, mx)))
+    H = _width(oml.n)
+    J, mx = list(map(H.row, oml.join)), H.row(oml.meet[x])
+    JT, mxT = list(map(H.table, J)), H.table(mx)
+    hit = first_mismatch(((x, y) for y in range(oml.n)),
+                         (H.compose(jy, mxT) for jy in J), (H.compose(mx, JT[v]) for v in mx))
     if hit is None:
         raise OracleMismatch(f"{oml.elements[x]} is not central, yet distributes")
     return False, tuple(oml.elements[i] for i in hit[:3])

@@ -15,14 +15,18 @@ laws.Verdict, or a pair of them where it decides one property two ways
 and the caller compares the two.  Associativity of * and Boolean-ness
 are decided in quadratic time, as the meet of its own order and by the
 center of its lattice, before any of their n^3 triples is scanned.
+
+RlseTables holds its tables as the caller gave them, tuples of tuples
+when omlkit builds them.  The checks read them once, into rows of their
+width (_Rows, lattice._width): bytes up to 256 elements, where a row
+composition is one bytes.translate, and tuples above that.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import count
-from operator import eq
-from typing import NamedTuple
+from collections import namedtuple
+from functools import cached_property, lru_cache
+from operator import getitem
 
 from . import lattice as _lat
 from .errors import (
@@ -52,19 +56,18 @@ __all__ = [
 ]
 
 
-class RlseTables(NamedTuple):
+# a namedtuple subclass, like lattice.FiniteOml, so that instances get a
+# __dict__ for the cached rows; equality is that of the tuple
+class RlseTables(namedtuple("RlseTables", "elements oplus times zero one")):
     """Raw event-ring data: labels, two index tables and the two constants.
 
-    Tables are row-major and index-valued; nothing is validated at
-    construction time.  Run check_rlse to find out whether the axioms
-    actually hold.
+    elements is a tuple of labels, oplus and times are row-major n x n
+    index tables (tuples of tuples) and zero and one are indices; nothing
+    is validated at construction time.  Run check_rlse to find out whether
+    the axioms actually hold.  The checks read the tables once, into rows
+    of their width (_Rows), so tables given as lists must not change after
+    the first check.
     """
-
-    elements: tuple[str, ...]
-    oplus: tuple[tuple[int, ...], ...]
-    times: tuple[tuple[int, ...], ...]
-    zero: int
-    one: int
 
     @property
     def n(self) -> int:
@@ -73,12 +76,70 @@ class RlseTables(NamedTuple):
     def index(self, label: str) -> int:
         return _lat._index(self.elements, label)
 
+    def __hash__(self) -> int:
+        # the hash of the rows, so that check_rlse caches tables given as
+        # lists too; a bytes row computes its hash once
+        try:
+            V = self._rows
+            rows = tuple(V.P), tuple(V.T)
+        except (TypeError, ValueError):
+            rows = tuple(map(tuple, self.oplus)), tuple(map(tuple, self.times))
+        return hash((tuple(self.elements), *rows, self.zero, self.one))
+
+    @cached_property
+    def _rows(self) -> _Rows:
+        return _Rows(self)
+
+
+class _Rows:
+    """A ring's tables, read once as rows of their width (lattice._width).
+
+    P and T are the rows of + and *, PT and TT the same rows as tables of
+    a composition, Tc the columns of *, PcT and TcT the columns of both as
+    tables, N the row of x+1, and E the order flags, E[x][y] set where
+    x*y = x, with EcT their columns as tables.  All but P and T are built
+    on first use.
+    """
+
+    def __init__(self, r: RlseTables):
+        self.H = H = _lat._width(r.n)
+        self.P, self.T = list(map(H.row, r.oplus)), list(map(H.row, r.times))
+        self.n, self.zero, self.one = r.n, r.zero, r.one
+
+    def _tables(self, rows) -> list:
+        return list(map(self.H.table, rows))
+
+    ids = cached_property(lambda V: V.H.row(range(V.n)))
+    N = cached_property(lambda V: V.H.row([px[V.one] for px in V.P]))
+    NT = cached_property(lambda V: V.H.table(V.N))
+    PT = cached_property(lambda V: V._tables(V.P))
+    TT = cached_property(lambda V: V._tables(V.T))
+    Tc = cached_property(lambda V: list(map(V.H.row, zip(*V.T))))
+    PcT = cached_property(lambda V: V._tables(zip(*V.P)))
+    TcT = cached_property(lambda V: V._tables(V.Tc))
+    E = cached_property(lambda V: list(map(V.H.flags, V.T, range(V.n))))
+    EcT = cached_property(lambda V: V._tables(zip(*V.E)))
+
+
+def _fits(r: RlseTables) -> bool:
+    """Whether both tables are n rows of n ints in range(n), read from
+    their rows (_Rows): bytes rows need one translate."""
+    n = r.n
+    try:
+        if any(len(t) != n or any(len(row) != n for row in t) for t in (r.oplus, r.times)):
+            return False
+        V = r._rows  # bytes() takes only ints in range(256)
+    except (TypeError, ValueError):
+        return False
+    return V.H.fits(V.P, n) and V.H.fits(V.T, n)
+
 
 def _check_shape(r: RlseTables) -> None:
     n = r.n
     if len(set(r.elements)) != n:
         raise MalformedTable("duplicate element labels")
-    for name, table in (("oplus", r.oplus), ("times", r.times)):
+    # the loop names the first offender of a table that does not fit
+    for name, table in () if _fits(r) else (("oplus", r.oplus), ("times", r.times)):
         if len(table) != n:
             raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
         for row in table:
@@ -98,76 +159,87 @@ def _check_shape(r: RlseTables) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ring_laws(r: RlseTables, comp=()) -> dict:
-    """Every ring law: law -> (variables, detail template, lhs rows, rhs rows).
+def _ring_laws(V: _Rows, comp=()) -> dict:
+    """Every ring law: law -> a function giving (variables, detail
+    template, lhs rows, rhs rows).
 
     The last variable runs along a row, one row per assignment of the
     others in lexicographic order; a one-variable law has a single row.
-    Rows of two- and three-variable laws are generated only as far as a
-    scan draws them, once.  The template is laws.scan's detail; comp, the
+    Rows are built only when a law is scanned, and rows of two- and
+    three-variable laws only as far as the scan draws them, once.  Every
+    row is of V's width: [t[v] for v in a] is compose(a, t), with t one of
+    the tables of V.  The template is laws.scan's detail; comp, the
     lattice's complement vector, serves plus-at-one.
     """
-    P = [list(row) for row in r.oplus]
-    T = [list(row) for row in r.times]
-    N = [row[r.one] for row in r.oplus]  # x+1
-    z, u, n = r.zero, r.one, r.n
-    ids = list(range(n))
-    TN = [T[v] for v in N]  # the row of x+1 in T
+    H, P, T, n, z, u = V.H, V.P, V.T, V.n, V.zero, V.one
+    compose, row, only, pairs = H.compose, H.row, H.only, _lat._pairs
+
+    def of_n(r):  # x -> N[r[N[x]]], for a table r
+        return compose(compose(V.NT, r), V.NT)
+
+    def orthogonal(x):  # the row of x*(y+1); only the y where it is x count
+        return compose(V.N, V.TT[x])
+
     return {
-        "times-commutative": ("xy", "{x}*{y} = {a}, {y}*{x} = {b}", T, map(list, zip(*T))),
-        "times-idempotent": ("x", "{x}*{x} = {a}", [[tx[x] for x, tx in enumerate(T)]], [ids]),
-        "times-associative": ("xyz", "", (T[v] for tx in T for v in tx),
-                              ([tx[v] for v in ty] for tx in T for ty in T)),
-        "times-unit": ("x", "{x}*1 = {a}", [[tx[u] for tx in T]], [ids]),
-        "times-zero": ("x", "{x}*0 = {a}", [[tx[z] for tx in T]], [[z] * n]),
-        "R1": ("xy", "{x}+{y} = {a}, {y}+{x} = {b}", P, map(list, zip(*P))),
-        "R2": ("xy", "got {a}, wants {b}",
-               ([N[T[N[v]][nx]] for v in tx] for tx, nx in zip(T, N)), ([x] * n for x in ids)),
-        "R3": ("xy", "got {a}, wants {b}",
-               ([T[N[T[N[v]][x]]][x] for v in tx] for x, tx in enumerate(T)), T),
-        "R4": ("xy", "lhs {a}, rhs {b}", ([P[v][nx] for v in tx] for tx, nx in zip(T, N)),
-               ([N[T[N[v]][x]] for v in tx] for x, tx in enumerate(T))),
-        # only pairs with x <= y+1 count; the others read -1 on both sides
-        "R4-orthogonal": ("xy", "lhs {a}, rhs {b}",
-                          ([N[v] if tx[ny] == x else -1 for v, ny in zip(px, N)]
-                           for x, (px, tx) in enumerate(zip(P, T))),
-                          ([tnx[ny] if tx[ny] == x else -1 for ny in N]
-                           for x, (tx, tnx) in enumerate(zip(T, TN)))),
-        "double-negation": ("x", "got {a}", [[N[v] for v in N]], [ids]),
-        "negation-disjoint": ("x", "got {a}", [[tx[v] for tx, v in zip(T, N)]], [[z] * n]),
-        "one-self-inverse": ("", "1+1 = {a}", [[P[u][u]]], [[z]]),
-        "zero-neutral": ("x", "got {a}", [[px[z] for px in P]], [ids]),
-        "negation-covers": ("x", "got {a}", [[px[v] for px, v in zip(P, N)]], [[u] * n]),
+        "times-commutative": lambda: ("xy", "{x}*{y} = {a}, {y}*{x} = {b}", T, V.Tc),
+        "times-idempotent": lambda: ("x", "{x}*{x} = {a}", [row(map(getitem, T, V.ids))],
+                                     [V.ids]),
+        "times-associative": lambda: ("xyz", "", (T[v] for tx in T for v in tx),
+                                      (compose(ty, ttx) for ttx in V.TT for ty in T)),
+        "times-unit": lambda: ("x", "{x}*1 = {a}", [row([tx[u] for tx in T])], [V.ids]),
+        "times-zero": lambda: ("x", "{x}*0 = {a}", [row([tx[z] for tx in T])], [row([z] * n)]),
+        "R1": lambda: ("xy", "{x}+{y} = {a}, {y}+{x} = {b}", P, map(row, zip(*P))),
+        "R2": lambda: ("xy", "got {a}, wants {b}",
+                       (compose(tx, of_n(V.TcT[nx])) for tx, nx in zip(T, V.N)),
+                       (row([x] * n) for x in range(n))),
+        "R3": lambda: ("xy", "got {a}, wants {b}",
+                       (compose(tx, compose(of_n(tcx), tcx)) for tx, tcx in zip(T, V.TcT)), T),
+        "R4": lambda: ("xy", "lhs {a}, rhs {b}",
+                       (compose(tx, V.PcT[nx]) for tx, nx in zip(T, V.N)),
+                       (compose(tx, of_n(tcx)) for tx, tcx in zip(T, V.TcT))),
+        # only pairs with x <= y+1 count; the others read 0 on both sides
+        "R4-orthogonal": lambda: ("xy", "lhs {a}, rhs {b}",
+                                  (only(compose(px, V.NT), orthogonal(x), x)
+                                   for x, px in enumerate(P)),
+                                  (only(compose(V.N, V.TT[nx]), orthogonal(x), x)
+                                   for x, nx in enumerate(V.N))),
+        "double-negation": lambda: ("x", "got {a}", [compose(V.N, V.NT)], [V.ids]),
+        "negation-disjoint": lambda: ("x", "got {a}", [row(map(getitem, T, V.N))],
+                                      [row([z] * n)]),
+        "one-self-inverse": lambda: ("", "1+1 = {a}", [[P[u][u]]], [[z]]),
+        "zero-neutral": lambda: ("x", "got {a}", [row([px[z] for px in P])], [V.ids]),
+        "negation-covers": lambda: ("x", "got {a}", [row(map(getitem, P, V.N))],
+                                    [row([u] * n)]),
         # the order: x <= y iff x*y = x
-        "negation-antitone": ("xy", "", ([v == x for v in tx] for x, tx in enumerate(T)),
-                              ([T[ny][nx] == ny for ny in N] for nx in N)),
-        "weak-associativity": ("xy", "lhs {a}, rhs {b}", ([N[v] for v in px] for px in P),
-                               ([px[v] for v in N] for px in P)),
-        "T": ("xy", "lhs {a}, rhs {b}",
-              ([N[T[N[tx[ny]]][N[tnx[y]]]] for y, ny in enumerate(N)]
-               for tx, tnx in zip(T, TN)), P),
-        "R5": ("xy", "lhs {a}, rhs {b}", P,
-               ([P[tx[ny]][tnx[y]] for y, ny in enumerate(N)] for tx, tnx in zip(T, TN))),
-        "plus-self-inverse": ("x", "{x}+{x} = {a}, expected {b}",
-                              [[px[x] for x, px in enumerate(P)]], [[z] * n]),
-        "plus-associative": ("xyz", "lhs {a}, rhs {b}", (P[v] for px in P for v in px),
-                             ([px[v] for v in py] for px in P for py in P)),
-        "distributive": ("xyz", "lhs {a}, rhs {b}",
-                         ([tx[v] for v in py] for tx in T for py in P),
-                         ([row[v] for v in tx] for tx in T for row in map(P.__getitem__, tx))),
-        "plus-at-one": ("x", "{x}+1 = {a}, complement is {b}", [N], [list(comp)]),
+        "negation-antitone": lambda: ("xy", "", V.E, (compose(V.N, V.EcT[nx]) for nx in V.N)),
+        "weak-associativity": lambda: ("xy", "lhs {a}, rhs {b}",
+                                       (compose(px, V.NT) for px in P),
+                                       (compose(V.N, ptx) for ptx in V.PT)),
+        "T": lambda: ("xy", "lhs {a}, rhs {b}",
+                      (compose(row(pairs(T, compose(orthogonal(x), V.NT),
+                                         compose(T[nx], V.NT))), V.NT)
+                       for x, nx in enumerate(V.N)), P),
+        "R5": lambda: ("xy", "lhs {a}, rhs {b}", P,
+                       (row(pairs(P, orthogonal(x), T[nx])) for x, nx in enumerate(V.N))),
+        "plus-self-inverse": lambda: ("x", "{x}+{x} = {a}, expected {b}",
+                                      [row(map(getitem, P, V.ids))], [row([z] * n)]),
+        "plus-associative": lambda: ("xyz", "lhs {a}, rhs {b}", (P[v] for px in P for v in px),
+                                     (compose(py, ptx) for ptx in V.PT for py in P)),
+        "distributive": lambda: ("xyz", "lhs {a}, rhs {b}",
+                                 (compose(py, ttx) for ttx in V.TT for py in P),
+                                 (compose(tx, V.PT[v]) for tx in T for v in tx)),
+        "plus-at-one": lambda: ("x", "{x}+1 = {a}, complement is {b}", [V.N], [row(comp)]),
         # x+y against the De Morgan join (x'*y')'; only pairs with x <= y+1
-        # count, the others read -1 on both sides
-        "orthogonal-join": ("xy", "",
-                            ([v if tx[ny] == x else -1 for v, ny in zip(px, N)]
-                             for x, (px, tx) in enumerate(zip(P, T))),
-                            ([N[tnx[ny]] if tx[ny] == x else -1 for ny in N]
-                             for x, (tx, tnx) in enumerate(zip(T, TN)))),
+        # count, the others read 0 on both sides
+        "orthogonal-join": lambda: ("xy", "",
+                                    (only(px, orthogonal(x), x) for x, px in enumerate(P)),
+                                    (only(compose(compose(V.N, V.TT[nx]), V.NT),
+                                          orthogonal(x), x) for x, nx in enumerate(V.N))),
     }
 
 
-def _semilattice(T) -> bool:
-    """Whether the table T is commutative, idempotent and associative.
+def _semilattice(V: _Rows) -> bool:
+    """Whether the table V.T is commutative, idempotent and associative.
 
     Such a table is the meet of its own order x <= y iff x*y = x (Birkhoff,
     Lattice Theory, ch. II).  With down[y] the mask of the x below y, a
@@ -177,9 +249,10 @@ def _semilattice(T) -> bool:
     order transitive and x*y the greatest lower bound of x and y.  That is
     n^2 mask operations in place of n^3 products.
     """
-    if list(zip(*T)) != list(map(tuple, T)) or any(tx[x] != x for x, tx in enumerate(T)):
+    T = V.T
+    if V.Tc != T or V.H.row(map(getitem, T, V.ids)) != V.ids:
         return False
-    down = [_lat._mask(map(eq, ty, count())) for ty in T]  # down[y]: the x with y*x = x
+    down = tuple(map(V.H.fixed, T))  # down[y]: the x with y*x = x
     return _lat._bounds(down) == [list(tx[x:]) for x, tx in enumerate(T)]
 
 
@@ -191,13 +264,14 @@ def _failures(r: RlseTables, laws, comp=(), boolean=False):
     says that r is a Boolean ring (is_boolean_ring), where
     plus-associative and distributive pass without a scan.
     """
-    rows = _ring_laws(r, comp)
+    V = r._rows
+    rows = _ring_laws(V, comp)
     for law in laws:
-        if (law == "times-associative" and _semilattice(r.times)
+        if (law == "times-associative" and _semilattice(V)
                 or boolean and law in ("plus-associative", "distributive")):
             yield law, None
         else:
-            names, detail, lhs, rhs = rows[law]
+            names, detail, lhs, rhs = rows[law]()
             yield scan(law, names, r.elements, lhs, rhs, detail)
 
 
@@ -212,7 +286,9 @@ ADDITION_LAWS = ("R1", "plus-at-one", "orthogonal-join")
 
 def addition_failure(r: RlseTables, comp) -> Failure | None:
     """The first admissible-addition law that r breaks, or None; comp is
-    the complement vector of the lattice whose meet table is r.times."""
+    the complement vector of the lattice whose meet table is r.times.  A
+    malformed r raises MalformedTable."""
+    _check_shape(r)
     return collect(_failures(r, ADDITION_LAWS, comp), first_only=True).first
 
 
@@ -247,8 +323,8 @@ def require_rlse(r: RlseTables) -> None:
 
 def _order_poset(r: RlseTables) -> _lat.FinitePoset:
     """Poset of the multiplicative order x <= y iff x*y = x."""
-    rows = [_lat._mask(v == i for v in ti) for i, ti in enumerate(r.times)]
-    return _lat._poset_from_masks(list(r.elements), rows)
+    V = r._rows
+    return _lat._poset_from_masks(list(r.elements), list(map(V.H.mask, V.T, range(r.n))))
 
 
 def _derived(r: RlseTables) -> tuple[Verdict, _lat.FiniteOml | None]:
@@ -265,7 +341,7 @@ def _derived(r: RlseTables) -> tuple[Verdict, _lat.FiniteOml | None]:
     if poset.bottom != r.zero or poset.top != r.one:
         return Verdict.of(Failure("bounds", {
             "bottom": els[poset.bottom], "top": els[poset.top]})), None
-    return _lat.check_oml(poset, [row[r.one] for row in r.oplus])
+    return _lat.check_oml(poset, r._rows.N)
 
 
 def derived_lattice(r: RlseTables) -> _lat.FiniteOml:
@@ -371,8 +447,8 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
     """
     require_rlse(r)
     identity_route = _verdict(r, ("weak-associativity", "T"))
-    N = [row[r.one] for row in r.oplus]  # x+1, the complement
-    boolean = _lat._central(r.times, N) is None and r.oplus == _lat._t1(r.times, N)
+    V = r._rows  # V.N, x+1, is the complement
+    boolean = _lat._central(V.T, V.N) is None and V.P == _lat._t1_rows(V.T, V.N)
     ring_route = collect(_failures(r, ("plus-self-inverse", "zero-neutral", "plus-associative",
                                        "distributive"), boolean=boolean), first_only=True)
     if ring_route.passed != boolean:
@@ -395,13 +471,15 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
 
 def _lattice_side_laws(r, oml):
     """(law, Failure or None) for the lattice-side laws on oml, lazily."""
-    c = oml.comp  # x+1, as _derived passes it
-    yield "meet-is-times", None if oml.meet == r.times else Failure("meet-is-times", {})
-    yield scan("join-is-demorgan", "xy", r.elements, map(list, oml.join),
-               ([c[dm[cy]] for cy in c] for dm in map(r.times.__getitem__, c)))
+    V = r._rows
+    H, c, cT = V.H, V.N, V.NT  # x+1, the complement _derived passes
+    yield "meet-is-times", None if list(map(H.row, oml.meet)) == V.T else Failure(
+        "meet-is-times", {})
+    yield scan("join-is-demorgan", "xy", r.elements, map(H.row, oml.join),
+               (H.compose(H.compose(c, V.TT[cx]), cT) for cx in c))
     # the admissible-addition laws, by witness only: once x+1 = x' holds
     # and the join is the De Morgan one, their ring forms are the lattice's
-    for law, found in _failures(r, ADDITION_LAWS, c):
+    for law, found in _failures(r, ADDITION_LAWS, oml.comp):
         law = "plus-commutative" if law == "R1" else law
         yield law, found and Failure(law, found.witness)
 
