@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import compress, count, repeat
 from operator import eq, itemgetter
 
 from .errors import (
@@ -105,7 +105,7 @@ def _mask(flags) -> int:
     """The bitmask with bit i set where flags[i] is true; the one mask
     builder, for the builtin lattices (corpus) and the masks of tables
     wider than 256 elements (_Tuples)."""
-    return sum(1 << i for i, f in enumerate(flags) if f)
+    return sum(map((1).__lshift__, compress(count(), flags)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,6 @@ class _Bytes:
         return bytes(row).ljust(256, b"\0")
 
     @staticmethod
-    def fits(rows, n) -> bool:
-        """Whether every entry of the rows is below n."""
-        return not b"".join(rows).translate(None, bytes(range(n)))
-
-    @staticmethod
     def flags(row, i) -> bytes:
         """Where row reads i, as the digits 0 and 1."""
         return row.translate(b"0" * i + b"1" + b"0" * (255 - i))
@@ -142,14 +137,6 @@ class _Bytes:
     def mask(row, i) -> int:
         """The bitmask of the positions where row reads i."""
         return int(_Bytes.flags(row, i)[::-1], 2)
-
-    @staticmethod
-    def fixed(row) -> int:
-        """The bitmask of the x with row[x] = x."""
-        n = len(row)
-        ids = int.from_bytes(bytes(range(n)), "little")
-        same = (int.from_bytes(row, "little") ^ ids).to_bytes(n, "little")  # 0 where row[x] = x
-        return int(same.translate(b"1" + b"0" * 255)[::-1], 2)
 
     @staticmethod
     def only(row, cond, i) -> bytes:
@@ -168,24 +155,12 @@ class _Tuples:
         return itemgetter(*a)(t)  # a tuple, since a row here has more than one entry
 
     @staticmethod
-    def fits(rows, n) -> bool:
-        for row in rows:
-            for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
-                    return False
-        return True
-
-    @staticmethod
     def flags(row, i) -> tuple:
         return tuple([v == i for v in row])
 
     @staticmethod
     def mask(row, i) -> int:
-        return _mask([v == i for v in row])
-
-    @staticmethod
-    def fixed(row) -> int:
-        return _mask(map(eq, row, count()))
+        return _mask(map(eq, row, repeat(i)))
 
     @staticmethod
     def only(row, cond, i) -> tuple:

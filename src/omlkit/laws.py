@@ -56,7 +56,6 @@ LAWS = {
     "times-order": ("correspondence", "x <= y iff x*y = x is a bounded partial order"),
     "bounds": ("correspondence", "the order's bottom and top are 0 and 1"),
     "meet-is-times": ("correspondence", "x ^ y = x*y"),
-    "join-is-demorgan": ("correspondence", "x v y = (x'*y')'"),
     "plus-commutative": ("correspondence", "x+y = y+x"),
     "range": ("state", "0 <= m(x) <= 1"),
     "top-probability-one": ("state", "m(1) = 1"),

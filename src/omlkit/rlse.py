@@ -19,7 +19,8 @@ center of its lattice, before any of their n^3 triples is scanned.
 RlseTables holds its tables as the caller gave them, tuples of tuples
 when omlkit builds them.  The checks read them once, into rows of their
 width (_Rows, lattice._width): bytes up to 256 elements, where a row
-composition is one bytes.translate, and tuples above that.
+composition is one bytes.translate, and tuples above that.  Rows that
+several checks read are built once per ring and kept.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ class _Rows:
 
     P and T are the rows of + and *, PT and TT the same rows as tables of
     a composition, Tc the columns of *, PcT and TcT the columns of both as
-    tables, N the row of x+1, and E the order flags, E[x][y] set where
-    x*y = x, with EcT their columns as tables.  All but P and T are built
-    on first use.
+    tables, N the row of x+1, TN the rows of x*(y+1) (x orth y iff
+    TN[x][y] = x), E the order flags, E[x][y] set where x*y = x, with EcT
+    their columns as tables, and up their bitmasks, the up-sets of the
+    order.  All but P and T are built on first use.
     """
 
     def __init__(self, r: RlseTables):
@@ -117,21 +119,25 @@ class _Rows:
     Tc = cached_property(lambda V: list(map(V.H.row, zip(*V.T))))
     PcT = cached_property(lambda V: V._tables(zip(*V.P)))
     TcT = cached_property(lambda V: V._tables(V.Tc))
+    TN = cached_property(lambda V: [V.H.compose(V.N, ttx) for ttx in V.TT])
     E = cached_property(lambda V: list(map(V.H.flags, V.T, range(V.n))))
     EcT = cached_property(lambda V: V._tables(zip(*V.E)))
+    up = cached_property(lambda V: list(map(V.H.mask, V.T, range(V.n))))
 
 
 def _fits(r: RlseTables) -> bool:
-    """Whether both tables are n rows of n ints in range(n), read from
-    their rows (_Rows): bytes rows need one translate."""
+    """Whether both tables are n rows of n ints in range(n): one translate
+    of their bytes rows (_Rows), or False above 256, for _check_shape's loop."""
     n = r.n
+    if n > _lat._BYTE_WIDTH:
+        return False
     try:
         if any(len(t) != n or any(len(row) != n for row in t) for t in (r.oplus, r.times)):
             return False
         V = r._rows  # bytes() takes only ints in range(256)
     except (TypeError, ValueError):
         return False
-    return V.H.fits(V.P, n) and V.H.fits(V.T, n)
+    return not b"".join(V.P + V.T).translate(None, bytes(range(n)))
 
 
 def _check_shape(r: RlseTables) -> None:
@@ -177,9 +183,6 @@ def _ring_laws(V: _Rows, comp=()) -> dict:
     def of_n(r):  # x -> N[r[N[x]]], for a table r
         return compose(compose(V.NT, r), V.NT)
 
-    def orthogonal(x):  # the row of x*(y+1); only the y where it is x count
-        return compose(V.N, V.TT[x])
-
     return {
         "times-commutative": lambda: ("xy", "{x}*{y} = {a}, {y}*{x} = {b}", T, V.Tc),
         "times-idempotent": lambda: ("x", "{x}*{x} = {a}", [row(map(getitem, T, V.ids))],
@@ -199,9 +202,9 @@ def _ring_laws(V: _Rows, comp=()) -> dict:
                        (compose(tx, of_n(tcx)) for tx, tcx in zip(T, V.TcT))),
         # only pairs with x <= y+1 count; the others read 0 on both sides
         "R4-orthogonal": lambda: ("xy", "lhs {a}, rhs {b}",
-                                  (only(compose(px, V.NT), orthogonal(x), x)
+                                  (only(compose(px, V.NT), V.TN[x], x)
                                    for x, px in enumerate(P)),
-                                  (only(compose(V.N, V.TT[nx]), orthogonal(x), x)
+                                  (only(V.TN[nx], V.TN[x], x)
                                    for x, nx in enumerate(V.N))),
         "double-negation": lambda: ("x", "got {a}", [compose(V.N, V.NT)], [V.ids]),
         "negation-disjoint": lambda: ("x", "got {a}", [row(map(getitem, T, V.N))],
@@ -216,11 +219,11 @@ def _ring_laws(V: _Rows, comp=()) -> dict:
                                        (compose(px, V.NT) for px in P),
                                        (compose(V.N, ptx) for ptx in V.PT)),
         "T": lambda: ("xy", "lhs {a}, rhs {b}",
-                      (compose(row(pairs(T, compose(orthogonal(x), V.NT),
+                      (compose(row(pairs(T, compose(V.TN[x], V.NT),
                                          compose(T[nx], V.NT))), V.NT)
                        for x, nx in enumerate(V.N)), P),
         "R5": lambda: ("xy", "lhs {a}, rhs {b}", P,
-                       (row(pairs(P, orthogonal(x), T[nx])) for x, nx in enumerate(V.N))),
+                       (row(pairs(P, V.TN[x], T[nx])) for x, nx in enumerate(V.N))),
         "plus-self-inverse": lambda: ("x", "{x}+{x} = {a}, expected {b}",
                                       [row(map(getitem, P, V.ids))], [row([z] * n)]),
         "plus-associative": lambda: ("xyz", "lhs {a}, rhs {b}", (P[v] for px in P for v in px),
@@ -232,9 +235,9 @@ def _ring_laws(V: _Rows, comp=()) -> dict:
         # x+y against the De Morgan join (x'*y')'; only pairs with x <= y+1
         # count, the others read 0 on both sides
         "orthogonal-join": lambda: ("xy", "",
-                                    (only(px, orthogonal(x), x) for x, px in enumerate(P)),
-                                    (only(compose(compose(V.N, V.TT[nx]), V.NT),
-                                          orthogonal(x), x) for x, nx in enumerate(V.N))),
+                                    (only(px, V.TN[x], x) for x, px in enumerate(P)),
+                                    (only(compose(V.TN[nx], V.NT), V.TN[x], x)
+                                     for x, nx in enumerate(V.N))),
     }
 
 
@@ -252,7 +255,7 @@ def _semilattice(V: _Rows) -> bool:
     T = V.T
     if V.Tc != T or V.H.row(map(getitem, T, V.ids)) != V.ids:
         return False
-    down = tuple(map(V.H.fixed, T))  # down[y]: the x with y*x = x
+    down = tuple(_lat._transpose(V.up))  # down[y]: the x with x*y = x
     return _lat._bounds(down) == [list(tx[x:]) for x, tx in enumerate(T)]
 
 
@@ -323,8 +326,7 @@ def require_rlse(r: RlseTables) -> None:
 
 def _order_poset(r: RlseTables) -> _lat.FinitePoset:
     """Poset of the multiplicative order x <= y iff x*y = x."""
-    V = r._rows
-    return _lat._poset_from_masks(list(r.elements), list(map(V.H.mask, V.T, range(r.n))))
+    return _lat._poset_from_masks(list(r.elements), r._rows.up)
 
 
 def _derived(r: RlseTables) -> tuple[Verdict, _lat.FiniteOml | None]:
@@ -412,7 +414,7 @@ def check_derived_identities(r: RlseTables) -> Verdict:
 
 
 def check_r4_orthogonal_form(r: RlseTables) -> tuple[Verdict, Verdict]:
-    """Brute-force R4 and its restriction to orthogonal pairs independently.
+    """Decide R4 and its restriction to orthogonal pairs, side by side.
 
     Returns (r4, orthogonal).  On a valid event ring the two verdicts
     provably coincide; on corrupted tables they show whether they still
@@ -470,16 +472,16 @@ def is_boolean_ring(r: RlseTables) -> tuple[Verdict, Verdict]:
 
 
 def _lattice_side_laws(r, oml):
-    """(law, Failure or None) for the lattice-side laws on oml, lazily."""
+    """(law, Failure or None) for the lattice-side laws on oml, lazily.
+
+    x+1 = x' holds by construction (_derived), and once meet-is-times holds
+    the ortholattice check_oml accepted has the De Morgan join (x'*y')', so
+    R1 and orthogonal-join are the lattice's laws, scanned by witness only.
+    """
     V = r._rows
-    H, c, cT = V.H, V.N, V.NT  # x+1, the complement _derived passes
-    yield "meet-is-times", None if list(map(H.row, oml.meet)) == V.T else Failure(
+    yield "meet-is-times", None if list(map(V.H.row, oml.meet)) == V.T else Failure(
         "meet-is-times", {})
-    yield scan("join-is-demorgan", "xy", r.elements, map(H.row, oml.join),
-               (H.compose(H.compose(c, V.TT[cx]), cT) for cx in c))
-    # the admissible-addition laws, by witness only: once x+1 = x' holds
-    # and the join is the De Morgan one, their ring forms are the lattice's
-    for law, found in _failures(r, ADDITION_LAWS, oml.comp):
+    for law, found in _failures(r, ("R1", "orthogonal-join")):
         law = "plus-commutative" if law == "R1" else law
         yield law, found and Failure(law, found.witness)
 

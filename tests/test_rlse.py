@@ -50,15 +50,24 @@ def test_checks_reject_a_hand_built_ring_with_a_repeated_label():
             check(r)
 
 
-@pytest.mark.parametrize("ring, message", [
-    (_swap_cell(_paper(), "times", 1, 2, 4), "times table entry 4 out of range"),
-    (_swap_cell(_paper(), "oplus", 0, 3, -1), "oplus table entry -1 out of range"),
-    (_paper()._replace(zero=4), "zero/one out of range"),
-    (_paper()._replace(one=-1), "zero/one out of range"),
-], ids=["times-entry", "oplus-entry", "zero", "one"])
-def test_check_rlse_rejects_an_index_out_of_range(ring, message):
+def _at_both_widths(cases):
+    """(id, *args) cases as params, each once as it is, on bytes rows, and
+    once with the width limit at 0 ("-tuples"), on tuple rows, whose shape
+    only _check_shape's loop checks."""
+    return [pytest.param(*args, width, id=case + suffix)
+            for width, suffix in ((256, ""), (0, "-tuples")) for case, *args in cases]
+
+
+@pytest.mark.parametrize("ring, message, width", _at_both_widths([
+    ("times-entry", _swap_cell(_paper(), "times", 1, 2, 4), "times table entry 4 out of range"),
+    ("oplus-entry", _swap_cell(_paper(), "oplus", 0, 3, -1), "oplus table entry -1 out of range"),
+    ("zero", _paper()._replace(zero=4), "zero/one out of range"),
+    ("one", _paper()._replace(one=-1), "zero/one out of range"),
+]))
+def test_check_rlse_rejects_an_index_out_of_range(ring, message, width, monkeypatch):
+    monkeypatch.setattr(lattice, "_BYTE_WIDTH", width)
     with pytest.raises(MalformedTable) as info:
-        check_rlse(ring)
+        check_rlse(RlseTables(*ring))
     assert str(info.value) == message
 
 
@@ -295,6 +304,9 @@ def test_correspondence_verdicts_on_valid_rings():
     for name in ("boolean_2", "mo2"):
         r = rlse_from_oml(corpus.builtin(name), "t1")
         assert [v.passed for v in check_correspondence(r)] == [True, True]
+        # plus-at-one and the De Morgan join hold by construction, unscanned
+        assert check_correspondence(r)[1].checked == (
+            "meet-is-times", "plus-commutative", "orthogonal-join")
 
 
 def test_correspondence_verdicts_agree_on_seeded_mutations():
@@ -321,6 +333,16 @@ def test_lattice_side_reports_where_a_mutant_fails():
     as_rlse, as_lattice = check_correspondence(bad)
     assert (as_rlse.passed, as_lattice.passed) == (False, False)
     assert as_lattice.failures[0].law is not None
+
+
+@pytest.mark.parametrize("constant, law, x", [("zero", "times-zero", "0"),
+                                               ("one", "times-unit", "a'")], ids=["zero", "one"])
+def test_one_wrong_constant_fails_the_bounds(constant, law, x):
+    # mo2's order still has bottom 0 and top 1; a itself is neither
+    r = rlse_from_oml(corpus.builtin("mo2"), "t1")._replace(**{constant: 1})
+    as_rlse, as_lattice = check_correspondence(r)
+    assert as_lattice == laws.Verdict.of(laws.Failure("bounds", {"bottom": "0", "top": "1"}))
+    assert (as_rlse.first.law, as_rlse.first.witness) == (law, {"x": x})
 
 
 def _lattice_side_reference(r, oml):

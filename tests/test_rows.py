@@ -6,7 +6,7 @@ is given in."""
 from pathlib import Path
 
 import pytest
-from test_rlse import _mutants
+from test_rlse import _at_both_widths, _mutants
 
 from omlkit import corpus, lattice, rlse, structfile
 from omlkit.errors import MalformedTable, NotAnRlse
@@ -86,12 +86,14 @@ def test_a_ring_given_as_lists_is_cached_like_one_given_as_tuples():
     assert rlse.check_rlse.cache_info().hits == 1
 
 
-@pytest.mark.parametrize("oplus, message", [
-    (lambda rows: rows[:3], "oplus table has 3 rows, wants 4"),
-    (lambda rows: [[9, *rows[0][1:]], *rows[1:]], "oplus table entry 9 out of range"),
-    (lambda rows: [[-1, *rows[0][1:]], *rows[1:]], "oplus table entry -1 out of range"),
-], ids=["three-rows", "entry-9", "entry-minus-1"])
-def test_addition_failure_rejects_a_malformed_table(oplus, message):
+@pytest.mark.parametrize("oplus, message, width", _at_both_widths([
+    ("three-rows", lambda rows: rows[:3], "oplus table has 3 rows, wants 4"),
+    ("entry-9", lambda rows: [[9, *rows[0][1:]], *rows[1:]], "oplus table entry 9 out of range"),
+    ("entry-minus-1", lambda rows: [[-1, *rows[0][1:]], *rows[1:]],
+     "oplus table entry -1 out of range"),
+]))
+def test_addition_failure_rejects_a_malformed_table(oplus, message, width, monkeypatch):
+    monkeypatch.setattr(lattice, "_BYTE_WIDTH", width)
     oml = corpus.builtin("boolean_2")
     r = rlse_from_oml(oml, "t1")
     bad = r._replace(oplus=tuple(map(tuple, oplus([list(row) for row in r.oplus]))))
