@@ -323,6 +323,18 @@ class FiniteOml(namedtuple("FiniteOml", "poset meet join comp")):
         return tuple(tuple(y for y in range(x, n) if up[x] >> comp[y] & 1) for x in range(n))
 
 
+def _complement_vector(comp, n) -> tuple:
+    """comp as a tuple of n element indices, else ValidationError naming
+    its length or its first entry that is not one."""
+    comp = tuple(comp)
+    if len(comp) != n:
+        raise ValidationError(f"complement vector has {len(comp)} entries, wants {n}")
+    for c in comp:
+        if not (isinstance(c, int) and 0 <= c < n):
+            raise ValidationError(f"complement entry {c!r} is not an element index")
+    return comp
+
+
 def check_oml(poset: FinitePoset, comp):
     """Verify that (poset, comp) is an orthomodular lattice.
 
@@ -332,13 +344,7 @@ def check_oml(poset: FinitePoset, comp):
     Returns (verdict, oml), where oml is the fully tabulated lattice, or
     None when a law fails.
     """
-    comp, n = tuple(comp), poset.n
-    if len(comp) != n:
-        raise ValidationError(f"complement vector has {len(comp)} entries, wants {n}")
-    for c in comp:
-        if not (isinstance(c, int) and 0 <= c < n):
-            raise ValidationError(f"complement entry {c!r} is not an element index")
-
+    comp = _complement_vector(comp, poset.n)
     meet, join, bad = lattice_tables(poset.elements, poset.up)
     verdict = collect(_oml_laws(poset, comp, meet, join, bad), first_only=True)
     if not verdict.passed:

@@ -290,8 +290,9 @@ ADDITION_LAWS = ("R1", "plus-at-one", "orthogonal-join")
 def addition_failure(r: RlseTables, comp) -> Failure | None:
     """The first admissible-addition law that r breaks, or None; comp is
     the complement vector of the lattice whose meet table is r.times.  A
-    malformed r raises MalformedTable."""
+    malformed r raises MalformedTable, then a malformed comp ValidationError."""
     _check_shape(r)
+    comp = _lat._complement_vector(comp, r.n)
     return collect(_failures(r, ADDITION_LAWS, comp), first_only=True).first
 
 

@@ -26,17 +26,19 @@ dominance masks scale each state, and the event checks each coordinate
 scaled event vector into one int (_packing).
 State values, event vectors and witness values stay Fraction.
 
-Checks return a laws.Verdict; their counterexample scans compare whole
-rows with laws.first_mismatch, so each failure carries the
-lexicographically first witness.
+Checks return a laws.Verdict, and each failure carries the
+lexicographically first witness.  The state side compares whole rows
+with laws.first_mismatch.  The event side reads orthogonality, q <= 1-p,
+from the down-masks of the complements, and walks the set bits of those
+masks (lattice._bits) up to the first member that fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import zip_longest
 from math import lcm
-from operator import add, gt, mul, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import simplex
@@ -50,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import Failure, Verdict, collect, first_mismatch, scan, witness
-from .lattice import FiniteOml, _index, _t1, _transpose, lattice_tables
+from .lattice import FiniteOml, _bits, _index, _t1, lattice_tables
 
 if TYPE_CHECKING:
     from .rlse import RlseTables
@@ -415,39 +417,31 @@ def _algebra_laws(labels, den, events, member, le):
     compl = [tuple(map(sub, den, p)) for p in events]
     yield scan("complement-closed", "p", labels, [[c in member for c in compl]], [[True] * m])
 
-    # q is orthogonal to p when q <= 1-p: column m+i of the up-masks of the
-    # events followed by their complements, cut down to the members
-    up = _transpose(_pointwise_up(zip(*events, *compl), 2 * m))
-    orth = [col & (1 << m) - 1 for col in up[m:]]
-    pairs = [(i, j) for i in range(m) for j in range(i, m) if orth[i] >> j & 1]
+    # q is orthogonal to p when q <= 1-p: the down-mask of 1-p among the
+    # events and their complements, read as the up-mask of the negated
+    # values, cut down to the members
+    down = _pointwise_up([[-v for v in col] for col in zip(*events, *compl)], 2 * m)
+    orth = [d & (1 << m) - 1 for d in down[m:]]
 
-    def triple_rows():
-        # r runs from j on, over members orthogonal to both p and q
-        for i, j in pairs:
-            pq = tuple(map(add, events[i], events[j]))
-            rs = (orth[i] & orth[j]) >> j << j
-            yield [rs >> r & 1 == 0 or tuple(map(add, pq, er)) in member
-                   for r, er in enumerate(events)]
+    def bad_triples():
+        # q from p on and r from q on, over the members orthogonal to both
+        for i, p in enumerate(events):
+            for j in _bits(orth[i] >> i << i):
+                pq = tuple(map(add, p, events[j]))
+                for r in _bits((orth[i] & orth[j]) >> j << j):
+                    if tuple(map(add, pq, events[r])) not in member:
+                        yield i, j, r
 
-    hit = first_mismatch(pairs, triple_rows(), repeat([True] * m))
+    hit = next(bad_triples(), None)
     yield "orthogonal-triple-sum", hit and Failure(
         "orthogonal-triple-sum", witness("pqr", labels, hit))
 
-    def pair_rows():
-        # what is wrong with p+q, for the orthogonal q from p on; "" if nothing.
-        # The sum s is the supremum when its up-set is theirs in common
-        # (lattice._bounds).
-        for i, p in enumerate(events):
-            qs = orth[i] >> i << i
-            sums = [member.get(tuple(map(add, p, q)), -1) if qs >> j & 1 else None
-                    for j, q in enumerate(events)]
-            yield ["" if s is None
-                   else "sum is not a member" if s < 0
-                   else "" if le[s] == le[i] & le[j]
-                   else "sum is not the supremum"
-                   for j, s in enumerate(sums)]
-
-    hit = first_mismatch([(i,) for i in range(m)], pair_rows(), repeat([""] * m))
+    # p+q for the orthogonal q from p on: a member, and the supremum when
+    # its up-set is theirs in common (lattice._bounds)
+    sums = ((i, j, member.get(tuple(map(add, p, events[j])), -1))
+            for i, p in enumerate(events) for j in _bits(orth[i] >> i << i))
+    hit = next(((i, j, "sum is not a member" if s < 0 else "sum is not the supremum")
+                for i, j, s in sums if s < 0 or le[s] != le[i] & le[j]), None)
     yield "orthogonal-pair-sum", hit and Failure(
         "orthogonal-pair-sum", witness("pq", labels, hit), hit[2])
 
@@ -513,23 +507,20 @@ def boolean_test(ev: NumericalEventSet):
 
     # p+q-2(p^q) is symmetric in p and q: one pass over the pairs p <= q
     # looks for a value above 1 (den, scaled) on the packed vectors
-    # (_packing) and keeps each row; a row with a value above 1 is computed
-    # again on the vectors, for its witness
+    # (_packing) and keeps each row; in a row with a value above 1 the
+    # vectors are walked from q = p on, up to the first such value: the witness
     packed, over, top = _packing(den, events)
     rows = []
     for i, (p, mi) in enumerate(zip(packed, meet)):
         hats = [p + q - 2 * packed[v] for q, v in zip(packed[i:], mi[i:])]
         if any(map(top.__and__, map(over.__add__, hats))):
-            hats = [hat_plus(events[i], events[j], events[mi[j]]) for j in range(i, m)]
-            hit = first_mismatch([(j,) for j in range(i, m)],
-                                 ([*map(gt, h, den)] for h in hats), repeat([False] * len(den)))
+            hit = next(((j, k, v) for j in range(i, m) for k, (v, d) in enumerate(
+                zip(hat_plus(events[i], events[j], events[mi[j]]), den)) if v > d), None)
             if hit is None:
                 raise OracleMismatch("packed event vectors exceed 1 where the vectors do not")
-            j, pos = hit[:2]
-            return {
-                "p": labels[i], "q": labels[j],
-                "state": pos, "value": str(Fraction(hats[j - i][pos], den[pos])),
-            }, None
+            j, pos, v = hit
+            return {"p": labels[i], "q": labels[j], "state": pos,
+                    "value": str(Fraction(v, den[pos]))}, None
         rows.append(hats)
 
     # no value exceeds 1: the kept rows must be the set's own symmetric

@@ -9,7 +9,7 @@ import pytest
 from test_rlse import _at_both_widths, _mutants
 
 from omlkit import corpus, lattice, rlse, structfile
-from omlkit.errors import MalformedTable, NotAnRlse
+from omlkit.errors import MalformedTable, NotAnRlse, ValidationError
 from omlkit.laws import LAWS, Failure
 from omlkit.rlse import (
     RlseTables,
@@ -99,6 +99,21 @@ def test_addition_failure_rejects_a_malformed_table(oplus, message, width, monke
     bad = r._replace(oplus=tuple(map(tuple, oplus([list(row) for row in r.oplus]))))
     with pytest.raises(MalformedTable, match=message):
         addition_failure(bad, oml.comp)
+
+
+@pytest.mark.parametrize("comp, message", [
+    ((3, 2), "complement vector has 2 entries, wants 4"),
+    ((3, 2, 1, 0, 0), "complement vector has 5 entries, wants 4"),
+    ((3, 2, 1, 9), "complement entry 9 is not an element index"),
+])
+def test_addition_failure_rejects_a_malformed_complement_like_check_oml(comp, message):
+    oml = corpus.builtin("boolean_2")
+    r = rlse_from_oml(oml, "t1")
+    with pytest.raises(ValidationError, match=message):
+        addition_failure(r, comp)
+    with pytest.raises(ValidationError, match=message):
+        lattice.check_oml(oml.poset, comp)
+    assert addition_failure(r, (3, 2, 1, 0)) is None
 
 
 # ---------------------------------------------------------------------------

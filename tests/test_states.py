@@ -1163,6 +1163,72 @@ def test_event_checks_match_their_earlier_form_on_wider_denominators():
     assert fractional >= 100 and lcm60 >= 100
 
 
+def _word_wide_event_sets(count, seed):
+    """The events of product_2p4_mo2 (96 members) and mo3 x boolean_3 (64),
+    in turn, with one value moved to 0, 1/2 or 1, a vector removed, or a
+    member halved added with its complement, shuffled: masks wider than a
+    machine word."""
+    rng = random.Random(seed)
+    bases = [events_from_states(oml, find_full_state_set(oml).states).events
+             for oml in (corpus.builtin("product_2p4_mo2"),
+                         lattice.direct_product(corpus.builtin("mo3"), corpus.builtin("boolean_3")))]
+    out = []
+    for n in range(count):
+        vecs, how = list(bases[n % 2]), n // 2 % 3
+        if how == 0:
+            pos = rng.randrange(len(vecs))
+            v = list(vecs[pos])
+            v[rng.randrange(len(v))] = rng.choice((F(0), F(1, 2), F(1)))
+            vecs[pos] = tuple(v)
+        elif how == 1:
+            del vecs[rng.randrange(len(vecs))]
+        else:
+            v = tuple(a / 2 for a in rng.choice(vecs))
+            vecs += [v, tuple(1 - a for a in v)]
+        vecs = list(dict.fromkeys(vecs))
+        rng.shuffle(vecs)
+        labels = tuple(f"e{i}" for i in range(len(vecs)))
+        out.append(NumericalEventSet(labels, tuple(vecs)))
+    return out
+
+
+def test_event_checks_match_their_earlier_form_on_masks_wider_than_a_word():
+    seen, far = set(), 0
+    for ev in _word_wide_event_sets(6, 6):
+        got = _outcome(boolean_test, ev)
+        assert got == _outcome(_oracle_boolean_test, ev), ev
+        failures = [(f.law, f.witness, f.detail) for f in check_s_probability_algebra(ev).failures]
+        assert failures == _oracle_algebra(ev), ev
+        seen |= {(law, detail) for law, _, detail in failures}
+        seen.add(isinstance(got[0], dict))
+        far += any(int(lab[1:]) >= 64 for _, w, _ in failures for lab in w.values())
+    assert seen >= {("orthogonal-triple-sum", ""), ("orthogonal-pair-sum", "sum is not a member"),
+                    ("orthogonal-pair-sum", "sum is not the supremum"), True}
+    assert far
+
+
+def test_the_event_walks_visit_each_orthogonal_pair_and_triple_once(monkeypatch):
+    # orthogonality is symmetric, so a walk that starts below p (or r below
+    # q) finds the same first witness as this one, but walks more
+    oml = lattice.direct_product(corpus.builtin("mo2"), corpus.builtin("boolean_3"))
+    ev = events_from_states(oml, find_full_state_set(oml).states)
+    walked = []
+
+    def bits(mask):
+        for b in lattice._bits(mask):
+            walked.append(b)
+            yield b
+
+    monkeypatch.setattr(states, "_bits", bits)
+    assert check_s_probability_algebra(ev).passed
+    m = len(ev.events)
+    orth = [[all(a + b <= 1 for a, b in zip(p, q)) for q in ev.events] for p in ev.events]
+    pairs = [(i, j) for i in range(m) for j in range(i, m) if orth[i][j]]
+    want = [x for i, j in pairs
+            for x in [j, *(r for r in range(j, m) if orth[i][r] and orth[j][r])]]
+    assert walked == want + [j for _, j in pairs]
+
+
 def _fine_event_sets(count, seed):
     """Event sets whose columns mix found states with weights of
     denominators up to 10^6: a full state set with one to three such
