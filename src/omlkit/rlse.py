@@ -17,10 +17,13 @@ are decided in quadratic time, as the meet of its own order and by the
 center of its lattice, before any of their n^3 triples is scanned.
 
 RlseTables holds its tables as the caller gave them, tuples of tuples
-when omlkit builds them.  The checks read them once, into rows of their
-width (_Rows, lattice._width): bytes up to 256 elements, where a row
-composition is one bytes.translate, and tuples above that.  Rows that
-several checks read are built once per ring and kept.
+when omlkit builds them, and hashes by its labels and constants.  The
+first check reads the tables once, into rows of their width (_Rows,
+lattice._width): bytes up to 256 elements, where a row composition is one
+bytes.translate, and tuples above that.  That read is the one gate into
+the tables: it validates them as it reads them, and no other code reads
+the raw tables.  Rows that several checks read are built once per ring
+and kept.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ class RlseTables(namedtuple("RlseTables", "elements oplus times zero one")):
     elements is a tuple of labels, oplus and times are row-major n x n
     index tables (tuples of tuples) and zero and one are indices; nothing
     is validated at construction time.  Run check_rlse to find out whether
-    the axioms actually hold.  The checks read the tables once, into rows
-    of their width (_Rows), so tables given as lists must not change after
-    the first check.
+    the axioms actually hold.  The first check reads and validates the
+    tables once, into rows of their width (_Rows), so tables given as lists
+    must not change after it.  A ring hashes by its labels and constants
+    alone: check_rlse's cache tells rings that share them apart by their
+    tables, and a ring given as lists hashes too.
     """
 
     @property
@@ -78,14 +83,7 @@ class RlseTables(namedtuple("RlseTables", "elements oplus times zero one")):
         return _lat._index(self.elements, label)
 
     def __hash__(self) -> int:
-        # the hash of the rows, so that check_rlse caches tables given as
-        # lists too; a bytes row computes its hash once
-        try:
-            V = self._rows
-            rows = tuple(V.P), tuple(V.T)
-        except (TypeError, ValueError):
-            rows = tuple(map(tuple, self.oplus)), tuple(map(tuple, self.times))
-        return hash((tuple(self.elements), *rows, self.zero, self.one))
+        return hash((tuple(self.elements), self.zero, self.one))
 
     @cached_property
     def _rows(self) -> _Rows:
@@ -93,7 +91,11 @@ class RlseTables(namedtuple("RlseTables", "elements oplus times zero one")):
 
 
 class _Rows:
-    """A ring's tables, read once as rows of their width (lattice._width).
+    """A ring's tables, read once as rows of their width (lattice._width)
+    and validated as they are read, so every _Rows holds n rows of n
+    indices per table.  Up to 256 elements one translate of the bytes rows
+    checks every entry; above that, or when a table does not fit, a loop
+    raises MalformedTable naming the first offender, oplus before times.
 
     P and T are the rows of + and *, PT and TT the same rows as tables of
     a composition, Tc the columns of *, PcT and TcT the columns of both as
@@ -104,9 +106,28 @@ class _Rows:
     """
 
     def __init__(self, r: RlseTables):
-        self.H = H = _lat._width(r.n)
-        self.P, self.T = list(map(H.row, r.oplus)), list(map(H.row, r.times))
-        self.n, self.zero, self.one = r.n, r.zero, r.one
+        n, tables = r.n, (r.oplus, r.times)
+        self.H = H = _lat._width(n)
+        self.n, self.zero, self.one = n, r.zero, r.one
+        try:  # bytes() takes only ints in range(256); the translate keeps those >= n
+            if H is _lat._Bytes and all(len(t) == n and all(len(row) == n for row in t)
+                                        for t in tables):
+                self.P, self.T = (list(map(H.row, t)) for t in tables)
+                if not b"".join(self.P + self.T).translate(None, bytes(range(n))):
+                    return
+        except (TypeError, ValueError):
+            pass
+        # the loop names the first offender of a table that does not fit
+        for name, table in zip(("oplus", "times"), tables):
+            if len(table) != n:
+                raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
+            for row in table:
+                if len(row) != n:
+                    raise MalformedTable(f"{name} table row has {len(row)} entries")
+                for v in row:
+                    if not (isinstance(v, int) and 0 <= v < n):
+                        raise MalformedTable(f"{name} table entry {v!r} out of range")
+        self.P, self.T = (list(map(H.row, t)) for t in tables)
 
     def _tables(self, rows) -> list:
         return list(map(self.H.table, rows))
@@ -125,38 +146,15 @@ class _Rows:
     up = cached_property(lambda V: list(map(V.H.mask, V.T, range(V.n))))
 
 
-def _fits(r: RlseTables) -> bool:
-    """Whether both tables are n rows of n ints in range(n): one translate
-    of their bytes rows (_Rows), or False above 256, for _check_shape's loop."""
-    n = r.n
-    if n > _lat._BYTE_WIDTH:
-        return False
-    try:
-        if any(len(t) != n or any(len(row) != n for row in t) for t in (r.oplus, r.times)):
-            return False
-        V = r._rows  # bytes() takes only ints in range(256)
-    except (TypeError, ValueError):
-        return False
-    return not b"".join(V.P + V.T).translate(None, bytes(range(n)))
-
-
 def _check_shape(r: RlseTables) -> None:
-    n = r.n
-    if len(set(r.elements)) != n:
+    """MalformedTable naming r's first fault: its labels, then its tables
+    (read into r._rows, which checks them), then its constants."""
+    if len(set(r.elements)) != r.n:
         raise MalformedTable("duplicate element labels")
-    # the loop names the first offender of a table that does not fit
-    for name, table in () if _fits(r) else (("oplus", r.oplus), ("times", r.times)):
-        if len(table) != n:
-            raise MalformedTable(f"{name} table has {len(table)} rows, wants {n}")
-        for row in table:
-            if len(row) != n:
-                raise MalformedTable(f"{name} table row has {len(row)} entries")
-            for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
-                    raise MalformedTable(f"{name} table entry {v!r} out of range")
-    if not (0 <= r.zero < n and 0 <= r.one < n):
+    V = r._rows
+    if not all(isinstance(c, int) and 0 <= c < V.n for c in (V.zero, V.one)):
         raise MalformedTable("zero/one out of range")
-    if r.zero == r.one:
+    if V.zero == V.one:
         raise MalformedTable("zero equals one; the two-element ring is the smallest structure")
 
 

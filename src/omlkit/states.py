@@ -569,20 +569,19 @@ def _representation_laws(r, ev, f):
             reason = "image differs"
     yield "bijection", reason and Failure("bijection", {"reason": reason})
 
-    N = [row[r.one] for row in r.oplus]
+    V = r._rows  # the ring's order (up), rows (P) and orthogonality (TN)
     # order and sums compare alike on the vectors scaled to ints
     _, vecs, _, up = _scaled(els, vecs)
-    # the ring's order: x <= y iff x*y = x
     yield scan("order-isomorphism", "xy", els,
-               ([v == x for v in tx] for x, tx in enumerate(r.times)),
-               ([ux >> y & 1 == 1 for y in range(r.n)] for ux in up))
+               ([ux >> y & 1 for y in range(r.n)] for ux in V.up),
+               ([ux >> y & 1 for y in range(r.n)] for ux in up))
 
-    # only orthogonal pairs, x <= y+1, count; the others read None on both sides
+    # only orthogonal pairs, TN[x][y] = x, count; the others read None on both sides
     yield scan("orthogonal-additivity", "xy", els,
-               ([vecs[v] if tx[ny] == x else None for v, ny in zip(px, N)]
-                for x, (px, tx) in enumerate(zip(r.oplus, r.times))),
-               ([tuple(map(add, vx, vy)) if tx[ny] == x else None for vy, ny in zip(vecs, N)]
-                for x, (vx, tx) in enumerate(zip(vecs, r.times))))
+               ([vecs[v] if t == x else None for v, t in zip(px, tnx)]
+                for x, (px, tnx) in enumerate(zip(V.P, V.TN))),
+               ([tuple(map(add, vx, vy)) if t == x else None for vy, t in zip(vecs, tnx)]
+                for x, (vx, tnx) in enumerate(zip(vecs, V.TN))))
 
     algebra = check_s_probability_algebra(ev)
     yield "algebra-axioms", None if algebra.passed else Failure(

@@ -63,6 +63,8 @@ def _at_both_widths(cases):
     ("oplus-entry", _swap_cell(_paper(), "oplus", 0, 3, -1), "oplus table entry -1 out of range"),
     ("zero", _paper()._replace(zero=4), "zero/one out of range"),
     ("one", _paper()._replace(one=-1), "zero/one out of range"),
+    ("zero-float", _paper()._replace(zero=1.0), "zero/one out of range"),
+    ("one-none", _paper()._replace(one=None), "zero/one out of range"),
 ]))
 def test_check_rlse_rejects_an_index_out_of_range(ring, message, width, monkeypatch):
     monkeypatch.setattr(lattice, "_BYTE_WIDTH", width)
@@ -544,6 +546,19 @@ def test_associativity_decider_matches_a_triple_scan_on_every_table_of_three():
             times = tuple(cells[i:i + n] for i in range(0, n * n, n))
             _assert_associativity_matches_brute_force(
                 RlseTables(elements, times, times, 0, n - 1))
+
+
+@pytest.mark.parametrize("width", [256, 0], ids=["bytes", "tuples"])
+def test_semilattice_test_on_a_ring_and_on_non_semilattice_tables(width, monkeypatch):
+    # a ring's * is a meet; a commutative idempotent table with
+    # (0*1)*2 = 2 but 0*(1*2) = 0 is not, nor is a ring's +, which is
+    # commutative and associative but has x+x = 0
+    monkeypatch.setattr(lattice, "_BYTE_WIDTH", width)
+    r = _paper()
+    assert rlse._semilattice(RlseTables(*r)._rows) is True  # a copy, read at this width
+    assert rlse._semilattice(r._replace(times=r.oplus)._rows) is False
+    rock = ((0, 0, 2), (0, 1, 1), (2, 1, 2))
+    assert rlse._semilattice(RlseTables(("0", "1", "2"), rock, rock, 0, 2)._rows) is False
 
 
 def test_associativity_decider_on_symmetric_two_cell_mutants():

@@ -3,10 +3,11 @@ elements and as tuples above, while every public table stays a tuple of
 tuples and every verdict and witness stays the same whatever form a table
 is given in."""
 
+from functools import reduce
 from pathlib import Path
 
 import pytest
-from test_rlse import _at_both_widths, _mutants
+from test_rlse import _at_both_widths, _mutants, _swap_cell
 
 from omlkit import corpus, lattice, rlse, structfile
 from omlkit.errors import MalformedTable, NotAnRlse, ValidationError
@@ -84,6 +85,57 @@ def test_a_ring_given_as_lists_is_cached_like_one_given_as_tuples():
     rlse.check_rlse.cache_clear()
     assert check_rlse(r) is check_rlse(r)
     assert rlse.check_rlse.cache_info().hits == 1
+
+
+def test_rings_that_share_labels_and_constants_keep_their_own_verdicts():
+    # a ring hashes by its labels and constants alone; the cache tells such
+    # rings apart by their tables
+    paper = corpus.builtin("paper-example-2set")
+    mutant = _swap_cell(paper, "times", 1, 2, 1)  # {1}*{2} = {1}
+    t1, t2 = (rlse_from_oml(corpus.builtin("mo2"), plus) for plus in ("t1", "t2"))
+    for a, b in ((paper, mutant), (t1, t2)):
+        assert hash(a) == hash(b) and a != b
+        rlse.check_rlse.cache_clear()
+        first, second = check_rlse(a), check_rlse(b)
+        assert first is not second
+        assert check_rlse(a) is first and check_rlse(b) is second
+        assert rlse.check_rlse.cache_info()[:2] == (2, 2)  # hits, misses
+    assert check_rlse(paper).passed and not check_rlse(mutant).passed
+
+    short = RlseTables(paper.elements, [list(row) for row in paper.oplus],
+                       [list(row) for row in paper.times], paper.zero, paper.one)
+    short.times[2].pop()
+    assert hash(short) == hash(paper)
+    for _ in range(2):  # a failed check caches nothing
+        with pytest.raises(MalformedTable, match="^times table row has 3 entries$"):
+            check_rlse(short)
+
+
+class _CountedRow(list):
+    """A table row that counts how often it is iterated, in reads."""
+
+    reads = []
+
+    def __iter__(self):
+        self.reads.append(1)
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("factors, n", [(["boolean_2"], 4), (["mo3", "boolean_5"], 256)])
+def test_a_well_formed_ring_of_up_to_256_elements_is_read_once(factors, n, monkeypatch):
+    # the bytes rows and one translate check it, reading each row once; the
+    # per-entry loop, which reads each row again, is for tables that do not
+    # fit, and for tuple rows (the width limit at 0), which it reads first
+    oml = reduce(lattice.direct_product, map(corpus.builtin, factors))
+    r = rlse_from_oml(oml, "t1")
+    assert r.n == n
+    for width, reads in ((256, 2 * n), (0, 4 * n)):
+        monkeypatch.setattr(lattice, "_BYTE_WIDTH", width)
+        counted = r._replace(oplus=list(map(_CountedRow, r.oplus)),
+                             times=list(map(_CountedRow, r.times)))
+        _CountedRow.reads.clear()
+        assert check_rlse.__wrapped__(counted).passed
+        assert len(_CountedRow.reads) == reads
 
 
 @pytest.mark.parametrize("oplus, message, width", _at_both_widths([
