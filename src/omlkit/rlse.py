@@ -17,7 +17,7 @@ are decided in quadratic time, as the meet of its own order and by the
 center of its lattice, before any of their n^3 triples is scanned.
 
 RlseTables holds its tables as the caller gave them, tuples of tuples
-when omlkit builds them, and hashes by its labels and constants.  The
+when omlkit builds them, and hashes by its labels alone.  The
 first check reads the tables once, into rows of their width (_Rows,
 lattice._width): bytes up to 256 elements, where a row composition is one
 bytes.translate, and tuples above that.  That read is the one gate into
@@ -70,9 +70,9 @@ class RlseTables(namedtuple("RlseTables", "elements oplus times zero one")):
     is validated at construction time.  Run check_rlse to find out whether
     the axioms actually hold.  The first check reads and validates the
     tables once, into rows of their width (_Rows), so tables given as lists
-    must not change after it.  A ring hashes by its labels and constants
-    alone: check_rlse's cache tells rings that share them apart by their
-    tables, and a ring given as lists hashes too.
+    must not change after it.  A ring hashes by its labels alone, whatever
+    its tables and constants hold; check_rlse's cache tells rings that
+    share labels apart by their constants and tables.
     """
 
     @property
@@ -83,7 +83,7 @@ class RlseTables(namedtuple("RlseTables", "elements oplus times zero one")):
         return _lat._index(self.elements, label)
 
     def __hash__(self) -> int:
-        return hash((tuple(self.elements), self.zero, self.one))
+        return hash(tuple(self.elements))
 
     @cached_property
     def _rows(self) -> _Rows:

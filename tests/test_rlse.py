@@ -65,6 +65,8 @@ def _at_both_widths(cases):
     ("one", _paper()._replace(one=-1), "zero/one out of range"),
     ("zero-float", _paper()._replace(zero=1.0), "zero/one out of range"),
     ("one-none", _paper()._replace(one=None), "zero/one out of range"),
+    ("zero-list", _paper()._replace(zero=[0]), "zero/one out of range"),
+    ("one-dict", _paper()._replace(one={}), "zero/one out of range"),
 ]))
 def test_check_rlse_rejects_an_index_out_of_range(ring, message, width, monkeypatch):
     monkeypatch.setattr(lattice, "_BYTE_WIDTH", width)

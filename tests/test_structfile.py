@@ -204,8 +204,9 @@ def _ring_text(oplus="a b\nb a", times="a a\na b", zero="a", one="b", elements="
      "oplus table entry 'q' is not an element"),
     (_ring_text(times="a a\na z"), MalformedTable, "times table entry 'z' is not an element"),
     (_ring_text(elements="a a"), ParseError, "duplicate element label at line 3, column 3"),
+    (_ring_text(zero="a b"), ParseError, "ZERO takes exactly one label at line 4, column 1"),
 ], ids=["short-row", "unknown-zero", "unknown-one", "unknown-oplus", "unknown-times",
-        "duplicate-label"])
+        "duplicate-label", "two-zeros"])
 def test_malformed_ring_files_raise_in_order(text, error, message):
     with pytest.raises(error) as info:
         to_rlse(parse_structure(text))
